@@ -50,11 +50,13 @@ from .hypergrad import (
     closed_form_inner_quadratic,
     frozen_field,
     hypergrad,
+    hypergrad_at,
     solve_inner_system,
     value_function_fd,
 )
 from .losses import (
     Dataset,
+    ForwardPass,
     LossModel,
     ModelParams,
     RegularizedMultinomialLogistic,

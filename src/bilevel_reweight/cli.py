@@ -9,6 +9,7 @@ fully resolved config so re-running reproduces the outputs.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import logging
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datagen, dynamics, solvers
+from . import datagen
 from .datagen import CorruptionSpec, MixtureSpec, gen_corrupted, gen_mixture
 from .dynamics import (
     ConstantField,
@@ -86,6 +87,17 @@ def _apply_overrides(cfg: dict, overrides):
             value = raw
         _set_dotted(cfg, key, value)
     return cfg
+
+
+def _merged(defaults: dict, cfg: dict) -> dict:
+    """defaults overridden by cfg; a sub-config that both give as a dict is
+    merged key by key, so cfg need only name what it changes."""
+    out = dict(defaults)
+    for key, value in cfg.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            value = _merged(out[key], value)
+        out[key] = value
+    return out
 
 
 def _load_config(path):
@@ -300,9 +312,9 @@ def _write_table(path, rows):
 
 
 def _exp_toy_mixture(cfg: dict, out: Path, jobs: int) -> list:
-    spec = MixtureSpec(**cfg.get("spec", {}))
+    spec = MixtureSpec(**cfg["spec"])
     train, test, theta_hat, z = gen_mixture(spec)
-    model = RidgeLeastSquares(cfg.get("mu", 1e-4))
+    model = RidgeLeastSquares(cfg["mu"])
     n = train.n
     w_uniform = SimplexWeights.uniform(n)
     w_optimal = SimplexWeights.from_unnormalized((z == 1).astype(float))
@@ -323,12 +335,8 @@ def _exp_toy_mixture(cfg: dict, out: Path, jobs: int) -> list:
     rows.append(static_row("uniform", w_uniform))
     rows.append(static_row("optimal", w_optimal))
 
-    exact_cfg = SolverConfig(**cfg.get("exact", {"eta": 0.12,
-                                                 "iterations": 2000,
-                                                 "record_every": 50}))
-    warm_cfg = SolverConfig(**cfg.get("warm", {"eta": 0.05, "rho": 5e-5,
-                                               "iterations": 1000,
-                                               "record_every": 50}))
+    exact_cfg = SolverConfig(**cfg["exact"])
+    warm_cfg = SolverConfig(**cfg["warm"])
     t0 = time.monotonic()
     tr_exact = exact_bilevel(model, train, test, w_uniform, exact_cfg,
                              theta_ref=theta_hat)
@@ -354,11 +362,11 @@ def _exp_toy_mixture(cfg: dict, out: Path, jobs: int) -> list:
 
 
 def _exp_ratio_sweep(cfg: dict, out: Path, jobs: int) -> list:
-    spec = CorruptionSpec(**cfg.get("spec", {}))
+    spec = CorruptionSpec(**cfg["spec"])
     train, clean_mask, test, val = gen_corrupted(spec)
-    model = RegularizedMultinomialLogistic(cfg.get("mu", 1e-2))
-    ratios = cfg.get("ratios", RATIO_GRID)
-    iterations = cfg.get("iterations", 4000)
+    model = RegularizedMultinomialLogistic(cfg["mu"])
+    ratios = cfg["ratios"]
+    iterations = cfg["iterations"]
     p = model.n_params(train)
     n = train.n
 
@@ -400,12 +408,10 @@ def _exp_ratio_sweep(cfg: dict, out: Path, jobs: int) -> list:
 
 
 def _exp_softmax_toy(cfg: dict, out: Path, jobs: int) -> list:
-    spec = MixtureSpec(**cfg.get("spec", {}))
+    spec = MixtureSpec(**cfg["spec"])
     train, test, theta_hat, z = gen_mixture(spec)
-    model = RidgeLeastSquares(cfg.get("mu", 0.0))
-    scfg = SolverConfig(**cfg.get("solver", {"eta": 100.0, "rho": 1e-3,
-                                             "iterations": 5000,
-                                             "record_every": 100}))
+    model = RidgeLeastSquares(cfg["mu"])
+    scfg = SolverConfig(**cfg["solver"])
     trace = softmax_reparam(model, train, test, ModelParams(np.zeros(train.d)),
                             np.zeros(train.n), scfg, theta_ref=theta_hat,
                             record_resolve_err=True)
@@ -419,10 +425,8 @@ def _exp_softmax_toy(cfg: dict, out: Path, jobs: int) -> list:
 
 
 def _exp_frozen_flow(cfg: dict, out: Path, jobs: int) -> list:
-    n, p = cfg.get("n", 5), cfg.get("p", 3)
-    seed = cfg.get("seed", 0)
-    fcfg = FlowConfig(**cfg.get("flow", {"dt": 1e-2, "t_max": 500.0,
-                                         "stationarity_tol": 1e-9}))
+    n, p, seed = cfg["n"], cfg["p"], cfg["seed"]
+    fcfg = FlowConfig(**cfg["flow"])
     field = _fig3_field(n, p, seed)
     w0 = SimplexWeights.uniform(n)
     result = omega_limit(field, w0, fcfg)
@@ -442,27 +446,26 @@ def _exp_frozen_flow(cfg: dict, out: Path, jobs: int) -> list:
 
 
 def _exp_regime_check(cfg: dict, out: Path, jobs: int) -> list:
-    spec = MixtureSpec(**cfg.get("spec", {"n": 60, "m": 30, "seed": 0}))
+    spec = MixtureSpec(**cfg["spec"])
     train, test, theta_hat, z = gen_mixture(spec)
-    model = RidgeLeastSquares(cfg.get("mu", 1e-4))
-    T = cfg.get("horizon", 1.0)
-    betas = cfg.get("betas", [1e-1, 1e-2, 1e-3])
+    model = RidgeLeastSquares(cfg["mu"])
+    T = cfg["horizon"]
     n = train.n
     w0 = SimplexWeights.uniform(n)
-    t_grid = np.linspace(0.0, T, cfg.get("checkpoints", 20) + 1)
+    t_grid = np.linspace(0.0, T, cfg["checkpoints"] + 1)
 
     oracle_field = ExactHypergradField(model, train, test)
     ref = integrate_mirror_flow(oracle_field, w0,
-                                FlowConfig(dt=cfg.get("dt", 1e-3), t_max=T),
+                                FlowConfig(dt=cfg["dt"], t_max=T),
                                 record_times=t_grid)
     ref_w = np.stack([r.w.values for r in ref.records])
 
     theta_star = closed_form_inner_quadratic(train, w0, model.mu)
     rows = []
-    for beta in betas:
+    for beta in cfg["betas"]:
         # the joint flow runs for T / beta units of fast time; a coarser
         # step keeps the cost flat while RK4 stays far below its error floor
-        fcfg = FlowConfig(alpha=1.0, beta=beta, dt=cfg.get("dt_joint", 1e-2),
+        fcfg = FlowConfig(alpha=1.0, beta=beta, dt=cfg["dt_joint"],
                           t_max=T / beta)
         tr = integrate_joint_flow(model, train, test, theta_star, w0, fcfg,
                                   record_times=t_grid / beta)
@@ -472,12 +475,29 @@ def _exp_regime_check(cfg: dict, out: Path, jobs: int) -> list:
     return rows
 
 
+# name -> (run, default config, dotted key of the data seed). A run's config
+# is the default merged with the user's (see _merged).
 EXPERIMENTS = {
-    "toy-mixture": _exp_toy_mixture,
-    "frozen-flow": _exp_frozen_flow,
-    "ratio-sweep": _exp_ratio_sweep,
-    "softmax-toy": _exp_softmax_toy,
-    "regime-check": _exp_regime_check,
+    "toy-mixture": (_exp_toy_mixture, {
+        "spec": {}, "mu": 1e-4,
+        "exact": {"eta": 0.12, "iterations": 2000, "record_every": 50},
+        "warm": {"eta": 0.05, "rho": 5e-5, "iterations": 1000,
+                 "record_every": 50}}, "spec.seed"),
+    "frozen-flow": (_exp_frozen_flow, {
+        "n": 5, "p": 3, "seed": 0,
+        "flow": {"dt": 1e-2, "t_max": 500.0, "stationarity_tol": 1e-9}},
+        "seed"),
+    "ratio-sweep": (_exp_ratio_sweep, {
+        "spec": {}, "mu": 1e-2, "ratios": RATIO_GRID, "iterations": 4000},
+        "spec.seed"),
+    "softmax-toy": (_exp_softmax_toy, {
+        "spec": {}, "mu": 0.0,
+        "solver": {"eta": 100.0, "rho": 1e-3, "iterations": 5000,
+                   "record_every": 100}}, "spec.seed"),
+    "regime-check": (_exp_regime_check, {
+        "spec": {"n": 60, "m": 30, "seed": 0}, "mu": 1e-4, "horizon": 1.0,
+        "betas": [1e-1, 1e-2, 1e-3], "checkpoints": 20, "dt": 1e-3,
+        "dt_joint": 1e-2}, "spec.seed"),
 }
 
 
@@ -486,12 +506,14 @@ def cmd_experiment(args) -> int:
         print(f"unknown experiment {args.name!r}; choose from "
               f"{sorted(EXPERIMENTS)}", file=sys.stderr)
         return 2
+    run, defaults, seed_key = EXPERIMENTS[args.name]
     out = _outdir(args)
     cfg = _apply_overrides(_load_config(args.config), args.set)
     if args.seed is not None:
-        _set_dotted(cfg, "spec.seed", args.seed)
+        _set_dotted(cfg, seed_key, args.seed)
+    cfg = _merged(copy.deepcopy(defaults), cfg)
     start = time.monotonic()
-    rows = EXPERIMENTS[args.name](cfg, out, args.jobs)
+    rows = run(cfg, out, args.jobs)
     wall = time.monotonic() - start
     _write_table(out / "table.csv", rows)
     _write_json(out / "summary.json", {"experiment": args.name,

@@ -393,7 +393,6 @@ def omega_limit(field, w0: SimplexWeights, cfg: FlowConfig,
     Non-convergence is an ordinary value, never an error."""
     if np.any(w0.values <= 0):
         # already on a face; one-hot starts are stationary immediately
-        phi = field(w0)
         rep = is_stationary(w0, field, max(cfg.stationarity_tol, 1e-12))
         if rep.is_stationary:
             return OmegaResult(w0, True, False, 0.0)
@@ -440,7 +439,6 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
     if omega_cfg is None:
         omega_cfg = FlowConfig(dt=min(cfg.dt, 1e-2), t_max=200.0,
                                stationarity_tol=1e-9)
-    p = theta0.theta.size
     theta = theta0.theta.copy()
     grid = _record_grid(cfg.t_max, record_times)
     trace = FlowTrace()

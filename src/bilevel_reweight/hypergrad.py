@@ -14,9 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import AssumptionViolationError, SingularDesignError, StepTooLargeError
+from .errors import (
+    AssumptionViolationError,
+    NoConvergenceError,
+    SingularDesignError,
+    StepTooLargeError,
+)
 from .losses import (
     Dataset,
+    ForwardPass,
     ModelParams,
     gradient_matrix,
     outer_grad,
@@ -52,7 +58,9 @@ def _solve_direct(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _solve_cg(apply_H, rhs: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Plain conjugate gradient on a positive definite operator."""
+    """Plain conjugate gradient on a positive definite operator. Raises
+    NoConvergenceError if the relative residual is still above tol after
+    max_iter iterations."""
     x = np.zeros_like(rhs)
     r = rhs.copy()
     p = r.copy()
@@ -73,29 +81,43 @@ def _solve_cg(apply_H, rhs: np.ndarray, tol: float, max_iter: int) -> np.ndarray
             return x
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return x
+    raise NoConvergenceError(
+        f"CG did not reach relative residual {tol:.1e} in {max_iter} "
+        f"iterations; final relative residual {np.sqrt(rs) / norm_rhs:.3e}")
+
+
+def _solve_hessian(train: ForwardPass, w_values: np.ndarray, rhs: np.ndarray,
+                   cfg: HypergradConfig) -> np.ndarray:
+    p = rhs.size
+    if p <= cfg.direct_threshold:
+        return _solve_direct(train.hess(w_values), rhs)
+    max_iter = cfg.cg_max_iter or 10 * p
+    return _solve_cg(lambda v: train.hess_apply(w_values, v), rhs, cfg.cg_tol,
+                     max_iter)
 
 
 def solve_inner_system(model, data, theta: ModelParams, w: SimplexWeights,
                        rhs, cfg: HypergradConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Solve H v = rhs where H is the weighted inner Hessian at (theta, w)."""
     rhs = np.asarray(rhs, dtype=float)
-    p = rhs.size
-    if p <= cfg.direct_threshold:
-        H = model.weighted_hess(theta.theta, data, w.values)
-        return _solve_direct(H, rhs)
-    apply_H = lambda v: model.weighted_hess_apply(theta.theta, data, w.values, v)
-    max_iter = cfg.cg_max_iter or 10 * p
-    return _solve_cg(apply_H, rhs, cfg.cg_tol, max_iter)
+    return _solve_hessian(model.forward(theta.theta, data), w.values, rhs, cfg)
 
 
 def hypergrad(model, data, test_data, theta: ModelParams, w: SimplexWeights,
               cfg: HypergradConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Psi(theta, w): minus the Hessian-metric alignment of each per-sample
     gradient with the outer gradient."""
-    gF = outer_grad(model, test_data, theta)
-    v = solve_inner_system(model, data, theta, w, gF, cfg)
-    return -(gradient_matrix(model, data, theta) @ v)
+    return hypergrad_at(model.forward(theta.theta, data),
+                        model.forward(theta.theta, test_data), w, cfg)
+
+
+def hypergrad_at(train: ForwardPass, test: ForwardPass, w: SimplexWeights,
+                 cfg: HypergradConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Psi from forward passes at the same theta over the training and test
+    sets: -Gamma H(w)^{-1} grad F(theta), with neither Gamma nor a per-sample
+    Hessian formed."""
+    v = _solve_hessian(train, w.values, test.mean_fit_grad(), cfg)
+    return -train.gamma_apply(v)
 
 
 class FrozenField:

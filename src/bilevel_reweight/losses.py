@@ -72,11 +72,70 @@ class ModelParams:
             raise ValueError("parameters must be finite")
 
 
+class ForwardPass:
+    """One forward pass of a loss model at theta over a dataset, and the
+    per-sample operators it determines.
+
+    Gamma is the n x p matrix whose row i is the gradient of the per-sample
+    training loss l(theta; x_i). The operators act with Gamma and with the
+    weighted Hessian H(w) = sum_i w_i hess l(theta; x_i) without forming
+    either per sample:
+
+    * gamma_apply(v) = Gamma v,
+    * gamma_T_apply(w) = Gamma^T w, the inner gradient,
+    * hess_apply(w, v) = H(w) v and hess(w) = H(w), p x p.
+
+    fit_grads and fit_sample_hessians materialize the n x p and n x p x p
+    arrays and are meant for small frozen snapshots only. The pass holds
+    theta by reference: theta must not change while the pass is in use.
+
+    Subclasses compute the fit term in fit_losses, fit_gamma_apply,
+    fit_gamma_T_apply, fit_hess_apply, fit_hess, fit_grads and
+    fit_sample_hessians; the (mu/2)||theta||^2 regularizer of each
+    per-sample loss is added here.
+    """
+
+    def __init__(self, model: "LossModel", theta: np.ndarray, data: Dataset):
+        self.mu = model.mu
+        self.theta = theta
+        self.data = data
+
+    def mean_fit_grad(self) -> np.ndarray:
+        """Gradient of the mean fit loss, Gamma_fit^T (1/n)."""
+        n = self.data.n
+        return self.fit_gamma_T_apply(np.full(n, 1.0 / n))
+
+    # --- regularized per-sample training loss ---
+    def sample_losses(self) -> np.ndarray:
+        return self.fit_losses() + 0.5 * self.mu * float(self.theta @ self.theta)
+
+    def gamma_apply(self, v) -> np.ndarray:
+        return self.fit_gamma_apply(v) + self.mu * float(self.theta @ v)
+
+    def gamma_T_apply(self, w) -> np.ndarray:
+        return self.fit_gamma_T_apply(w) + (self.mu * w.sum()) * self.theta
+
+    def hess_apply(self, w, v) -> np.ndarray:
+        return self.fit_hess_apply(w, v) + (self.mu * w.sum()) * v
+
+    def hess(self, w) -> np.ndarray:
+        return self.fit_hess(w) + (self.mu * w.sum()) * np.eye(self.theta.size)
+
+    def sample_grads(self) -> np.ndarray:
+        return self.fit_grads() + self.mu * self.theta[None, :]
+
+    def sample_hessians(self) -> np.ndarray:
+        p = self.theta.size
+        return self.fit_sample_hessians() + self.mu * np.eye(p)[None]
+
+
 class LossModel:
     """Per-sample loss with gradient and Hessian oracles.
 
-    Subclasses implement the fit term; the (mu/2)||theta||^2 regularizer is
-    added here so every per-sample training loss is mu-strongly convex.
+    forward(theta, data) makes the one pass over the data that every oracle
+    at theta needs; callers that want several oracles at the same theta
+    should make it once and use its operators. The methods below are one
+    pass each.
     """
 
     mu: float
@@ -85,38 +144,67 @@ class LossModel:
     def n_params(self, data: Dataset) -> int:
         raise NotImplementedError
 
-    # --- fit term (unregularized), also used for the outer loss F ---
-    def fit_losses(self, theta: np.ndarray, data: Dataset) -> np.ndarray:
+    def forward(self, theta: np.ndarray, data: Dataset) -> ForwardPass:
         raise NotImplementedError
 
-    def fit_grads(self, theta: np.ndarray, data: Dataset) -> np.ndarray:
-        raise NotImplementedError
+    def fit_losses(self, theta, data) -> np.ndarray:
+        return self.forward(theta, data).fit_losses()
 
-    def fit_weighted_hess_apply(self, theta, data, w_values, v) -> np.ndarray:
-        raise NotImplementedError
-
-    def fit_sample_hessians(self, theta, data) -> np.ndarray:
-        raise NotImplementedError
-
-    # --- regularized per-sample training loss ---
     def sample_losses(self, theta, data) -> np.ndarray:
-        reg = 0.5 * self.mu * float(theta @ theta)
-        return self.fit_losses(theta, data) + reg
+        return self.forward(theta, data).sample_losses()
 
-    def sample_grads(self, theta, data) -> np.ndarray:
-        return self.fit_grads(theta, data) + self.mu * theta[None, :]
+    def gamma_apply(self, theta, data, v) -> np.ndarray:
+        return self.forward(theta, data).gamma_apply(v)
+
+    def gamma_T_apply(self, theta, data, w_values) -> np.ndarray:
+        return self.forward(theta, data).gamma_T_apply(w_values)
 
     def weighted_hess_apply(self, theta, data, w_values, v) -> np.ndarray:
-        return self.fit_weighted_hess_apply(theta, data, w_values, v) + self.mu * v
-
-    def sample_hessians(self, theta, data) -> np.ndarray:
-        p = self.n_params(data)
-        return self.fit_sample_hessians(theta, data) + self.mu * np.eye(p)[None]
+        return self.forward(theta, data).hess_apply(w_values, v)
 
     def weighted_hess(self, theta, data, w_values) -> np.ndarray:
-        """Explicit weighted Hessian; intended for small p."""
-        hs = self.sample_hessians(theta, data)
-        return np.einsum("i,ijk->jk", w_values, hs)
+        return self.forward(theta, data).hess(w_values)
+
+    def fit_grads(self, theta, data) -> np.ndarray:
+        return self.forward(theta, data).fit_grads()
+
+    def sample_grads(self, theta, data) -> np.ndarray:
+        return self.forward(theta, data).sample_grads()
+
+    def sample_hessians(self, theta, data) -> np.ndarray:
+        return self.forward(theta, data).sample_hessians()
+
+
+class _RidgePass(ForwardPass):
+    """Forward pass of the ridge model: the residual r = X theta - y."""
+
+    def __init__(self, model, theta, data):
+        super().__init__(model, theta, data)
+        self.r = data.features @ theta - data.targets
+
+    def fit_losses(self):
+        return 0.5 * self.r * self.r
+
+    def fit_gamma_apply(self, v):
+        return self.r * (self.data.features @ v)
+
+    def fit_gamma_T_apply(self, w):
+        return self.data.features.T @ (w * self.r)
+
+    def fit_hess_apply(self, w, v):
+        X = self.data.features
+        return X.T @ (w * (X @ v))
+
+    def fit_hess(self, w):
+        X = self.data.features
+        return (X.T * w) @ X
+
+    def fit_grads(self):
+        return self.r[:, None] * self.data.features
+
+    def fit_sample_hessians(self):
+        X = self.data.features
+        return np.einsum("ij,ik->ijk", X, X)
 
 
 class RidgeLeastSquares(LossModel):
@@ -135,21 +223,70 @@ class RidgeLeastSquares(LossModel):
     def n_params(self, data: Dataset) -> int:
         return data.d
 
-    def fit_losses(self, theta, data):
-        r = data.features @ theta - data.targets
-        return 0.5 * r * r
+    def forward(self, theta, data):
+        return _RidgePass(self, theta, data)
 
-    def fit_grads(self, theta, data):
-        r = data.features @ theta - data.targets
-        return r[:, None] * data.features
 
-    def fit_weighted_hess_apply(self, theta, data, w_values, v):
-        X = data.features
-        return X.T @ (w_values * (X @ v))
+class _LogisticPass(ForwardPass):
+    """Forward pass of the multinomial logistic model: the class
+    probabilities P (n x C) and the softmax residual R = P - Y.
 
-    def fit_sample_hessians(self, theta, data):
-        X = data.features
-        return np.einsum("ij,ik->ijk", X, X)
+    Parameters are flattened row-major from C x d, so row i of Gamma_fit is
+    R_i (x) x_i and sample i's fit Hessian is kron(S_i, x_i x_i^T) with
+    S_i = diag(P_i) - P_i P_i^T.
+    """
+
+    def __init__(self, model, theta, data):
+        super().__init__(model, theta, data)
+        C, d = data.n_classes, data.d
+        self.W = theta.reshape(C, d)
+        logits = data.features @ self.W.T
+        logits -= logits.max(axis=1, keepdims=True)
+        e = np.exp(logits)
+        self.P = e / e.sum(axis=1, keepdims=True)
+        self.R = self.P.copy()
+        self.R[np.arange(data.n), data.targets] -= 1.0
+
+    def fit_losses(self):
+        pi = self.P[np.arange(self.data.n), self.data.targets]
+        return -np.log(np.maximum(pi, 1e-300))
+
+    def fit_gamma_apply(self, v):
+        A = self.data.features @ v.reshape(self.W.shape).T  # n x C
+        return np.sum(self.R * A, axis=1)
+
+    def fit_gamma_T_apply(self, w):
+        return ((w[:, None] * self.R).T @ self.data.features).reshape(-1)
+
+    def fit_hess_apply(self, w, v):
+        P, X = self.P, self.data.features
+        A = X @ v.reshape(self.W.shape).T  # n x C
+        B = P * A - P * np.sum(P * A, axis=1, keepdims=True)
+        return ((w[:, None] * B).T @ X).reshape(-1)
+
+    def _softmax_hessians(self):
+        P = self.P
+        return P[:, :, None] * (np.eye(P.shape[1]) - P[:, None, :])  # n x C x C
+
+    def _feature_outer(self):
+        X = self.data.features
+        return X[:, :, None] * X[:, None, :]  # n x d x d
+
+    def fit_hess(self, w):
+        S = self._softmax_hessians()
+        H = np.tensordot(w[:, None, None] * S, self._feature_outer(), axes=(0, 0))
+        p = self.theta.size
+        return H.transpose(0, 2, 1, 3).reshape(p, p)  # C x d x C x d
+
+    def fit_grads(self):
+        n = self.data.n
+        return np.einsum("ic,id->icd", self.R, self.data.features).reshape(n, -1)
+
+    def fit_sample_hessians(self):
+        H = np.einsum("ick,ijl->icjkl", self._softmax_hessians(),
+                      self._feature_outer())
+        p = self.theta.size
+        return H.reshape(self.data.n, p, p)
 
 
 class RegularizedMultinomialLogistic(LossModel):
@@ -169,43 +306,8 @@ class RegularizedMultinomialLogistic(LossModel):
             raise ValueError("logistic model needs a classification dataset")
         return data.n_classes * data.d
 
-    def _probs(self, theta, data):
-        W = theta.reshape(data.n_classes, data.d)
-        logits = data.features @ W.T
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        return e / e.sum(axis=1, keepdims=True)
-
-    def fit_losses(self, theta, data):
-        pi = self._probs(theta, data)
-        idx = np.arange(data.n)
-        return -np.log(np.maximum(pi[idx, data.targets], 1e-300))
-
-    def fit_grads(self, theta, data):
-        pi = self._probs(theta, data)
-        pi = pi.copy()
-        pi[np.arange(data.n), data.targets] -= 1.0
-        # grad_i = (pi_i - e_{y_i}) (x) x_i, flattened row-major (C x d)
-        return np.einsum("ic,id->icd", pi, data.features).reshape(data.n, -1)
-
-    def fit_weighted_hess_apply(self, theta, data, w_values, v):
-        C, d = data.n_classes, data.d
-        pi = self._probs(theta, data)
-        V = v.reshape(C, d)
-        A = data.features @ V.T  # n x C
-        B = pi * A - pi * np.sum(pi * A, axis=1, keepdims=True)
-        return ((w_values[:, None] * B).T @ data.features).reshape(-1)
-
-    def fit_sample_hessians(self, theta, data):
-        pi = self._probs(theta, data)
-        S = np.einsum("ic,ck->ick", pi, np.eye(data.n_classes)) - np.einsum(
-            "ic,ik->ick", pi, pi
-        )
-        xx = np.einsum("ij,ik->ijk", data.features, data.features)
-        # kron(S_i, x_i x_i^T) for each sample, row-major (C x d) flattening
-        H = np.einsum("ick,ijl->icjkl", S, xx)
-        p = data.n_classes * data.d
-        return H.reshape(data.n, p, p)
+    def forward(self, theta, data):
+        return _LogisticPass(self, theta, data)
 
 
 def inner_loss(model, data, theta: ModelParams, w: SimplexWeights) -> float:
@@ -214,7 +316,8 @@ def inner_loss(model, data, theta: ModelParams, w: SimplexWeights) -> float:
 
 
 def inner_grad(model, data, theta: ModelParams, w: SimplexWeights) -> np.ndarray:
-    return model.sample_grads(theta.theta, data).T @ w.values
+    """Gradient of G in theta, Gamma^T w."""
+    return model.gamma_T_apply(theta.theta, data, w.values)
 
 
 def inner_hess_apply(model, data, theta: ModelParams, w: SimplexWeights, v) -> np.ndarray:
@@ -223,7 +326,8 @@ def inner_hess_apply(model, data, theta: ModelParams, w: SimplexWeights, v) -> n
 
 
 def gradient_matrix(model, data, theta: ModelParams) -> np.ndarray:
-    """n x p matrix with row i = grad of the per-sample training loss."""
+    """n x p matrix with row i = grad of the per-sample training loss.
+    Materializes Gamma; solvers use ForwardPass.gamma_apply instead."""
     return model.sample_grads(theta.theta, data)
 
 
@@ -233,7 +337,7 @@ def outer_loss(model, test_data, theta: ModelParams) -> float:
 
 
 def outer_grad(model, test_data, theta: ModelParams) -> np.ndarray:
-    return model.fit_grads(theta.theta, test_data).mean(axis=0)
+    return model.forward(theta.theta, test_data).mean_fit_grad()
 
 
 def accuracy(model, data: Dataset, theta: ModelParams) -> float:

@@ -76,10 +76,13 @@ class TangentVector:
 def mirror_step(w: SimplexWeights, phi, eta: float) -> SimplexWeights:
     """One entropic mirror-descent update: w * exp(-eta*phi), renormalized.
 
-    The exponent is shifted by its minimum before exponentiating; shift
-    invariance of the normalized update makes this exact while preventing
-    overflow at large eta. Exact zeros of w never revive (multiplicative
-    update), matching the flow's invariant-face behavior.
+    The exponent is shifted by its minimum over the support (w > 0) before
+    exponentiating; shift invariance of the normalized update makes this
+    exact while preventing overflow at large eta, and the supported entry
+    with the smallest exponent keeps factor 1, so the update cannot
+    underflow once w has collapsed onto a face. Exact zeros of w never
+    revive (multiplicative update), matching the flow's invariant-face
+    behavior.
     """
     phi = np.asarray(phi, dtype=float)
     if eta <= 0:
@@ -88,9 +91,11 @@ def mirror_step(w: SimplexWeights, phi, eta: float) -> SimplexWeights:
         raise ValueError("phi dimension mismatch")
     if not np.all(np.isfinite(phi)):
         raise ValueError("phi must be finite")
-    z = eta * phi
-    z = z - z.min()
-    tilde = w.values * np.exp(-z)
+    on = w.values > 0
+    tilde = np.zeros_like(w.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = eta * phi[on]
+        tilde[on] = w.values[on] * np.exp(-(z - z.min()))
     s = tilde.sum()
     if not np.isfinite(s) or s <= 0:
         raise NumericOverflowError(

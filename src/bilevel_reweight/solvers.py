@@ -13,6 +13,7 @@ Four solvers, each emitting a FlowTrace:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -24,17 +25,9 @@ from .hypergrad import (
     DEFAULT_CONFIG,
     HypergradConfig,
     closed_form_inner_quadratic,
-    hypergrad,
+    hypergrad_at,
 )
-from .losses import (
-    ModelParams,
-    gradient_matrix,
-    inner_grad,
-    inner_hess_apply,
-    inner_loss,
-    outer_grad,
-    outer_loss,
-)
+from .losses import ForwardPass, ModelParams, inner_grad
 from .simplex import SimplexWeights, entropy, mirror_step, support
 
 
@@ -108,21 +101,39 @@ class FlowTrace:
                 f.write(json.dumps(row) + "\n")
 
 
-def _make_record(model, data, test_data, theta, w, k, theta_ref=None, extra=None):
+def _make_record(train: ForwardPass, test: ForwardPass, w: SimplexWeights, k,
+                 theta_ref=None, extra=None):
+    """Trace record at the theta of the forward passes train and test."""
+    theta = train.theta
     err = None
     if theta_ref is not None:
-        err = float(np.linalg.norm(theta.theta - theta_ref.theta))
+        err = float(np.linalg.norm(theta - theta_ref.theta))
     return TraceRecord(
         k=k,
-        theta=theta.theta.copy(),
+        theta=theta.copy(),
         w=w,
-        inner_loss=inner_loss(model, data, theta, w),
-        outer_loss=outer_loss(model, test_data, theta),
+        inner_loss=float(w.values @ train.sample_losses()),
+        outer_loss=float(test.fit_losses().mean()),
         entropy=entropy(w),
         support_size=int(support(w).size),
         theta_err=err,
         extra=extra,
     )
+
+
+def _halts_on_overflow(solver):
+    """Run a solver with NumPy's overflow warnings off. A diverging iterate
+    overflows inside the model's operators; the solver's own finiteness
+    checks then stop it with a reason in trace.halted."""
+    @functools.wraps(solver)
+    def run(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return solver(*args, **kwargs)
+    return run
+
+
+def _passes(model, data, test_data, theta: np.ndarray):
+    return model.forward(theta, data), model.forward(theta, test_data)
 
 
 def estimate_lipschitz(model, data, w: SimplexWeights, theta: ModelParams,
@@ -133,8 +144,9 @@ def estimate_lipschitz(model, data, w: SimplexWeights, theta: ModelParams,
     v = rng.standard_normal(p)
     v /= np.linalg.norm(v)
     lam = model.mu
+    train = model.forward(theta.theta, data)
     for _ in range(iters):
-        hv = inner_hess_apply(model, data, theta, w, v)
+        hv = train.hess_apply(w.values, v)
         lam = float(np.linalg.norm(hv))
         if lam == 0.0:
             return max(model.mu, 1.0)
@@ -173,34 +185,37 @@ def exact_bilevel(model, data, test_data, w0: SimplexWeights, cfg: SolverConfig,
     theta0 = ModelParams(np.zeros(model.n_params(data)))
     for k in range(cfg.iterations + 1):
         theta = solve_inner(model, data, w, theta0, tol=cfg.inner_tol)
+        train, test = _passes(model, data, test_data, theta.theta)
         if k % cfg.record_every == 0 or k == cfg.iterations:
-            trace.append(_make_record(model, data, test_data, theta, w, k, theta_ref))
+            trace.append(_make_record(train, test, w, k, theta_ref))
         if k == cfg.iterations:
             break
-        psi = hypergrad(model, data, test_data, theta, w, hcfg)
+        psi = hypergrad_at(train, test, w, hcfg)
         if cfg.eta > 0:
             w = mirror_step(w, psi, cfg.eta)
     return trace
 
 
+@_halts_on_overflow
 def warm_started(model, data, test_data, theta0: ModelParams, w0: SimplexWeights,
                  cfg: SolverConfig, theta_ref: Optional[ModelParams] = None,
                  hcfg: HypergradConfig = DEFAULT_CONFIG) -> FlowTrace:
     """Warm-started bilevel: Psi at (theta^k, w^k), then the theta gradient
     step, then the mirror step, in that order."""
     trace = FlowTrace()
-    theta, w = ModelParams(theta0.theta.copy()), w0
+    theta, w = theta0.theta.copy(), w0
     for k in range(cfg.iterations + 1):
+        train, test = _passes(model, data, test_data, theta)
         if k % cfg.record_every == 0 or k == cfg.iterations:
-            trace.append(_make_record(model, data, test_data, theta, w, k, theta_ref))
+            trace.append(_make_record(train, test, w, k, theta_ref))
         if k == cfg.iterations:
             break
-        psi = hypergrad(model, data, test_data, theta, w, hcfg)
+        psi = hypergrad_at(train, test, w, hcfg)
         if not np.all(np.isfinite(psi)):
             trace.halted = "hypergradient overflowed to a non-finite value"
             return trace
-        theta = ModelParams(theta.theta - cfg.rho * inner_grad(model, data, theta, w))
-        if not np.all(np.isfinite(theta.theta)):
+        theta = theta - cfg.rho * train.gamma_T_apply(w.values)
+        if not np.all(np.isfinite(theta)):
             trace.halted = "model parameters overflowed to a non-finite value"
             return trace
         if cfg.eta > 0:
@@ -212,29 +227,31 @@ def warm_started(model, data, test_data, theta0: ModelParams, w0: SimplexWeights
     return trace
 
 
+@_halts_on_overflow
 def soba(model, data, test_data, theta0: ModelParams, w0: SimplexWeights,
          v0: np.ndarray, cfg: SolverConfig,
          theta_ref: Optional[ModelParams] = None) -> FlowTrace:
     """Deterministic full-batch SOBA: an auxiliary v tracks H^{-1} grad F via
-    Hessian-vector products; the Hessian is never formed."""
+    Hessian-vector products; neither the Hessian nor Gamma is formed, and
+    one forward pass per data set serves the whole step."""
     trace = FlowTrace()
-    theta, w = ModelParams(theta0.theta.copy()), w0
+    theta, w = theta0.theta.copy(), w0
     v = np.asarray(v0, dtype=float).copy()
     rho_v = cfg.rho_v if cfg.rho_v is not None else cfg.rho
     for k in range(cfg.iterations + 1):
+        train, test = _passes(model, data, test_data, theta)
         if k % cfg.record_every == 0 or k == cfg.iterations:
-            trace.append(_make_record(model, data, test_data, theta, w, k, theta_ref))
+            trace.append(_make_record(train, test, w, k, theta_ref))
         if k == cfg.iterations:
             break
-        psi_hat = -(gradient_matrix(model, data, theta) @ v)
+        psi_hat = -train.gamma_apply(v)
         if not np.all(np.isfinite(psi_hat)):
             trace.halted = "hypergradient estimate overflowed to a non-finite value"
             return trace
-        hv = inner_hess_apply(model, data, theta, w, v)
-        gF = outer_grad(model, test_data, theta)
-        v = v - rho_v * (hv - gF)
-        theta = ModelParams(theta.theta - cfg.rho * inner_grad(model, data, theta, w))
-        if not (np.all(np.isfinite(theta.theta)) and np.all(np.isfinite(v))):
+        hv = train.hess_apply(w.values, v)
+        v = v - rho_v * (hv - test.mean_fit_grad())
+        theta = theta - cfg.rho * train.gamma_T_apply(w.values)
+        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(v))):
             trace.halted = "iterates overflowed to a non-finite value"
             return trace
         if cfg.eta > 0:
@@ -261,6 +278,7 @@ def lambda_gradient(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return (s * (1.0 - s) / S) * (psi - w @ psi)
 
 
+@_halts_on_overflow
 def softmax_reparam(model, data, test_data, theta0: ModelParams,
                     lambda0: np.ndarray, cfg: SolverConfig,
                     theta_ref: Optional[ModelParams] = None,
@@ -269,24 +287,31 @@ def softmax_reparam(model, data, test_data, theta0: ModelParams,
     """Joint descent on (theta, lambda) with weights w(lambda); the lambda
     update is unconstrained so no mirror step is needed."""
     trace = FlowTrace()
-    theta = ModelParams(theta0.theta.copy())
+    theta = theta0.theta.copy()
     lam = np.asarray(lambda0, dtype=float).copy()
+    w = softmax_weights(lam)
     for k in range(cfg.iterations + 1):
-        w = softmax_weights(lam)
+        train, test = _passes(model, data, test_data, theta)
         if k % cfg.record_every == 0 or k == cfg.iterations:
             extra = None
             if record_resolve_err and theta_ref is not None:
                 # cold-start re-solve with the current weights
                 resolved = solve_inner(
-                    model, data, w, ModelParams(np.zeros_like(theta.theta)),
+                    model, data, w, ModelParams(np.zeros_like(theta)),
                     tol=1e-8)
                 extra = {"resolve_err": float(
                     np.linalg.norm(resolved.theta - theta_ref.theta))}
-            trace.append(_make_record(
-                model, data, test_data, theta, w, k, theta_ref, extra))
+            trace.append(_make_record(train, test, w, k, theta_ref, extra))
         if k == cfg.iterations:
             break
-        psi = hypergrad(model, data, test_data, theta, w, hcfg)
-        theta = ModelParams(theta.theta - cfg.rho * inner_grad(model, data, theta, w))
+        psi = hypergrad_at(train, test, w, hcfg)
+        if not np.all(np.isfinite(psi)):
+            trace.halted = "hypergradient overflowed to a non-finite value"
+            return trace
+        theta = theta - cfg.rho * train.gamma_T_apply(w.values)
         lam = lam - cfg.eta * lambda_gradient(lam, psi)
+        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(lam))):
+            trace.halted = "iterates overflowed to a non-finite value"
+            return trace
+        w = softmax_weights(lam)
     return trace

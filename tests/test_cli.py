@@ -221,3 +221,72 @@ class TestExperiment:
                      "--out", str(out_b)]) == 0
         assert ((out_a / "table.csv").read_text()
                 == (out_b / "table.csv").read_text())
+
+
+def _resolved(out):
+    return json.loads((out / "resolved-config.json").read_text())
+
+
+def _table(out):
+    return (out / "table.csv").read_text()
+
+
+class TestExperimentConfig:
+    """A preset's config is its default merged with the user's: --seed
+    reaches every preset's data seed, and a dotted --set changes one key."""
+
+    def test_seed_flag_keeps_regime_check_defaults(self, tmp_path):
+        base = ["experiment", "regime-check", "--set", "horizon=0.02",
+                "--set", "betas=[0.1]", "--set", "checkpoints=2"]
+        assert main(base + ["--seed", "3", "--out", str(tmp_path / "a")]) == 0
+        assert _resolved(tmp_path / "a")["spec"] == {"n": 60, "m": 30, "seed": 3}
+        assert main(base + ["--set", "spec.seed=3",
+                            "--out", str(tmp_path / "b")]) == 0
+        assert _table(tmp_path / "a") == _table(tmp_path / "b")
+        assert main(base + ["--out", str(tmp_path / "c")]) == 0
+        assert _table(tmp_path / "a") != _table(tmp_path / "c")
+
+    def test_seed_flag_reaches_frozen_flow(self, tmp_path):
+        out = tmp_path / "exp"
+        assert main(["experiment", "frozen-flow", "--out", str(out),
+                     "--seed", "4", "--set", "flow.t_max=5.0"]) == 0
+        with open(out / "table.csv", newline="") as f:
+            (row,) = list(csv.DictReader(f))
+        assert row["seed"] == "4"
+        resolved = _resolved(out)
+        assert resolved["seed"] == 4
+        assert resolved["flow"] == {"dt": 1e-2, "t_max": 5.0,
+                                    "stationarity_tol": 1e-9}
+
+    @pytest.mark.parametrize("name, sets, key, expected", [
+        ("toy-mixture", ["exact.iterations=3", "warm.iterations=2"], "exact",
+         {"eta": 0.12, "iterations": 3, "record_every": 50}),
+        ("toy-mixture", ["exact.iterations=3", "warm.iterations=2"], "warm",
+         {"eta": 0.05, "rho": 5e-5, "iterations": 2, "record_every": 50}),
+        ("softmax-toy", ["solver.iterations=3"], "solver",
+         {"eta": 100.0, "rho": 1e-3, "iterations": 3, "record_every": 100}),
+        ("regime-check", ["spec.m=10", "horizon=0.01", "betas=[0.1]",
+                          "checkpoints=1"], "spec",
+         {"n": 60, "m": 10, "seed": 0}),
+    ])
+    def test_dotted_set_changes_one_key(self, tmp_path, name, sets, key,
+                                        expected):
+        argv = ["experiment", name, "--out", str(tmp_path / "exp")]
+        if name != "regime-check":
+            argv += ["--set", "spec.n=30", "--set", "spec.m=10"]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        assert _resolved(tmp_path / "exp")[key] == expected
+
+    def test_full_config_resolves_to_itself(self, tmp_path):
+        cfg = {"spec": {"n": 30, "m": 10, "sigma": 0.1, "seed": 1},
+               "mu": 0.0,
+               "solver": {"eta": 50.0, "rho": 1e-3, "iterations": 4,
+                          "record_every": 2}}
+        argv = ["experiment", "softmax-toy", "--out", str(tmp_path / "exp")]
+        for key, value in cfg.items():
+            argv += ["--set", f"{key}={json.dumps(value)}"]
+        assert main(argv) == 0
+        assert _resolved(tmp_path / "exp") == {"experiment": "softmax-toy",
+                                               **cfg}

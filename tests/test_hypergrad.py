@@ -7,6 +7,7 @@ from bilevel_reweight import (
     FrozenField,
     HypergradConfig,
     ModelParams,
+    NoConvergenceError,
     RidgeLeastSquares,
     SimplexWeights,
     SingularDesignError,
@@ -69,6 +70,23 @@ class TestSolveInnerSystem:
         cfg = HypergradConfig(direct_threshold=1, cg_tol=1e-12)
         cg = solve_inner_system(model, train, theta, w, rhs, cfg)
         assert np.allclose(cg, direct, atol=1e-8)
+
+    def test_cg_iteration_cap_raises_with_final_residual(self):
+        # H = diag(1 .. 1e8) with ten distinct eigenvalues: five CG
+        # iterations cannot reach the tolerance
+        d = 10
+        train = Dataset(np.diag(np.sqrt(d * np.logspace(0, 8, d))), np.zeros(d))
+        model = RidgeLeastSquares(0.0)
+        w = SimplexWeights.uniform(d)
+        theta = ModelParams(np.zeros(d))
+        cfg = HypergradConfig(direct_threshold=0, cg_max_iter=5)
+        with pytest.raises(NoConvergenceError,
+                           match=r"final relative residual \d\.\d{3}e[+-]\d+"):
+            solve_inner_system(model, train, theta, w, np.ones(d), cfg)
+        # with the default cap it converges to the exact solution
+        v = solve_inner_system(model, train, theta, w, np.ones(d),
+                               HypergradConfig(direct_threshold=0))
+        assert np.allclose(v, 1.0 / np.logspace(0, 8, d), rtol=1e-6)
 
     def test_non_pd_hessian_signals(self):
         model = RidgeLeastSquares(0.0)

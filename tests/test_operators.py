@@ -1,0 +1,95 @@
+"""Property tests: the structured per-sample operators of a forward pass
+agree with the materialized gradient matrix Gamma and Hessian stack."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bilevel_reweight import (
+    Dataset,
+    ModelParams,
+    RegularizedMultinomialLogistic,
+    RidgeLeastSquares,
+    SimplexWeights,
+    gradient_matrix,
+    inner_grad,
+    outer_grad,
+)
+
+RTOL = 1e-12
+
+
+def assert_rel_close(got, want, terms):
+    """got == want to RTOL relative to the norm of terms, the summed
+    magnitudes |a| |b| of the products behind want: results that cancel
+    may differ by more than RTOL of their own size when the two sides sum
+    in different orders."""
+    assert np.linalg.norm(got - want) <= RTOL * np.linalg.norm(terms)
+
+
+@st.composite
+def instances(draw):
+    """A random small model, dataset, theta, weights w and direction v."""
+    kind = draw(st.sampled_from(["ridge", "logistic"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 25))
+    d = draw(st.integers(1, 5))
+    mu = draw(st.sampled_from([0.0, 1e-3, 0.5]))
+    scale = draw(st.sampled_from([0.1, 1.0, 5.0]))
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    if kind == "ridge":
+        model, data = RidgeLeastSquares(mu), Dataset(X, rng.standard_normal(n))
+    else:
+        C = draw(st.integers(2, 4))
+        model = RegularizedMultinomialLogistic(mu)
+        data = Dataset(X, rng.integers(0, C, n), "classification", n_classes=C)
+    p = model.n_params(data)
+    theta = scale * rng.standard_normal(p)
+    mass = rng.random(n) * (rng.random(n) < 0.7)  # some exact zeros
+    mass[rng.integers(n)] += 0.1
+    w = SimplexWeights.from_unnormalized(mass)
+    return model, data, theta, w, rng.standard_normal(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_gamma_apply_matches_gradient_matrix(inst):
+    model, data, theta, _, v = inst
+    gamma = gradient_matrix(model, data, ModelParams(theta))
+    terms = np.abs(gamma) @ np.abs(v)
+    assert_rel_close(model.gamma_apply(theta, data, v), gamma @ v, terms)
+    assert_rel_close(model.forward(theta, data).gamma_apply(v), gamma @ v,
+                     terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_gamma_T_apply_matches_gradient_matrix(inst):
+    model, data, theta, w, _ = inst
+    gamma = gradient_matrix(model, data, ModelParams(theta))
+    terms = np.abs(gamma).T @ w.values
+    assert_rel_close(model.gamma_T_apply(theta, data, w.values),
+                     gamma.T @ w.values, terms)
+    assert_rel_close(inner_grad(model, data, ModelParams(theta), w),
+                     gamma.T @ w.values, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_weighted_hess_matches_sample_hessians(inst):
+    model, data, theta, w, _ = inst
+    hessians = model.sample_hessians(theta, data)
+    stack = np.einsum("i,ijk->jk", w.values, hessians)
+    terms = np.einsum("i,ijk->jk", w.values, np.abs(hessians))
+    assert_rel_close(model.weighted_hess(theta, data, w.values), stack, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_outer_grad_is_mean_of_fit_grads(inst):
+    model, data, theta, _, _ = inst
+    fit_grads = model.fit_grads(theta, data)
+    assert_rel_close(outer_grad(model, data, ModelParams(theta)),
+                     fit_grads.mean(axis=0), np.abs(fit_grads).mean(axis=0))
+

@@ -70,10 +70,35 @@ class TestMirrorStep:
         assert np.all(np.isfinite(out.values))
 
     def test_degenerate_update_signals_overflow(self):
-        # all mass on a coordinate whose exponent underflows to zero
+        # all mass on a coordinate whose exponent eta * phi overflows
         w = SimplexWeights(np.array([1.0, 0.0]))
         with pytest.raises(NumericOverflowError):
-            mirror_step(w, np.array([1.0, 0.0]), 1e9)
+            mirror_step(w, np.array([1e300, 0.0]), 1e9)
+
+    def test_collapsed_weights_stay_on_their_vertex(self):
+        # the shift is taken over the support, so a vertex whose exponent
+        # lies far above the off-support entries' does not underflow
+        for i in range(3):
+            w = SimplexWeights.one_hot(3, i)
+            phi = np.zeros(3)
+            phi[i] = 1.0
+            out = mirror_step(w, phi, 1e9)
+            assert np.array_equal(out.values, w.values)
+
+    def test_face_update_matches_update_on_the_face(self):
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            w = random_simplex(rng, 6)
+            values = w.values.copy()
+            values[:3] = 0.0
+            w_face = SimplexWeights.from_unnormalized(values)
+            phi = rng.standard_normal(6)
+            phi[:3] -= 1e4  # off-support exponents far below the support's
+            out = mirror_step(w_face, phi, 1.0)
+            sub = mirror_step(SimplexWeights.from_unnormalized(values[3:]),
+                              phi[3:], 1.0)
+            assert np.all(out.values[:3] == 0.0)
+            assert np.allclose(out.values[3:], sub.values, rtol=0, atol=1e-15)
 
     def test_invariants_random(self):
         rng = np.random.default_rng(1)

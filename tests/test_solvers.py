@@ -1,7 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilevel_reweight import (
     Dataset,
@@ -139,15 +142,24 @@ class TestWarmStarted:
         for r in trace.records:
             assert np.all(np.isfinite(r.theta))
 
-    def test_full_collapse_halts_mirror_step(self, toy):
+    def test_full_collapse_runs_on_at_the_vertex(self, toy):
+        # once the weights sit on one vertex, further mirror steps keep them
+        # there instead of underflowing
         _, train, test, theta_hat, _ = toy
         model = RidgeLeastSquares(1e-4)
         cfg = SolverConfig(eta=0.1, rho=1e-4, iterations=5000, record_every=100)
         trace = warm_started(model, train, test, ModelParams(np.zeros(2)),
                              SimplexWeights.uniform(train.n), cfg,
                              theta_ref=theta_hat)
-        assert trace.halted is not None
-        assert trace.final.support_size <= 2
+        assert trace.halted is None
+        assert len(trace.records) == 51
+        assert trace.final.support_size == 1
+        vertex = trace.final.w.values
+        assert np.count_nonzero(vertex) == 1
+        collapsed = [r for r in trace.records if np.count_nonzero(r.w.values) == 1]
+        assert len(collapsed) >= 2
+        for r in collapsed:
+            assert np.array_equal(r.w.values, vertex)
 
     def test_frozen_theta_matches_mirror_flow(self, toy):
         # rho = 0: the weight iterates discretize the frozen-field mirror flow
@@ -205,6 +217,39 @@ class TestSoba:
         t1, t2 = soba(*args), soba(*args)
         for a, b in zip(t1.records, t2.records):
             assert np.array_equal(a.w.values, b.w.values)
+
+
+class TestDivergentStepHalts:
+    """A divergent theta step size makes every joint solver stop with a
+    reason and a finite partial trace, and without numerical warnings."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12),
+           solver=st.sampled_from(["warm", "soba", "softmax"]),
+           eta=st.sampled_from([0.0, 0.05]))
+    def test_halts_with_reason(self, seed, n, solver, eta):
+        rng = np.random.default_rng(seed)
+        model = RidgeLeastSquares(1e-3)  # H stays positive definite
+        train = Dataset(rng.standard_normal((n, 2)), 100 * rng.standard_normal(n))
+        test = Dataset(rng.standard_normal((4, 2)), 100 * rng.standard_normal(4))
+        # rho far above 2 / lambda_max(H): theta grows geometrically
+        cfg = SolverConfig(eta=eta, rho=1e3, iterations=400, record_every=10)
+        theta0, w0 = ModelParams(np.zeros(2)), SimplexWeights.uniform(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if solver == "warm":
+                trace = warm_started(model, train, test, theta0, w0, cfg)
+            elif solver == "soba":
+                trace = soba(model, train, test, theta0, w0, np.zeros(2), cfg)
+            else:
+                trace = softmax_reparam(model, train, test, theta0,
+                                        np.zeros(n), cfg)
+        assert trace.halted
+        assert "non-finite" in trace.halted
+        assert 1 <= len(trace.records) < 41
+        for r in trace.records:
+            assert np.all(np.isfinite(r.theta))
+            assert abs(r.w.values.sum() - 1.0) <= 1e-12
 
 
 class TestSoftmaxReparam:
