@@ -27,7 +27,7 @@ from .hypergrad import (
     frozen_field,
     hypergrad,
 )
-from .losses import ModelParams, inner_grad, inner_loss, outer_loss
+from .losses import ModelParams, inner_grad
 from .simplex import (
     DEFAULT_SUPPORT_TOL,
     SimplexWeights,
@@ -36,7 +36,7 @@ from .simplex import (
     preconditioner,
     support,
 )
-from .solvers import FlowTrace, TraceRecord, solve_inner
+from .solvers import FlowTrace, TraceRecord, _make_record, solve_inner
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,38 @@ def _dual_record(t, u) -> TraceRecord:
         entropy=entropy(w), support_size=int(support(w).size))
 
 
+def _theta_record(model, data, test_data, theta: np.ndarray,
+                  w: SimplexWeights, t, theta_ref=None) -> TraceRecord:
+    return _make_record(model.forward(theta, data),
+                        model.forward(theta, test_data), w, t, theta_ref)
+
+
 def _rk4(state: np.ndarray, h: float, deriv) -> np.ndarray:
     k1 = deriv(state)
     k2 = deriv(state + 0.5 * h * k1)
     k3 = deriv(state + 0.5 * h * k2)
     k4 = deriv(state + h * k3)
     return state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _rk4_path(deriv, y: np.ndarray, grid, dt: float, dual=None):
+    """Fixed-step RK4 of y' = deriv(y) through the times of grid, yielding
+    (t, y) at each grid time, the first one included. Each interval takes
+    equal steps, as few as keep them at most dt (an interval within a
+    relative 1e-9 of a whole multiple of dt counts as that multiple). With
+    dual (an index into y), y[dual] holds log-weights and is shifted after
+    each step so that its maximum is 0, which keeps exp well-scaled. The
+    state is advanced lazily, so deriv may read values the caller changes
+    between two grid times."""
+    yield grid[0], y
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        n_steps = max(1, math.ceil((t1 - t0) / dt * (1 - 1e-9)))
+        h = (t1 - t0) / n_steps
+        for _ in range(n_steps):
+            y = _rk4(y, h, deriv)
+            if dual is not None:
+                y[dual] -= y[dual].max()
+        yield t1, y
 
 
 def _record_grid(t_max: float, record_times, n_default: int = 500):
@@ -123,23 +149,21 @@ def _record_grid(t_max: float, record_times, n_default: int = 500):
     return grid
 
 
+def _mirror_path(field, w0: SimplexWeights, grid, dt: float):
+    """The mirror flow of field from w0 in dual coordinates, via _rk4_path."""
+    deriv = lambda u: -field(SimplexWeights(_softmax(u)))
+    return _rk4_path(deriv, np.log(w0.values), grid, dt, dual=slice(None))
+
+
 def integrate_mirror_flow(field, w0: SimplexWeights, cfg: FlowConfig,
                           record_times=None) -> FlowTrace:
     """Fixed-step RK4 on the dual variable; hits record times exactly."""
     if np.any(w0.values <= 0):
         raise ValueError("w0 must lie in the simplex interior")
-    u = np.log(w0.values)
-    deriv = lambda uu: -field(SimplexWeights(_softmax(uu)))
-    grid = _record_grid(cfg.t_max, record_times)
     trace = FlowTrace()
-    trace.append(_dual_record(grid[0], u))
-    for t0, t1 in zip(grid[:-1], grid[1:]):
-        n_steps = max(1, math.ceil((t1 - t0) / cfg.dt))
-        h = (t1 - t0) / n_steps
-        for _ in range(n_steps):
-            u = _rk4(u, h, deriv)
-            u -= u.max()  # recenter to keep exp well-scaled
-        trace.append(_dual_record(t1, u))
+    grid = _record_grid(cfg.t_max, record_times)
+    for t, u in _mirror_path(field, w0, grid, cfg.dt):
+        trace.append(_dual_record(t, u))
     return trace
 
 
@@ -162,7 +186,6 @@ def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
     if np.any(w0.values <= 0):
         raise ValueError("w0 must lie in the simplex interior")
     p = theta0.theta.size
-    state = np.concatenate([theta0.theta, np.log(w0.values)])
 
     def deriv(s):
         th = ModelParams(s[:p])
@@ -171,29 +194,13 @@ def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
         du = -cfg.beta * hypergrad(model, data, test_data, th, w, hcfg)
         return np.concatenate([dth, du])
 
-    def make_rec(t, s):
-        th = ModelParams(s[:p])
-        w = SimplexWeights(_softmax(s[p:]))
-        err = None
-        if theta_ref is not None:
-            err = float(np.linalg.norm(th.theta - theta_ref.theta))
-        return TraceRecord(
-            k=t, theta=th.theta.copy(), w=w,
-            inner_loss=inner_loss(model, data, th, w),
-            outer_loss=outer_loss(model, test_data, th),
-            entropy=entropy(w), support_size=int(support(w).size),
-            theta_err=err)
-
-    grid = _record_grid(cfg.t_max, record_times)
     trace = FlowTrace()
-    trace.append(make_rec(grid[0], state))
-    for t0, t1 in zip(grid[:-1], grid[1:]):
-        n_steps = max(1, math.ceil((t1 - t0) / cfg.dt))
-        h = (t1 - t0) / n_steps
-        for _ in range(n_steps):
-            state = _rk4(state, h, deriv)
-            state[p:] -= state[p:].max()
-        trace.append(make_rec(t1, state))
+    state = np.concatenate([theta0.theta, np.log(w0.values)])
+    grid = _record_grid(cfg.t_max, record_times)
+    for t, y in _rk4_path(deriv, state, grid, cfg.dt, dual=slice(p, None)):
+        w = SimplexWeights(_softmax(y[p:]))
+        trace.append(_theta_record(model, data, test_data, y[:p], w, t,
+                                   theta_ref))
     return trace
 
 
@@ -397,35 +404,29 @@ def omega_limit(field, w0: SimplexWeights, cfg: FlowConfig,
         if rep.is_stationary:
             return OmegaResult(w0, True, False, 0.0)
         raise ValueError("w0 must lie in the simplex interior")
-    u = np.log(w0.values)
-    deriv = lambda uu: -field(SimplexWeights(_softmax(uu)))
-    spacing = cfg.t_max / n_checkpoints
-    n_steps = max(1, math.ceil(spacing / cfg.dt))
-    h = spacing / n_steps
-    prev = w0.values
+    grid = np.linspace(0.0, cfg.t_max, n_checkpoints + 1)
+    path = _mirror_path(field, w0, grid, cfg.dt)
+    t, u = next(path)
     history = [w0.values]
     changes: List[float] = []
-    t = 0.0
-    for _ in range(n_checkpoints):
-        for _ in range(n_steps):
-            u = _rk4(u, h, deriv)
-            u -= u.max()
-        t += spacing
+    win = cfg.oscillation_window
+    for t, u in path:
         cur = _softmax(u)
-        change = float(np.linalg.norm(cur - prev))
+        change = float(np.linalg.norm(cur - history[-1]))
         changes.append(change)
         if change <= cfg.stationarity_tol:
-            return OmegaResult(SimplexWeights(cur), True, False, t, changes)
-        win = cfg.oscillation_window
+            return OmegaResult(SimplexWeights(cur), True, False, float(t),
+                               changes)
         if len(changes) > win:
             revisits = any(
                 np.linalg.norm(cur - past) < 1e-4 for past in history[:-win])
             no_decrease = changes[-1] >= changes[-win] * (1 - 1e-3)
             if revisits and no_decrease:
-                return OmegaResult(SimplexWeights(cur), False, True, t, changes)
+                return OmegaResult(SimplexWeights(cur), False, True, float(t),
+                                   changes)
         history.append(cur)
-        prev = cur
-    return OmegaResult(SimplexWeights(_softmax(u)), False, False, t, changes)
+    return OmegaResult(SimplexWeights(_softmax(u)), False, False, float(t),
+                       changes)
 
 
 def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
@@ -439,42 +440,25 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
     if omega_cfg is None:
         omega_cfg = FlowConfig(dt=min(cfg.dt, 1e-2), t_max=200.0,
                                stationarity_tol=1e-9)
-    theta = theta0.theta.copy()
     grid = _record_grid(cfg.t_max, record_times)
-    trace = FlowTrace()
-    omega_w: Optional[SimplexWeights] = None
-    next_refresh = 0.0
-    t = 0.0
+    refreshes = refresh_dt * np.arange(1, math.ceil(grid[-1] / refresh_dt) + 1)
+    refreshes = refreshes[refreshes < grid[-1]]
+    times = np.union1d(grid, refreshes)
 
-    def refresh(th):
-        f = frozen_field(model, data, test_data, ModelParams(th))
+    def refresh(theta):
+        f = frozen_field(model, data, test_data, ModelParams(theta))
         return omega_limit(f, w0, omega_cfg).w
 
-    def make_rec(tt, th, w):
-        tp = ModelParams(th)
-        err = None
-        if theta_ref is not None:
-            err = float(np.linalg.norm(th - theta_ref.theta))
-        return TraceRecord(
-            k=tt, theta=th.copy(), w=w,
-            inner_loss=inner_loss(model, data, tp, w),
-            outer_loss=outer_loss(model, test_data, tp),
-            entropy=entropy(w), support_size=int(support(w).size),
-            theta_err=err)
-
-    omega_w = refresh(theta)
-    next_refresh = refresh_dt
-    trace.append(make_rec(0.0, theta, omega_w))
-    for t0, t1 in zip(grid[:-1], grid[1:]):
-        n_steps = max(1, math.ceil((t1 - t0) / cfg.dt))
-        h = (t1 - t0) / n_steps
-        for _ in range(n_steps):
-            if t >= next_refresh - 1e-12:
-                omega_w = refresh(theta)
-                next_refresh += refresh_dt
-            wfix = omega_w
-            dth = lambda th: -inner_grad(model, data, ModelParams(th), wfix)
-            theta = _rk4(theta, h, dth)
-            t += h
-        trace.append(make_rec(t1, theta, omega_w))
+    omega_w = refresh(theta0.theta)
+    # reads omega_w when called, so each refresh acts on the steps after it
+    deriv = lambda th: -inner_grad(model, data, ModelParams(th), omega_w)
+    trace = FlowTrace()
+    path = _rk4_path(deriv, theta0.theta.copy(), times, cfg.dt)
+    for (t, theta), record, refreshed in zip(
+            path, np.isin(times, grid), np.isin(times, refreshes)):
+        if record:
+            trace.append(_theta_record(model, data, test_data, theta, omega_w,
+                                       t, theta_ref))
+        if refreshed:
+            omega_w = refresh(theta)
     return trace

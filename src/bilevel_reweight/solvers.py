@@ -9,18 +9,25 @@ Four solvers, each emitting a FlowTrace:
     linear-system solution through Hessian-vector products only.
   * softmax_reparam: weights parameterized as a normalized sigmoid of free
     scores, optimized by plain gradient descent (no mirror step).
+
+Each solver is a step function run by one loop, _run, which records the
+trace and turns a failed step into a halt with a reason.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from .errors import NoConvergenceError, NumericOverflowError
+from .errors import (
+    AssumptionViolationError,
+    NoConvergenceError,
+    NumericOverflowError,
+    SingularDesignError,
+)
 from .hypergrad import (
     DEFAULT_CONFIG,
     HypergradConfig,
@@ -121,19 +128,43 @@ def _make_record(train: ForwardPass, test: ForwardPass, w: SimplexWeights, k,
     )
 
 
-def _halts_on_overflow(solver):
-    """Run a solver with NumPy's overflow warnings off. A diverging iterate
-    overflows inside the model's operators; the solver's own finiteness
-    checks then stop it with a reason in trace.halted."""
-    @functools.wraps(solver)
-    def run(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return solver(*args, **kwargs)
-    return run
+def _finite(what: str, *arrays):
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise NumericOverflowError(f"{what} overflowed to a non-finite value")
 
 
-def _passes(model, data, test_data, theta: np.ndarray):
-    return model.forward(theta, data), model.forward(theta, test_data)
+# Failures of a step that end a run with a partial trace instead of raising.
+_HALTS = (NumericOverflowError, AssumptionViolationError, SingularDesignError,
+          NoConvergenceError)
+
+
+def _run(model, data, test_data, theta: np.ndarray, w: SimplexWeights,
+         cfg: SolverConfig, step, theta_ref: Optional[ModelParams] = None,
+         extra=None) -> FlowTrace:
+    """The loop every solver shares. Each iterate makes one forward pass
+    over the training set and one over the test set; they serve the trace
+    record (every record_every iterations and at the last) and the step
+    (train, test, w) -> (theta, w). A step that fails with one of _HALTS
+    ends the run, with the reason in trace.halted. NumPy's overflow
+    warnings are off: a diverging iterate overflows inside the model's
+    operators, and the steps' finiteness checks then halt it."""
+    trace = FlowTrace()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(cfg.iterations + 1):
+            train = model.forward(theta, data)
+            test = model.forward(theta, test_data)
+            if k % cfg.record_every == 0 or k == cfg.iterations:
+                trace.append(_make_record(train, test, w, k, theta_ref,
+                                          extra(theta, w) if extra else None))
+            if k == cfg.iterations:
+                break
+            try:
+                theta, w = step(train, test, w)
+            except _HALTS as exc:
+                trace.halted = str(exc)
+                break
+    return trace
 
 
 def estimate_lipschitz(model, data, w: SimplexWeights, theta: ModelParams,
@@ -179,88 +210,63 @@ def solve_inner(model, data, w: SimplexWeights, theta0: ModelParams,
 def exact_bilevel(model, data, test_data, w0: SimplexWeights, cfg: SolverConfig,
                   theta_ref: Optional[ModelParams] = None,
                   hcfg: HypergradConfig = DEFAULT_CONFIG) -> FlowTrace:
-    """Exact bilevel: inner solve, hypergradient, mirror step, repeated."""
-    trace = FlowTrace()
-    w = w0
+    """Exact bilevel: inner solve, hypergradient, mirror step, repeated.
+    A failed inner solve at w0 raises; a later one halts the run."""
     theta0 = ModelParams(np.zeros(model.n_params(data)))
-    for k in range(cfg.iterations + 1):
-        theta = solve_inner(model, data, w, theta0, tol=cfg.inner_tol)
-        train, test = _passes(model, data, test_data, theta.theta)
-        if k % cfg.record_every == 0 or k == cfg.iterations:
-            trace.append(_make_record(train, test, w, k, theta_ref))
-        if k == cfg.iterations:
-            break
+
+    def solve(w):
+        return solve_inner(model, data, w, theta0, tol=cfg.inner_tol).theta
+
+    def step(train, test, w):
         psi = hypergrad_at(train, test, w, hcfg)
         if cfg.eta > 0:
             w = mirror_step(w, psi, cfg.eta)
-    return trace
+        return solve(w), w
+
+    return _run(model, data, test_data, solve(w0), w0, cfg, step, theta_ref)
 
 
-@_halts_on_overflow
 def warm_started(model, data, test_data, theta0: ModelParams, w0: SimplexWeights,
                  cfg: SolverConfig, theta_ref: Optional[ModelParams] = None,
                  hcfg: HypergradConfig = DEFAULT_CONFIG) -> FlowTrace:
     """Warm-started bilevel: Psi at (theta^k, w^k), then the theta gradient
     step, then the mirror step, in that order."""
-    trace = FlowTrace()
-    theta, w = theta0.theta.copy(), w0
-    for k in range(cfg.iterations + 1):
-        train, test = _passes(model, data, test_data, theta)
-        if k % cfg.record_every == 0 or k == cfg.iterations:
-            trace.append(_make_record(train, test, w, k, theta_ref))
-        if k == cfg.iterations:
-            break
+    def step(train, test, w):
         psi = hypergrad_at(train, test, w, hcfg)
-        if not np.all(np.isfinite(psi)):
-            trace.halted = "hypergradient overflowed to a non-finite value"
-            return trace
-        theta = theta - cfg.rho * train.gamma_T_apply(w.values)
-        if not np.all(np.isfinite(theta)):
-            trace.halted = "model parameters overflowed to a non-finite value"
-            return trace
+        _finite("hypergradient", psi)
+        theta = train.theta - cfg.rho * train.gamma_T_apply(w.values)
+        _finite("model parameters", theta)
         if cfg.eta > 0:
-            try:
-                w = mirror_step(w, psi, cfg.eta)
-            except NumericOverflowError as exc:
-                trace.halted = str(exc)
-                return trace
-    return trace
+            w = mirror_step(w, psi, cfg.eta)
+        return theta, w
+
+    return _run(model, data, test_data, theta0.theta.copy(), w0, cfg, step,
+                theta_ref)
 
 
-@_halts_on_overflow
 def soba(model, data, test_data, theta0: ModelParams, w0: SimplexWeights,
          v0: np.ndarray, cfg: SolverConfig,
          theta_ref: Optional[ModelParams] = None) -> FlowTrace:
     """Deterministic full-batch SOBA: an auxiliary v tracks H^{-1} grad F via
     Hessian-vector products; neither the Hessian nor Gamma is formed, and
     one forward pass per data set serves the whole step."""
-    trace = FlowTrace()
-    theta, w = theta0.theta.copy(), w0
     v = np.asarray(v0, dtype=float).copy()
     rho_v = cfg.rho_v if cfg.rho_v is not None else cfg.rho
-    for k in range(cfg.iterations + 1):
-        train, test = _passes(model, data, test_data, theta)
-        if k % cfg.record_every == 0 or k == cfg.iterations:
-            trace.append(_make_record(train, test, w, k, theta_ref))
-        if k == cfg.iterations:
-            break
+
+    def step(train, test, w):
+        nonlocal v
         psi_hat = -train.gamma_apply(v)
-        if not np.all(np.isfinite(psi_hat)):
-            trace.halted = "hypergradient estimate overflowed to a non-finite value"
-            return trace
+        _finite("hypergradient estimate", psi_hat)
         hv = train.hess_apply(w.values, v)
         v = v - rho_v * (hv - test.mean_fit_grad())
-        theta = theta - cfg.rho * train.gamma_T_apply(w.values)
-        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(v))):
-            trace.halted = "iterates overflowed to a non-finite value"
-            return trace
+        theta = train.theta - cfg.rho * train.gamma_T_apply(w.values)
+        _finite("iterates", theta, v)
         if cfg.eta > 0:
-            try:
-                w = mirror_step(w, psi_hat, cfg.eta)
-            except NumericOverflowError as exc:
-                trace.halted = str(exc)
-                return trace
-    return trace
+            w = mirror_step(w, psi_hat, cfg.eta)
+        return theta, w
+
+    return _run(model, data, test_data, theta0.theta.copy(), w0, cfg, step,
+                theta_ref)
 
 
 def softmax_weights(lam: np.ndarray) -> SimplexWeights:
@@ -278,7 +284,6 @@ def lambda_gradient(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return (s * (1.0 - s) / S) * (psi - w @ psi)
 
 
-@_halts_on_overflow
 def softmax_reparam(model, data, test_data, theta0: ModelParams,
                     lambda0: np.ndarray, cfg: SolverConfig,
                     theta_ref: Optional[ModelParams] = None,
@@ -286,32 +291,24 @@ def softmax_reparam(model, data, test_data, theta0: ModelParams,
                     record_resolve_err: bool = False) -> FlowTrace:
     """Joint descent on (theta, lambda) with weights w(lambda); the lambda
     update is unconstrained so no mirror step is needed."""
-    trace = FlowTrace()
-    theta = theta0.theta.copy()
     lam = np.asarray(lambda0, dtype=float).copy()
-    w = softmax_weights(lam)
-    for k in range(cfg.iterations + 1):
-        train, test = _passes(model, data, test_data, theta)
-        if k % cfg.record_every == 0 or k == cfg.iterations:
-            extra = None
-            if record_resolve_err and theta_ref is not None:
-                # cold-start re-solve with the current weights
-                resolved = solve_inner(
-                    model, data, w, ModelParams(np.zeros_like(theta)),
-                    tol=1e-8)
-                extra = {"resolve_err": float(
-                    np.linalg.norm(resolved.theta - theta_ref.theta))}
-            trace.append(_make_record(train, test, w, k, theta_ref, extra))
-        if k == cfg.iterations:
-            break
+
+    def step(train, test, w):
+        nonlocal lam
         psi = hypergrad_at(train, test, w, hcfg)
-        if not np.all(np.isfinite(psi)):
-            trace.halted = "hypergradient overflowed to a non-finite value"
-            return trace
-        theta = theta - cfg.rho * train.gamma_T_apply(w.values)
+        _finite("hypergradient", psi)
+        theta = train.theta - cfg.rho * train.gamma_T_apply(w.values)
         lam = lam - cfg.eta * lambda_gradient(lam, psi)
-        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(lam))):
-            trace.halted = "iterates overflowed to a non-finite value"
-            return trace
-        w = softmax_weights(lam)
-    return trace
+        _finite("iterates", theta, lam)
+        return theta, softmax_weights(lam)
+
+    def resolve_err(theta, w):
+        # cold-start re-solve with the current weights
+        resolved = solve_inner(model, data, w, ModelParams(np.zeros_like(theta)),
+                               tol=1e-8)
+        return {"resolve_err": float(
+            np.linalg.norm(resolved.theta - theta_ref.theta))}
+
+    extra = resolve_err if record_resolve_err and theta_ref is not None else None
+    return _run(model, data, test_data, theta0.theta.copy(),
+                softmax_weights(lam), cfg, step, theta_ref, extra)

@@ -86,6 +86,21 @@ class TestMirrorFlow:
             integrate_mirror_flow(ConstantField(np.zeros(2)), w0,
                                   FlowConfig(dt=1e-2, t_max=1.0))
 
+    def test_whole_multiple_intervals_take_whole_step_counts(self):
+        # the default grid's intervals are 4 dt up to rounding: 2000 RK4
+        # steps of 4 field calls each, none added for a one-ulp excess
+        calls = []
+
+        class CountingField(ConstantField):
+            def __call__(self, w):
+                calls.append(1)
+                return self.phi
+
+        integrate_mirror_flow(CountingField(np.arange(5.0)),
+                              SimplexWeights.uniform(5),
+                              FlowConfig(dt=0.05, t_max=100.0))
+        assert len(calls) == 8000
+
     def test_rk4_step_convergence_order(self):
         # halving dt should cut the error by at least 2^3 (RK4 gives 2^4)
         field = random_frozen_field(2)
@@ -365,6 +380,14 @@ class TestOmegaLimit:
         assert res.t == pytest.approx(2.0)
         assert len(res.checkpoint_changes) == 20
 
+    def test_time_is_the_checkpoint_grid_time(self):
+        field = ConstantField(np.array([0.0, 1.0, 2.0]))
+        cfg = FlowConfig(dt=1e-2, t_max=2.0, stationarity_tol=1e-15)
+        res = omega_limit(field, SimplexWeights.uniform(3), cfg,
+                          n_checkpoints=20)
+        assert type(res.t) is float
+        assert res.t == 2.0
+
     def test_detects_oscillation(self):
         # rotation generated in dual coordinates: w(t) is exactly periodic,
         # so checkpoints revisit earlier states without the change shrinking
@@ -402,3 +425,25 @@ class TestSparseReference:
         assert trace.final.support_size <= train.n // 2
         assert trace.final.entropy <= 1.0
         assert trace.final.outer_loss < trace.records[0].outer_loss
+
+    def test_records_only_record_times_and_refreshes_on_schedule(
+            self, monkeypatch):
+        from bilevel_reweight import dynamics
+
+        spec = MixtureSpec(n=10, m=5, sigma=0.1, seed=2)
+        train, test, _, _ = gen_mixture(spec)
+        refreshed = []
+
+        def counting_omega_limit(*args, **kwargs):
+            refreshed.append(1)
+            return omega_limit(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "omega_limit", counting_omega_limit)
+        trace = integrate_sparse_reference(
+            RidgeLeastSquares(1e-3), train, test, ModelParams(np.zeros(2)),
+            SimplexWeights.uniform(train.n), FlowConfig(dt=1e-2, t_max=0.1),
+            record_times=[0.05, 0.1], refresh_dt=0.02,
+            omega_cfg=FlowConfig(dt=5e-2, t_max=5.0, stationarity_tol=1e-2))
+        assert [r.k for r in trace.records] == [0.0, 0.05, 0.1]
+        # at t = 0, 0.02, 0.04, 0.06 and 0.08; not at the end
+        assert len(refreshed) == 5

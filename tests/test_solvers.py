@@ -13,6 +13,7 @@ from bilevel_reweight import (
     RegularizedMultinomialLogistic,
     RidgeLeastSquares,
     SimplexWeights,
+    SingularDesignError,
     SolverConfig,
     closed_form_inner_quadratic,
     entropy,
@@ -250,6 +251,47 @@ class TestDivergentStepHalts:
         for r in trace.records:
             assert np.all(np.isfinite(r.theta))
             assert abs(r.w.values.sum() - 1.0) <= 1e-12
+
+
+class TestWeightCollapseHalts:
+    """With mu = 0 the inner Hessian is singular once the weights collapse
+    below the design's rank. Every solver then stops with a reason and a
+    finite partial trace instead of raising."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12),
+           solver=st.sampled_from(["exact", "warm", "softmax"]))
+    def test_halts_with_partial_trace(self, seed, n, solver):
+        rng = np.random.default_rng(seed)
+        model = RidgeLeastSquares(0.0)
+        train = Dataset(rng.standard_normal((n, 2)), 100 * rng.standard_normal(n))
+        test = Dataset(rng.standard_normal((4, 2)), 100 * rng.standard_normal(4))
+        theta0, w0 = ModelParams(np.zeros(2)), SimplexWeights.uniform(n)
+        cfg = SolverConfig(eta=0.05, rho=1e3, iterations=400, record_every=10)
+        if solver == "exact":
+            # one mirror step of this size puts the weights on a vertex
+            trace = exact_bilevel(model, train, test, w0,
+                                  SolverConfig(eta=50.0, iterations=400,
+                                               record_every=10))
+        elif solver == "warm":
+            trace = warm_started(model, train, test, theta0, w0, cfg)
+        else:
+            trace = softmax_reparam(model, train, test, theta0, np.zeros(n),
+                                    cfg)
+        assert trace.halted
+        assert len(trace.records) >= 1
+        for r in trace.records:
+            assert np.all(np.isfinite(r.theta))
+            assert np.all(r.w.values >= 0)
+            assert abs(r.w.values.sum() - 1.0) <= 1e-12
+
+    def test_exact_raises_when_the_start_is_singular(self):
+        # nothing to trace yet: the inner solve at w0 itself fails
+        model = RidgeLeastSquares(0.0)
+        train = Dataset(np.array([[1.0, 2.0]]), np.array([1.0]))
+        with pytest.raises(SingularDesignError):
+            exact_bilevel(model, train, train, SimplexWeights.uniform(1),
+                          SolverConfig(eta=0.1, iterations=5))
 
 
 class TestSoftmaxReparam:
