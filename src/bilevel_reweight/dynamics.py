@@ -26,6 +26,7 @@ from .hypergrad import (
     FrozenField,
     frozen_field,
     hypergrad,
+    hypergrad_at,
 )
 from .losses import ModelParams, inner_grad
 from .simplex import (
@@ -188,10 +189,12 @@ def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
     p = theta0.theta.size
 
     def deriv(s):
-        th = ModelParams(s[:p])
+        th = ModelParams(s[:p]).theta
         w = SimplexWeights(_softmax(s[p:]))
-        dth = -cfg.alpha * inner_grad(model, data, th, w)
-        du = -cfg.beta * hypergrad(model, data, test_data, th, w, hcfg)
+        train = model.forward(th, data)
+        dth = -cfg.alpha * train.gamma_T_apply(w.values)
+        du = -cfg.beta * hypergrad_at(train, model.forward(th, test_data), w,
+                                      hcfg)
         return np.concatenate([dth, du])
 
     trace = FlowTrace()
@@ -442,6 +445,10 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
                                stationarity_tol=1e-9)
     grid = _record_grid(cfg.t_max, record_times)
     refreshes = refresh_dt * np.arange(1, math.ceil(grid[-1] / refresh_dt) + 1)
+    # a refresh time that rounding put within 1e-9 dt of a record time is
+    # that record time, not a second grid point a step of 1e-17 away
+    near = np.abs(refreshes[:, None] - grid) <= 1e-9 * cfg.dt
+    refreshes = np.where(near.any(axis=1), grid[near.argmax(axis=1)], refreshes)
     refreshes = refreshes[refreshes < grid[-1]]
     times = np.union1d(grid, refreshes)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (
     AssumptionViolationError,
@@ -47,14 +47,24 @@ class HypergradConfig:
 DEFAULT_CONFIG = HypergradConfig()
 
 
+# LAPACK's Cholesky factor and solve, called directly: the p x p systems are
+# tiny and SciPy's cho_factor/cho_solve wrappers cost ten times the solve.
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
 def _solve_direct(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        c, low = scipy.linalg.cho_factor(H)
-    except np.linalg.LinAlgError as exc:
-        raise AssumptionViolationError(
-            "inner Hessian is not positive definite"
-        ) from exc
-    return scipy.linalg.cho_solve((c, low), rhs)
+    """H^{-1} rhs by Cholesky, as scipy.linalg.cho_factor and cho_solve
+    compute it, bit for bit."""
+    if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = _potrf(H, lower=False, clean=False, overwrite_a=False)
+    if info > 0:
+        raise AssumptionViolationError("inner Hessian is not positive definite")
+    if info == 0:
+        x, info = _potrs(c, rhs, lower=False, overwrite_b=False)
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
+    return x
 
 
 def _solve_cg(apply_H, rhs: np.ndarray, tol: float, max_iter: int) -> np.ndarray:

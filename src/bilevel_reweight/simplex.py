@@ -28,6 +28,11 @@ class SimplexWeights:
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("weights must be a nonempty 1-d vector")
+        # the common case in two reductions: a NaN fails the min test, +inf
+        # the sum test and -inf both, so this accepts only what the checks
+        # below accept
+        if v.min() >= 0 and abs(v.sum() - 1.0) <= SUM_TOL:
+            return
         if not np.all(np.isfinite(v)):
             raise ValueError("weights must be finite")
         if np.any(v < 0):

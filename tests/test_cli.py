@@ -290,3 +290,49 @@ class TestExperimentConfig:
         assert main(argv) == 0
         assert _resolved(tmp_path / "exp") == {"experiment": "softmax-toy",
                                                **cfg}
+
+    def test_unknown_top_level_key_exits_and_names_it(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        rc = main(["experiment", "ratio-sweep", "--out", str(out),
+                   "--set", "jobs=4"])
+        assert rc == 2
+        assert "'jobs'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resolved_config_names_its_experiment(self, tmp_path):
+        cfg_path = tmp_path / "resolved.json"
+        cfg_path.write_text(json.dumps({"experiment": "frozen-flow",
+                                        "flow": {"t_max": 1.0}}))
+        assert main(["experiment", "frozen-flow", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["experiment", "softmax-toy", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "b")]) == 2
+
+
+class TestProfile:
+    ARGS = ["experiment", "ratio-sweep", "--set", "ratios=[1.0,100.0]",
+            "--set", "iterations=4",
+            "--set", 'spec={"n":60,"classes":3,"d":4,"n_test":30,'
+                     '"n_val":30,"seed":1}']
+
+    def test_writes_stats_and_leaves_outputs_unchanged(self, tmp_path):
+        import pstats
+
+        plain, profiled = tmp_path / "plain", tmp_path / "profiled"
+        assert main(self.ARGS + ["--out", str(plain)]) == 0
+        assert main(self.ARGS + ["--out", str(profiled), "--profile"]) == 0
+        assert not (plain / "profile.pstats").exists()
+        stats = pstats.Stats(str(profiled / "profile.pstats"))
+        assert any(name == "soba" for _, _, name in stats.stats)
+
+        def table(out):
+            with open(out / "table.csv", newline="") as f:
+                return [{k: v for k, v in row.items() if k != "wall_time_s"}
+                        for row in csv.DictReader(f)]
+
+        assert table(profiled) == table(plain)
+        traces = sorted(p.name for p in plain.glob("trace*.jsonl"))
+        assert len(traces) == 2
+        assert traces == sorted(p.name for p in profiled.glob("trace*.jsonl"))
+        for name in traces:
+            assert (plain / name).read_bytes() == (profiled / name).read_bytes()

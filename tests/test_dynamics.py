@@ -174,6 +174,23 @@ class TestJointFlow:
                                  FlowConfig(alpha=0.0, beta=0.0, dt=1e-3,
                                             t_max=1.0))
 
+    def test_derivative_makes_one_train_and_one_test_pass(self, joint_toy):
+        # 10 RK4 steps: 40 derivatives of 2 passes each, plus 2 records of
+        # 2 passes each
+        model, train, test, _ = joint_toy
+        calls = []
+
+        class CountingRidge(RidgeLeastSquares):
+            def forward(self, theta, data):
+                calls.append(1)
+                return super().forward(theta, data)
+
+        integrate_joint_flow(CountingRidge(model.mu), train, test,
+                             ModelParams(np.zeros(2)),
+                             SimplexWeights.uniform(train.n),
+                             FlowConfig(dt=0.1, t_max=1.0), record_times=[1.0])
+        assert len(calls) == 84
+
     def test_theta_stays_bounded(self, joint_toy):
         model, train, test, _ = joint_toy
         cfg = FlowConfig(alpha=1.0, beta=1.0, dt=1e-3, t_max=5.0)
@@ -447,3 +464,33 @@ class TestSparseReference:
         assert [r.k for r in trace.records] == [0.0, 0.05, 0.1]
         # at t = 0, 0.02, 0.04, 0.06 and 0.08; not at the end
         assert len(refreshed) == 5
+
+    def test_refresh_at_a_record_time_takes_no_extra_step(self, monkeypatch):
+        # criterion 6's grid: k * 0.01 for k = 5, 10, 20, 25 lies one ulp
+        # off a record time of linspace(0, 0.3, 7); each is merged into it,
+        # so the 6 record intervals take 50 steps each
+        from bilevel_reweight import dynamics
+
+        steps, refreshed = [], []
+        rk4 = dynamics._rk4
+
+        def counting_rk4(*args):
+            steps.append(1)
+            return rk4(*args)
+
+        def held_omega_limit(field, w0, cfg):
+            refreshed.append(1)
+            return OmegaResult(w0, True, False, 0.0)
+
+        monkeypatch.setattr(dynamics, "_rk4", counting_rk4)
+        monkeypatch.setattr(dynamics, "omega_limit", held_omega_limit)
+        train, test, _, _ = gen_mixture(MixtureSpec(n=20, m=10, sigma=0.1,
+                                                    seed=0))
+        trace = integrate_sparse_reference(
+            RidgeLeastSquares(1e-4), train, test, ModelParams(np.zeros(2)),
+            SimplexWeights.uniform(train.n), FlowConfig(dt=1e-3, t_max=0.3),
+            record_times=np.linspace(0.0, 0.3, 7), refresh_dt=0.01)
+        assert len(steps) == 300
+        # once at t = 0, then at k * 0.01 for k = 1 .. 29
+        assert len(refreshed) == 1 + 29
+        assert [r.k for r in trace.records] == list(np.linspace(0.0, 0.3, 7))

@@ -1,0 +1,182 @@
+"""Property tests: the direct LAPACK solve, the closed-form inner minimizer
+and the one-pass simplex check give the same bytes and raise the same
+errors as the reference formulas they replace."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bilevel_reweight import (
+    AssumptionViolationError,
+    Dataset,
+    SimplexWeights,
+    SingularDesignError,
+    closed_form_inner_quadratic,
+)
+from bilevel_reweight.hypergrad import _solve_direct
+from bilevel_reweight.simplex import SUM_TOL
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def reference_solve(H, rhs):
+    """scipy.linalg.cho_factor and cho_solve with their default checks."""
+    try:
+        c, low = scipy.linalg.cho_factor(H)
+    except np.linalg.LinAlgError as exc:
+        raise AssumptionViolationError(
+            "inner Hessian is not positive definite") from exc
+    return scipy.linalg.cho_solve((c, low), rhs)
+
+
+def outcome(fn, *args):
+    """(bytes of the result, None) or (None, (exception type, message))."""
+    try:
+        return fn(*args).tobytes(), None
+    except (ValueError, AssumptionViolationError, SingularDesignError) as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestSolveDirect:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, p=st.integers(1, 8), extra=st.integers(0, 6),
+           scale=st.sampled_from([1e-6, 1.0, 1e6]))
+    def test_equals_cho_factor_and_cho_solve_on_spd(self, seed, p, extra,
+                                                    scale):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((p + extra, p))
+        H = scale * (A.T @ A + 1e-3 * np.eye(p))
+        rhs = rng.standard_normal(p)
+        got = _solve_direct(H, rhs)
+        assert got.tobytes() == reference_solve(H, rhs).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, p=st.integers(1, 8), kind=st.sampled_from(
+        ["symmetric", "indefinite", "zero pivot", "rank deficient"]))
+    def test_rejects_what_cho_factor_rejects(self, seed, p, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "symmetric":
+            B = rng.standard_normal((p, p))
+            H = B + B.T
+        elif kind == "indefinite":
+            Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+            eig = rng.uniform(0.5, 2.0, p)
+            eig[rng.integers(p)] = -0.5
+            H = (Q * eig) @ Q.T
+        elif kind == "zero pivot":
+            A = rng.standard_normal((p + 2, p))
+            H = A.T @ A
+            k = rng.integers(p)
+            H[k, :] = H[:, k] = 0.0
+        else:
+            A = rng.standard_normal((max(p - 1, 1), p))
+            H = A.T @ A
+        rhs = rng.standard_normal(p)
+        assert outcome(_solve_direct, H, rhs) == outcome(reference_solve, H,
+                                                         rhs)
+        if kind in ("indefinite", "zero pivot"):
+            with pytest.raises(AssumptionViolationError,
+                               match="not positive definite"):
+                _solve_direct(H, rhs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS, p=st.integers(1, 8),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           where=st.sampled_from(["H", "rhs"]))
+    def test_non_finite_input_raises_the_same_value_error(self, seed, p, bad,
+                                                          where):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((p + 1, p))
+        H = A.T @ A + np.eye(p)
+        rhs = rng.standard_normal(p)
+        target = H if where == "H" else rhs
+        target.flat[rng.integers(target.size)] = bad
+        got = outcome(_solve_direct, H, rhs)
+        assert got == outcome(reference_solve, H, rhs)
+        assert got[1][0] is ValueError
+
+
+def reference_closed_form(X, y, w, mu):
+    A = X.T @ (w[:, None] * X) + mu * np.eye(X.shape[1])
+    b = X.T @ (w * y)
+    eigvals = np.linalg.eigvalsh(A)
+    if eigvals[0] <= 1e-12 * max(1.0, eigvals[-1]):
+        raise SingularDesignError(
+            "weighted design is singular; enlarge the support or set mu > 0")
+    return np.linalg.solve(A, b)
+
+
+class TestClosedForm:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, d=st.integers(1, 8), n=st.integers(1, 30),
+           mu=st.sampled_from([0.0, 1e-4, 1.0]),
+           zeros=st.integers(0, 5), duplicate=st.booleans(),
+           tilt=st.sampled_from([0.0, 1e-7, 1e-6, 1e-5, 1e-4]))
+    def test_equals_the_numpy_formula(self, seed, d, n, mu, zeros,
+                                      duplicate, tilt):
+        # a duplicated column tilted by t puts the smallest eigenvalue near
+        # t^2, around the singularity threshold
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d))
+        if duplicate and d > 1:
+            X[:, -1] = X[:, 0] + tilt * rng.standard_normal(n)
+        y = rng.standard_normal(n)
+        w = rng.random(n)
+        w[rng.permutation(n)[:min(zeros, n - 1)]] = 0.0
+        w = SimplexWeights.from_unnormalized(w)
+
+        def closed_form(X, y, w, mu):
+            return closed_form_inner_quadratic(Dataset(X, y), w, mu).theta
+
+        got = outcome(closed_form, X, y, w, mu)
+        assert got == outcome(reference_closed_form, X, y, w.values, mu)
+        if mu == 0.0 and (n < d or (duplicate and d > 1 and tilt == 0.0)):
+            assert got[1][0] is SingularDesignError
+
+
+def reference_simplex_check(v):
+    """The four checks of SimplexWeights, in order, without a fast path."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError("weights must be a nonempty 1-d vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("weights must be finite")
+    if np.any(v < 0):
+        raise ValueError("weights must be nonnegative")
+    if abs(v.sum() - 1.0) > SUM_TOL:
+        raise ValueError(f"weights must sum to 1, got {v.sum()!r}")
+    return v
+
+
+@st.composite
+def weight_vectors(draw):
+    rng = np.random.default_rng(draw(SEEDS))
+    n = draw(st.integers(1, 12))
+    v = rng.dirichlet(np.ones(n))
+    v[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    s = v.sum()
+    v = v / s if s > 0 else np.eye(n)[0]
+    off = draw(st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0]))
+    v[rng.integers(n)] += off * SUM_TOL
+    for bad in draw(st.lists(st.sampled_from(
+            [np.nan, np.inf, -np.inf, -1e-3, -1e-300, 2.0]), max_size=2)):
+        v[rng.integers(n)] = bad
+    return v
+
+
+class TestSimplexCheck:
+    @settings(max_examples=500, deadline=None)
+    @given(v=weight_vectors())
+    def test_accepts_and_rejects_as_the_four_checks(self, v):
+        def construct(v):
+            return SimplexWeights(v).values
+
+        assert outcome(construct, v) == outcome(reference_simplex_check, v)
+
+    @pytest.mark.parametrize("v", [np.array([]), np.ones((1, 1)),
+                                   np.array(1.0), np.full((2, 2), 0.25)])
+    def test_shape_is_checked_first(self, v):
+        with pytest.raises(ValueError, match="nonempty 1-d vector"):
+            SimplexWeights(v)
