@@ -552,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="dotted-path config override")
 
@@ -573,6 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("name", help="|".join(sorted(EXPERIMENTS)))
     e.add_argument("--profile", action="store_true",
                    help="write cProfile stats to profile.pstats in --out")
+    e.add_argument("--jobs", type=int, default=1,
+                   help="ratio-sweep: ratios run at a time")
     common(e)
     e.set_defaults(func=cmd_experiment)
     return parser

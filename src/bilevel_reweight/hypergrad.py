@@ -181,7 +181,8 @@ def closed_form_inner_quadratic(data: Dataset, w: SimplexWeights,
     """Exact inner minimizer for the ridge model:
     theta*(w) = (sum_i w_i d_i d_i^T + mu I)^{-1} sum_i w_i y_i d_i."""
     X, y = data.features, data.targets
-    A = X.T @ (w.values[:, None] * X) + mu * np.eye(data.d)
+    A = X.T @ (w.values[:, None] * X)
+    A.flat[::data.d + 1] += mu
     b = X.T @ (w.values * y)
     eigvals = np.linalg.eigvalsh(A)
     if eigvals[0] <= 1e-12 * max(1.0, eigvals[-1]):

@@ -119,7 +119,9 @@ class ForwardPass:
         return self.fit_hess_apply(w, v) + (self.mu * w.sum()) * v
 
     def hess(self, w) -> np.ndarray:
-        return self.fit_hess(w) + (self.mu * w.sum()) * np.eye(self.theta.size)
+        H = self.fit_hess(w)
+        H.flat[::H.shape[0] + 1] += self.mu * w.sum()
+        return H
 
     def sample_grads(self) -> np.ndarray:
         return self.fit_grads() + self.mu * self.theta[None, :]
@@ -229,40 +231,42 @@ class RidgeLeastSquares(LossModel):
 
 class _LogisticPass(ForwardPass):
     """Forward pass of the multinomial logistic model: the class
-    probabilities P (n x C) and the softmax residual R = P - Y.
+    probabilities and the softmax residual R = P - Y, stored class-major
+    (C x n) as Pc and Rc, so the softmax reductions run over the short
+    leading axis and each operator is one product with X or X^T.
 
-    Parameters are flattened row-major from C x d, so row i of Gamma_fit is
-    R_i (x) x_i and sample i's fit Hessian is kron(S_i, x_i x_i^T) with
-    S_i = diag(P_i) - P_i P_i^T.
+    Parameters are flattened row-major from W (C x d), so row i of Gamma_fit
+    is R_i (x) x_i and sample i's fit Hessian is kron(S_i, x_i x_i^T) with
+    S_i = diag(P_i) - P_i P_i^T. P and R are the n x C views of Pc and Rc.
     """
 
     def __init__(self, model, theta, data):
         super().__init__(model, theta, data)
-        C, d = data.n_classes, data.d
-        self.W = theta.reshape(C, d)
-        logits = data.features @ self.W.T
-        logits -= logits.max(axis=1, keepdims=True)
+        self.W = theta.reshape(data.n_classes, data.d)
+        logits = self.W @ data.features.T
+        logits -= logits.max(axis=0)
         e = np.exp(logits)
-        self.P = e / e.sum(axis=1, keepdims=True)
-        self.R = self.P.copy()
-        self.R[np.arange(data.n), data.targets] -= 1.0
+        self.Pc = e / e.sum(axis=0)
+        self.Rc = self.Pc.copy()
+        self.Rc[data.targets, np.arange(data.n)] -= 1.0
+        self.P, self.R = self.Pc.T, self.Rc.T
 
     def fit_losses(self):
-        pi = self.P[np.arange(self.data.n), self.data.targets]
+        pi = self.Pc[self.data.targets, np.arange(self.data.n)]
         return -np.log(np.maximum(pi, 1e-300))
 
     def fit_gamma_apply(self, v):
-        A = self.data.features @ v.reshape(self.W.shape).T  # n x C
-        return np.sum(self.R * A, axis=1)
+        A = v.reshape(self.W.shape) @ self.data.features.T  # C x n
+        return np.sum(self.Rc * A, axis=0)
 
     def fit_gamma_T_apply(self, w):
-        return ((w[:, None] * self.R).T @ self.data.features).reshape(-1)
+        return ((self.Rc * w) @ self.data.features).reshape(-1)
 
     def fit_hess_apply(self, w, v):
-        P, X = self.P, self.data.features
-        A = X @ v.reshape(self.W.shape).T  # n x C
-        B = P * A - P * np.sum(P * A, axis=1, keepdims=True)
-        return ((w[:, None] * B).T @ X).reshape(-1)
+        Pc, X = self.Pc, self.data.features
+        PA = Pc * (v.reshape(self.W.shape) @ X.T)  # C x n
+        B = PA - Pc * PA.sum(axis=0)
+        return ((B * w) @ X).reshape(-1)
 
     def _softmax_hessians(self):
         P = self.P

@@ -31,10 +31,11 @@ from .errors import (
 from .hypergrad import (
     DEFAULT_CONFIG,
     HypergradConfig,
+    _solve_cg,
     closed_form_inner_quadratic,
     hypergrad_at,
 )
-from .losses import ForwardPass, ModelParams, inner_grad
+from .losses import ForwardPass, ModelParams
 from .simplex import SimplexWeights, entropy, mirror_step, support
 
 
@@ -167,44 +168,45 @@ def _run(model, data, test_data, theta: np.ndarray, w: SimplexWeights,
     return trace
 
 
-def estimate_lipschitz(model, data, w: SimplexWeights, theta: ModelParams,
-                       iters: int = 60, seed: int = 0) -> float:
-    """Largest Hessian eigenvalue by power iteration on the HVP."""
-    rng = np.random.default_rng(seed)
-    p = model.n_params(data)
-    v = rng.standard_normal(p)
-    v /= np.linalg.norm(v)
-    lam = model.mu
-    train = model.forward(theta.theta, data)
-    for _ in range(iters):
-        hv = train.hess_apply(w.values, v)
-        lam = float(np.linalg.norm(hv))
-        if lam == 0.0:
-            return max(model.mu, 1.0)
-        v = hv / lam
-    return lam
-
-
 def solve_inner(model, data, w: SimplexWeights, theta0: ModelParams,
-                tol: float = 1e-10, max_iter: int = 10**6) -> ModelParams:
-    """Minimize G(., w): closed form for quadratics, else gradient descent
-    with step 1/L until the gradient norm drops below tol."""
+                tol: float = 1e-10, max_iter: int = 100) -> ModelParams:
+    """Minimize G(., w): closed form for quadratics, else inexact Newton.
+
+    Each iterate is one forward pass. The step solves H d = -g by CG on the
+    pass's Hessian-vector product to relative residual min(0.5, sqrt|g|),
+    in at most 10 p iterations. Backtracking accepts a step that meets
+    Armijo on G or, once G can no longer resolve the predicted decrease,
+    one that lowers |g|. Returns when |g| <= tol (at once if theta0 meets
+    it); raises NoConvergenceError with the final |g| after max_iter steps
+    or when the line search fails."""
     if model.is_quadratic:
         return closed_form_inner_quadratic(data, w, model.mu)
-    theta = ModelParams(theta0.theta.copy())
-    g = inner_grad(model, data, theta, w)
-    if np.linalg.norm(g) <= tol:
-        return theta
-    L = estimate_lipschitz(model, data, w, theta)
-    step = 1.0 / L
-    t = theta.theta.copy()
+    wv = w.values
+    theta = theta0.theta.copy()
+    fp = model.forward(theta, data)
+    g = fp.gamma_T_apply(wv)
+    G, gnorm = wv @ fp.sample_losses(), np.linalg.norm(g)
     for _ in range(max_iter):
-        t -= step * g
-        theta = ModelParams(t)
-        g = inner_grad(model, data, theta, w)
-        if np.linalg.norm(g) <= tol:
-            return theta
-    raise NoConvergenceError("inner solve exceeded the iteration cap")
+        if gnorm <= tol:
+            return ModelParams(theta)
+        d = _solve_cg(lambda v: fp.hess_apply(wv, v), -g,
+                      min(0.5, np.sqrt(gnorm)), 10 * g.size)
+        slope, t = g @ d, 1.0
+        while t > 1e-10:
+            fp = model.forward(theta + t * d, data)
+            g_t = fp.gamma_T_apply(wv)
+            G_t, gnorm_t = wv @ fp.sample_losses(), np.linalg.norm(g_t)
+            if G_t <= G + 1e-4 * t * slope or (
+                    -t * slope <= 1e-12 * abs(G) and gnorm_t < gnorm):
+                break
+            t *= 0.5
+        else:
+            break
+        theta, g, G, gnorm = fp.theta, g_t, G_t, gnorm_t
+    if gnorm <= tol:
+        return ModelParams(theta)
+    raise NoConvergenceError(
+        f"inner solve stopped at gradient norm {gnorm:.3e} (tol {tol:.1e})")
 
 
 def exact_bilevel(model, data, test_data, w0: SimplexWeights, cfg: SolverConfig,

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bilevel_reweight
 from bilevel_reweight import load_dataset
 from bilevel_reweight.cli import main
 
@@ -336,3 +341,29 @@ class TestProfile:
         assert traces == sorted(p.name for p in profiled.glob("trace*.jsonl"))
         for name in traces:
             assert (plain / name).read_bytes() == (profiled / name).read_bytes()
+
+
+class TestJobs:
+    def test_only_experiment_takes_jobs(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "--jobs", "4", "--set", "flow.t_max=1.0",
+                  "--set", "flow.dt=0.01", "--out", str(tmp_path / "f")])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+        assert main(TestProfile.ARGS + ["--jobs", "2",
+                                        "--out", str(tmp_path / "e")]) == 0
+        assert len(list((tmp_path / "e").glob("trace-ratio-*.jsonl"))) == 2
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.optimize and scipy.sparse add start-up time and memory to every
+    # run; the package needs neither
+    src = str(Path(bilevel_reweight.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, bilevel_reweight.cli; "
+            "print(sorted({'scipy.optimize', 'scipy.sparse'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

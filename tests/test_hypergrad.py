@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilevel_reweight import (
     AssumptionViolationError,
@@ -8,6 +10,7 @@ from bilevel_reweight import (
     HypergradConfig,
     ModelParams,
     NoConvergenceError,
+    RegularizedMultinomialLogistic,
     RidgeLeastSquares,
     SimplexWeights,
     SingularDesignError,
@@ -18,6 +21,7 @@ from bilevel_reweight import (
     inner_grad,
     outer_grad,
     project_tangent,
+    solve_inner,
     solve_inner_system,
     value_function_fd,
 )
@@ -126,6 +130,29 @@ class TestHypergrad:
             d = project_tangent(rng.standard_normal(train.n))
             fd = value_function_fd(model, train, test, w, d)
             assert abs(psi @ d.values - fd) <= 1e-6 * (1 + abs(fd))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 30),
+           d=st.integers(1, 4), classes=st.integers(2, 4),
+           mu=st.sampled_from([1e-2, 0.1, 1.0]))
+    def test_logistic_matches_fd_oracle_at_inner_optimum(self, seed, n, d,
+                                                        classes, mu):
+        rng = np.random.default_rng(seed)
+        model = RegularizedMultinomialLogistic(mu)
+        train = Dataset(rng.standard_normal((n, d)),
+                        rng.integers(0, classes, n), "classification",
+                        n_classes=classes)
+        test = Dataset(rng.standard_normal((10, d)),
+                       rng.integers(0, classes, 10), "classification",
+                       n_classes=classes)
+        w = SimplexWeights.from_unnormalized(rng.random(n) + 0.2)
+        theta = solve_inner(model, train, w,
+                            ModelParams(np.zeros(classes * d)), tol=1e-12)
+        psi = hypergrad(model, train, test, theta, w)
+        for _ in range(5):
+            direction = project_tangent(rng.standard_normal(n))
+            fd = value_function_fd(model, train, test, w, direction)
+            assert abs(psi @ direction.values - fd) <= 1e-5 * (1 + abs(fd))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(5)

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilevel_reweight import (
+    CorruptionSpec,
     Dataset,
     MixtureSpec,
     ModelParams,
+    NoConvergenceError,
     RegularizedMultinomialLogistic,
     RidgeLeastSquares,
     SimplexWeights,
@@ -19,8 +21,10 @@ from bilevel_reweight import (
     entropy,
     exact_bilevel,
     frozen_field,
+    gen_corrupted,
     gen_mixture,
     hypergrad,
+    inner_grad,
     integrate_mirror_flow,
     soba,
     softmax_reparam,
@@ -78,6 +82,41 @@ class TestSolveInner:
         theta = solve_inner(model, data, w, ModelParams(np.zeros(12)), tol=1e-8)
         from bilevel_reweight import inner_grad
         assert np.linalg.norm(inner_grad(model, data, theta, w)) <= 1e-8
+
+    def test_newton_solve_takes_few_forward_passes(self):
+        # the ratio-sweep clean oracle: n=800, C=10, d=20
+        class Counted(RegularizedMultinomialLogistic):
+            passes = 0
+
+            def forward(self, theta, data):
+                Counted.passes += 1
+                return super().forward(theta, data)
+
+        model = Counted(1e-2)
+        train, clean, _, _ = gen_corrupted(CorruptionSpec(seed=0))
+        w = SimplexWeights.from_unnormalized(clean.astype(float))
+        theta0 = ModelParams(np.zeros(model.n_params(train)))
+        theta = solve_inner(model, train, w, theta0, tol=1e-8)
+        assert Counted.passes <= 12
+        assert np.linalg.norm(inner_grad(model, train, theta, w)) <= 1e-8
+        tight = solve_inner(model, train, w, theta0, tol=1e-12)
+        assert np.linalg.norm(inner_grad(model, train, tight, w)) <= 1e-12
+
+    def test_iteration_cap_raises_with_the_final_gradient_norm(self):
+        rng = np.random.default_rng(3)
+        model = RegularizedMultinomialLogistic(1e-2)
+        data = Dataset(rng.standard_normal((20, 4)), rng.integers(0, 3, 20),
+                       "classification", n_classes=3)
+        w = SimplexWeights.uniform(20)
+        with pytest.raises(NoConvergenceError,
+                           match=r"gradient norm (\S+)") as exc:
+            solve_inner(model, data, w, ModelParams(np.zeros(12)), tol=1e-8,
+                        max_iter=1)
+        final = float(exc.value.args[0].split("gradient norm ")[1].split()[0])
+        start = np.linalg.norm(inner_grad(model, data,
+                                          ModelParams(np.zeros(12)), w))
+        # one Newton step lowers the gradient norm but not to tol
+        assert 1e-8 < final < start
 
 
 class TestExactBilevel:
