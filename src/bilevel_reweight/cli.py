@@ -58,6 +58,9 @@ log = logging.getLogger("bilevel_reweight")
 RATIO_GRID = [1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5]
 ETA_MAX = 1.0
 RHO_MAX = 1e-2
+# relative tolerance of the adaptive steps taken by the regime-check and
+# frozen-flow presets (FlowConfig.rtol)
+FLOW_RTOL = 1e-10
 
 
 def _setup_logging():
@@ -429,7 +432,7 @@ def _exp_softmax_toy(cfg: dict, out: Path, jobs: int) -> list:
 
 def _exp_frozen_flow(cfg: dict, out: Path, jobs: int) -> list:
     n, p, seed = cfg["n"], cfg["p"], cfg["seed"]
-    fcfg = FlowConfig(**cfg["flow"])
+    fcfg = FlowConfig(**{"rtol": FLOW_RTOL, **cfg["flow"]})
     field = _fig3_field(n, p, seed)
     w0 = SimplexWeights.uniform(n)
     result = omega_limit(field, w0, fcfg)
@@ -459,17 +462,18 @@ def _exp_regime_check(cfg: dict, out: Path, jobs: int) -> list:
 
     oracle_field = ExactHypergradField(model, train, test)
     ref = integrate_mirror_flow(oracle_field, w0,
-                                FlowConfig(dt=cfg["dt"], t_max=T),
+                                FlowConfig(dt=cfg["dt"], t_max=T,
+                                           rtol=FLOW_RTOL),
                                 record_times=t_grid)
     ref_w = np.stack([r.w.values for r in ref.records])
 
     theta_star = closed_form_inner_quadratic(train, w0, model.mu)
     rows = []
     for beta in cfg["betas"]:
-        # the joint flow runs for T / beta units of fast time; a coarser
-        # step keeps the cost flat while RK4 stays far below its error floor
+        # the joint flow runs for T / beta units of fast time; dt_joint is
+        # its first trial step
         fcfg = FlowConfig(alpha=1.0, beta=beta, dt=cfg["dt_joint"],
-                          t_max=T / beta)
+                          t_max=T / beta, rtol=FLOW_RTOL)
         tr = integrate_joint_flow(model, train, test, theta_star, w0, fcfg,
                                   record_times=t_grid / beta)
         ws = np.stack([r.w.values for r in tr.records])

@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import PreconditionError
+from .errors import NoConvergenceError, PreconditionError
 from .hypergrad import (
     DEFAULT_CONFIG,
     FrozenField,
@@ -48,6 +48,7 @@ class FlowConfig:
     t_max: float = 10.0
     stationarity_tol: float = 1e-8
     oscillation_window: int = 50
+    rtol: Optional[float] = None  # None: fixed RK4 steps; else Dormand-Prince
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
@@ -58,6 +59,8 @@ class FlowConfig:
             raise ValueError("stationarity_tol must be positive")
         if self.oscillation_window < 2:
             raise ValueError("oscillation_window must be >= 2")
+        if self.rtol is not None and not 0 < self.rtol < math.inf:
+            raise ValueError("rtol must be positive and finite")
 
 
 class ConstantField:
@@ -121,23 +124,74 @@ def _rk4(state: np.ndarray, h: float, deriv) -> np.ndarray:
     return state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _rk4_path(deriv, y: np.ndarray, grid, dt: float, dual=None):
-    """Fixed-step RK4 of y' = deriv(y) through the times of grid, yielding
-    (t, y) at each grid time, the first one included. Each interval takes
-    equal steps, as few as keep them at most dt (an interval within a
-    relative 1e-9 of a whole multiple of dt counts as that multiple). With
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5):
+# stage i + 1 is at y + h _DP_A[i] @ k[:i + 1]. The last row is the 5th-order
+# solution, so its stage serves as the next step's first. _DP_E: 5th - 4th.
+_DP_A = [np.array(row) for row in (
+    [1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])]
+_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
+
+
+def _dopri5(deriv, y: np.ndarray, t: float, t1: float, h: float,
+            rtol: float, recentre):
+    """Dormand-Prince steps from t to t1, trying h first; returns y at t1
+    and the next trial step. A step passes if the RMS of err / (1e-2 rtol
+    + rtol max(|y|, |y_new|)) is at most 1 (NaN fails), and h is scaled by
+    0.9 err^(-1/5) within [0.2, 5]. A step ending within 1e-9 h of t1 is
+    stretched to land on it."""
+    k = np.empty((7, y.size))
+    k[0] = deriv(y)
+    while t < t1:
+        if h < 1e-12 * max(1.0, abs(t)):
+            raise NoConvergenceError(
+                f"adaptive step size fell to {h:.3g} at t = {float(t)}")
+        last = t + h * (1 + 1e-9) >= t1
+        step = t1 - t if last else h
+        for i, a in enumerate(_DP_A, 1):
+            y_new = y + (step * a) @ k[:i]
+            k[i] = deriv(y_new)
+        r = (step * _DP_E) @ k / (
+            rtol * (1e-2 + np.maximum(np.abs(y), np.abs(y_new))))
+        err = math.sqrt(r @ r / r.size)
+        if err <= 1.0:
+            t, y, k[0] = t1 if last else t + step, recentre(y_new), k[6]
+            grown = step * (min(5.0, 0.9 * err ** -0.2) if err > 0 else 5.0)
+            h = max(h, grown) if last else grown
+        else:  # rejected, a NaN err included
+            h = step * (max(0.2, 0.9 * err ** -0.2) if err < math.inf else 0.2)
+    return y, h
+
+
+def _path(deriv, y: np.ndarray, grid, dt: float, dual=None,
+          rtol: Optional[float] = None):
+    """Integrate y' = deriv(y) through the times of grid, yielding (t, y)
+    at each grid time, the first one included. With rtol None, each
+    interval takes equal RK4 steps, as few as keep them at most dt (an
+    interval within a relative 1e-9 of a whole multiple of dt counts as
+    that multiple); else adaptive _dopri5 steps, dt the first trial. With
     dual (an index into y), y[dual] holds log-weights and is shifted after
     each step so that its maximum is 0, which keeps exp well-scaled. The
-    state is advanced lazily, so deriv may read values the caller changes
-    between two grid times."""
+    state is advanced lazily and each interval starts from a fresh
+    derivative, so deriv may read values the caller changes between two
+    grid times."""
+    def recentre(y):
+        if dual is not None:
+            y[dual] -= y[dual].max()
+        return y
+
     yield grid[0], y
+    h = dt
     for t0, t1 in zip(grid[:-1], grid[1:]):
-        n_steps = max(1, math.ceil((t1 - t0) / dt * (1 - 1e-9)))
-        h = (t1 - t0) / n_steps
-        for _ in range(n_steps):
-            y = _rk4(y, h, deriv)
-            if dual is not None:
-                y[dual] -= y[dual].max()
+        if rtol is None:
+            n_steps = max(1, math.ceil((t1 - t0) / dt * (1 - 1e-9)))
+            for _ in range(n_steps):
+                y = recentre(_rk4(y, (t1 - t0) / n_steps, deriv))
+        else:
+            y, h = _dopri5(deriv, y, t0, t1, h, rtol, recentre)
         yield t1, y
 
 
@@ -150,20 +204,20 @@ def _record_grid(t_max: float, record_times, n_default: int = 500):
     return grid
 
 
-def _mirror_path(field, w0: SimplexWeights, grid, dt: float):
-    """The mirror flow of field from w0 in dual coordinates, via _rk4_path."""
+def _mirror_path(field, w0: SimplexWeights, grid, cfg: FlowConfig):
+    """The mirror flow of field from w0 in dual coordinates, via _path."""
     deriv = lambda u: -field(SimplexWeights(_softmax(u)))
-    return _rk4_path(deriv, np.log(w0.values), grid, dt, dual=slice(None))
+    return _path(deriv, np.log(w0.values), grid, cfg.dt, slice(None), cfg.rtol)
 
 
 def integrate_mirror_flow(field, w0: SimplexWeights, cfg: FlowConfig,
                           record_times=None) -> FlowTrace:
-    """Fixed-step RK4 on the dual variable; hits record times exactly."""
+    """The mirror flow on the dual variable; hits record times exactly."""
     if np.any(w0.values <= 0):
         raise ValueError("w0 must lie in the simplex interior")
     trace = FlowTrace()
     grid = _record_grid(cfg.t_max, record_times)
-    for t, u in _mirror_path(field, w0, grid, cfg.dt):
+    for t, u in _mirror_path(field, w0, grid, cfg):
         trace.append(_dual_record(t, u))
     return trace
 
@@ -200,7 +254,7 @@ def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
     trace = FlowTrace()
     state = np.concatenate([theta0.theta, np.log(w0.values)])
     grid = _record_grid(cfg.t_max, record_times)
-    for t, y in _rk4_path(deriv, state, grid, cfg.dt, dual=slice(p, None)):
+    for t, y in _path(deriv, state, grid, cfg.dt, slice(p, None), cfg.rtol):
         w = SimplexWeights(_softmax(y[p:]))
         trace.append(_theta_record(model, data, test_data, y[:p], w, t,
                                    theta_ref))
@@ -408,7 +462,7 @@ def omega_limit(field, w0: SimplexWeights, cfg: FlowConfig,
             return OmegaResult(w0, True, False, 0.0)
         raise ValueError("w0 must lie in the simplex interior")
     grid = np.linspace(0.0, cfg.t_max, n_checkpoints + 1)
-    path = _mirror_path(field, w0, grid, cfg.dt)
+    path = _mirror_path(field, w0, grid, cfg)
     t, u = next(path)
     history = [w0.values]
     changes: List[float] = []
@@ -442,7 +496,7 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
     piecewise-constant in between."""
     if omega_cfg is None:
         omega_cfg = FlowConfig(dt=min(cfg.dt, 1e-2), t_max=200.0,
-                               stationarity_tol=1e-9)
+                               stationarity_tol=1e-9, rtol=cfg.rtol)
     grid = _record_grid(cfg.t_max, record_times)
     refreshes = refresh_dt * np.arange(1, math.ceil(grid[-1] / refresh_dt) + 1)
     # a refresh time that rounding put within 1e-9 dt of a record time is
@@ -460,7 +514,7 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
     # reads omega_w when called, so each refresh acts on the steps after it
     deriv = lambda th: -inner_grad(model, data, ModelParams(th), omega_w)
     trace = FlowTrace()
-    path = _rk4_path(deriv, theta0.theta.copy(), times, cfg.dt)
+    path = _path(deriv, theta0.theta.copy(), times, cfg.dt, rtol=cfg.rtol)
     for (t, theta), record, refreshed in zip(
             path, np.isin(times, grid), np.isin(times, refreshes)):
         if record:

@@ -87,7 +87,7 @@ def mirror_step(w: SimplexWeights, phi, eta: float) -> SimplexWeights:
     with the smallest exponent keeps factor 1, so the update cannot
     underflow once w has collapsed onto a face. Exact zeros of w never
     revive (multiplicative update), matching the flow's invariant-face
-    behavior.
+    behavior. A non-finite phi raises NumericOverflowError (a solver halt).
     """
     phi = np.asarray(phi, dtype=float)
     if eta <= 0:
@@ -95,7 +95,7 @@ def mirror_step(w: SimplexWeights, phi, eta: float) -> SimplexWeights:
     if phi.shape != w.values.shape:
         raise ValueError("phi dimension mismatch")
     if not np.all(np.isfinite(phi)):
-        raise ValueError("phi must be finite")
+        raise NumericOverflowError("phi must be finite")
     on = w.values > 0
     tilde = np.zeros_like(w.values)
     with np.errstate(over="ignore", invalid="ignore"):

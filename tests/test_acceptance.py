@@ -150,13 +150,15 @@ def test_criterion_05_fast_theta_regime():
     w0 = SimplexWeights.uniform(train.n)
     t_grid = np.linspace(0.0, T, 21)
     oracle = ExactHypergradField(model, train, test)
-    ref = integrate_mirror_flow(oracle, w0, FlowConfig(dt=1e-3, t_max=T),
+    ref = integrate_mirror_flow(oracle, w0,
+                                FlowConfig(dt=1e-3, t_max=T, rtol=1e-10),
                                 record_times=t_grid)
     ref_w = np.stack([r.w.values for r in ref.records])
     theta_star = closed_form_inner_quadratic(train, w0, model.mu)
     gaps = []
     for beta in (1e-1, 1e-2, 1e-3):
-        fcfg = FlowConfig(alpha=1.0, beta=beta, dt=1e-2, t_max=T / beta)
+        fcfg = FlowConfig(alpha=1.0, beta=beta, dt=1e-2, t_max=T / beta,
+                          rtol=1e-10)
         tr = integrate_joint_flow(model, train, test, theta_star, w0, fcfg,
                                   record_times=t_grid / beta)
         ws = np.stack([r.w.values for r in tr.records])
@@ -175,15 +177,17 @@ def test_criterion_06_fast_w_regime():
     T = 0.3
     t_grid = np.linspace(0.0, T, 7)
     theta0 = ModelParams(np.zeros(2))
-    omega_cfg = FlowConfig(dt=1e-2, t_max=150.0, stationarity_tol=1e-9)
+    omega_cfg = FlowConfig(dt=1e-2, t_max=150.0, stationarity_tol=1e-9,
+                           rtol=1e-10)
     ref = integrate_sparse_reference(model, train, test, theta0, w0,
-                                     FlowConfig(dt=1e-3, t_max=T),
+                                     FlowConfig(dt=1e-3, t_max=T, rtol=1e-10),
                                      record_times=t_grid, refresh_dt=0.01,
                                      omega_cfg=omega_cfg)
     ref_theta = np.stack([r.theta for r in ref.records])
     gaps, final_supports = [], []
     for alpha in (1e-1, 1e-2, 1e-3):
-        fcfg = FlowConfig(alpha=alpha, beta=1.0, dt=1e-2, t_max=T / alpha)
+        fcfg = FlowConfig(alpha=alpha, beta=1.0, dt=1e-2, t_max=T / alpha,
+                          rtol=1e-10)
         tr = integrate_joint_flow(model, train, test, theta0, w0, fcfg,
                                   record_times=t_grid / alpha)
         ths = np.stack([r.theta for r in tr.records])

@@ -9,6 +9,7 @@ from bilevel_reweight import (
     FrozenField,
     MixtureSpec,
     ModelParams,
+    NoConvergenceError,
     OmegaResult,
     PreconditionError,
     RidgeLeastSquares,
@@ -133,6 +134,84 @@ class TestMirrorFlow:
         assert all(b < a for a, b in zip(vals[:-1], vals[1:]))
 
 
+class TestAdaptiveSteps:
+    """FlowConfig.rtol switches the integrator to Dormand-Prince 5(4)."""
+
+    def test_matches_constant_field_closed_form(self):
+        rng = np.random.default_rng(0)
+        w0 = SimplexWeights.from_unnormalized(rng.random(6) + 0.1)
+        phi = rng.standard_normal(6)
+        times = [0.5, 1.0, 2.0, 5.0, 10.0]
+        trace = integrate_mirror_flow(
+            ConstantField(phi), w0, FlowConfig(dt=1e-3, t_max=10.0, rtol=1e-10),
+            record_times=times)
+        for rec, t in zip(trace.records[1:], times):
+            exact = constant_field_solution(w0, phi, t)
+            assert np.max(np.abs(rec.w.values - exact.values)) <= 1e-8
+
+    def test_error_falls_with_rtol(self):
+        field = random_frozen_field(2)
+        w0 = SimplexWeights.uniform(5)
+        ref = integrate_mirror_flow(field, w0, FlowConfig(dt=1e-4, t_max=1.0),
+                                    record_times=[1.0]).final.w.values
+        errs = []
+        for rtol in (1e-6, 1e-8, 1e-10):
+            got = integrate_mirror_flow(
+                field, w0, FlowConfig(dt=1e-2, t_max=1.0, rtol=rtol),
+                record_times=[1.0]).final.w.values
+            errs.append(np.max(np.abs(got - ref)))
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] <= 1e-10
+
+    def test_lands_on_every_grid_time(self):
+        field = random_frozen_field(3)
+        times = np.sort(np.random.default_rng(1).uniform(0.0, 7.0, 9))
+        trace = integrate_mirror_flow(
+            field, SimplexWeights.uniform(5),
+            FlowConfig(dt=0.3, t_max=7.0, rtol=1e-8), record_times=times)
+        assert [r.k for r in trace.records] == [0.0] + list(times)
+
+    def test_fewer_calls_than_rk4_on_the_frozen_flow_grid(self):
+        # the RK4 grid of test_whole_multiple_intervals_take_whole_step_counts
+        calls = []
+
+        class CountingField(ConstantField):
+            def __call__(self, w):
+                calls.append(1)
+                return self.phi
+
+        integrate_mirror_flow(CountingField(np.arange(5.0)),
+                              SimplexWeights.uniform(5),
+                              FlowConfig(dt=0.05, t_max=100.0, rtol=1e-10))
+        assert len(calls) < 8000
+
+    def test_value_changed_between_grid_times_acts_on_next_interval(self):
+        from bilevel_reweight import dynamics
+
+        rate = [1.0]
+        path = dynamics._path(lambda y: np.full_like(y, rate[0]), np.zeros(2),
+                              np.array([0.0, 1.0, 2.0]), 0.1, rtol=1e-10)
+        assert next(path)[0] == 0.0
+        t, y = next(path)
+        assert t == 1.0 and np.allclose(y, 1.0, rtol=0, atol=1e-14)
+        rate[0] = -3.0
+        t, y = next(path)
+        assert t == 2.0 and np.allclose(y, -2.0, rtol=0, atol=1e-14)
+
+    def test_nan_derivative_raises_instead_of_looping(self):
+        from bilevel_reweight import dynamics
+
+        path = dynamics._path(lambda y: np.full_like(y, np.nan), np.zeros(3),
+                              np.array([0.0, 1.0]), 0.1, rtol=1e-8)
+        with pytest.raises(NoConvergenceError, match="at t = 0.0"):
+            list(path)
+
+    @pytest.mark.parametrize("rtol", [0.0, -1e-8, np.inf, np.nan])
+    def test_rejects_nonpositive_or_nonfinite_rtol(self, rtol):
+        with pytest.raises(ValueError):
+            FlowConfig(rtol=rtol)
+
+
 @pytest.fixture(scope="module")
 def joint_toy():
     spec = MixtureSpec(n=30, m=15, sigma=0.1, seed=5)
@@ -190,6 +269,19 @@ class TestJointFlow:
                              SimplexWeights.uniform(train.n),
                              FlowConfig(dt=0.1, t_max=1.0), record_times=[1.0])
         assert len(calls) == 84
+
+    def test_adaptive_matches_fine_rk4(self, joint_toy):
+        model, train, test, _ = joint_toy
+        w0 = SimplexWeights.uniform(train.n)
+        theta0 = ModelParams(np.zeros(2))
+        traces = [integrate_joint_flow(model, train, test, theta0, w0,
+                                       FlowConfig(dt=dt, t_max=0.5, rtol=rtol),
+                                       record_times=[0.25, 0.5])
+                  for dt, rtol in ((1e-4, None), (1e-2, 1e-10))]
+        for a, b in zip(*(t.records for t in traces)):
+            assert a.k == b.k
+            assert np.max(np.abs(a.w.values - b.w.values)) <= 1e-7
+            assert np.max(np.abs(a.theta - b.theta)) <= 1e-7
 
     def test_theta_stays_bounded(self, joint_toy):
         model, train, test, _ = joint_toy

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilevel_reweight import (
     NumericOverflowError,
@@ -15,6 +17,18 @@ from bilevel_reweight import (
 
 def random_simplex(rng, n):
     return SimplexWeights.from_unnormalized(rng.random(n) + 1e-12)
+
+
+@st.composite
+def step_inputs(draw):
+    """(w, phi, eta): w may have exact zeros but is never all zero."""
+    n = draw(st.integers(1, 12))
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    raw[draw(st.integers(0, n - 1))] += 0.5
+    phi = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n,
+                                 max_size=n)))
+    eta = 10.0 ** draw(st.floats(-3.0, 1.0))
+    return SimplexWeights.from_unnormalized(raw), phi, eta
 
 
 class TestSimplexWeights:
@@ -112,6 +126,30 @@ class TestMirrorStep:
             assert abs(out.values.sum() - 1.0) <= 1e-12
 
 
+class TestMirrorStepProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(step_inputs())
+    def test_stays_on_simplex(self, args):
+        out = mirror_step(*args)
+        assert np.all(out.values >= 0)
+        assert abs(out.values.sum() - 1.0) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_inputs())
+    def test_exact_zeros_stay_zero(self, args):
+        w = args[0]
+        out = mirror_step(*args)
+        assert np.all(out.values[w.values == 0.0] == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_inputs(), st.floats(-10.0, 10.0))
+    def test_shifting_phi_leaves_step_unchanged(self, args, c):
+        w, phi, eta = args
+        a = mirror_step(w, phi, eta)
+        b = mirror_step(w, phi + c, eta)
+        assert np.max(np.abs(a.values - b.values)) <= 1e-12
+
+
 class TestPreconditioner:
     def test_vertex_is_zero(self):
         w = SimplexWeights(np.array([1.0, 0.0]))
@@ -186,6 +224,14 @@ class TestProjectTangent:
             t = project_tangent(rng.standard_normal(6))
             again = project_tangent(t.values)
             assert np.allclose(t.values, again.values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12))
+    def test_idempotent_property(self, v):
+        t = project_tangent(v)
+        again = project_tangent(t.values)
+        assert np.max(np.abs(again.values - t.values)) <= (
+            1e-12 * max(1.0, np.abs(v).max()))
 
     def test_tangent_invariant(self):
         with pytest.raises(ValueError):

@@ -292,6 +292,29 @@ class TestDivergentStepHalts:
             assert abs(r.w.values.sum() - 1.0) <= 1e-12
 
 
+def test_exact_bilevel_halts_on_non_finite_hypergradient(toy, monkeypatch):
+    from bilevel_reweight import solvers
+
+    model, train, test, _, _ = toy
+    calls = []
+    real = solvers.hypergrad_at
+
+    def nan_on_third_call(*args, **kwargs):
+        calls.append(1)
+        psi = real(*args, **kwargs)
+        return np.full_like(psi, np.nan) if len(calls) == 3 else psi
+
+    monkeypatch.setattr(solvers, "hypergrad_at", nan_on_third_call)
+    trace = exact_bilevel(model, train, test, SimplexWeights.uniform(train.n),
+                          SolverConfig(eta=0.1, iterations=10, record_every=1))
+    assert trace.halted and "finite" in trace.halted
+    assert len(calls) == 3 and len(trace.records) == 3
+    for r in trace.records:
+        assert np.all(np.isfinite(r.theta))
+        assert np.all(r.w.values >= 0)
+        assert abs(r.w.values.sum() - 1.0) <= 1e-12
+
+
 class TestWeightCollapseHalts:
     """With mu = 0 the inner Hessian is singular once the weights collapse
     below the design's rank. Every solver then stops with a reason and a
