@@ -27,6 +27,7 @@ from .losses import (
     gradient_matrix,
     outer_grad,
     outer_loss,
+    weighted_gram,
 )
 from .simplex import SimplexWeights, TangentVector
 
@@ -180,10 +181,10 @@ def closed_form_inner_quadratic(data: Dataset, w: SimplexWeights,
                                 mu: float = 0.0) -> ModelParams:
     """Exact inner minimizer for the ridge model:
     theta*(w) = (sum_i w_i d_i d_i^T + mu I)^{-1} sum_i w_i y_i d_i."""
-    X, y = data.features, data.targets
-    A = X.T @ (w.values[:, None] * X)
+    A = weighted_gram(data, w.values)
     A.flat[::data.d + 1] += mu
-    b = X.T @ (w.values * y)
+    # X.T, not features_T: this product keeps the rounding theta*(w) had
+    b = data.features.T @ (w.values * data.targets)
     eigvals = np.linalg.eigvalsh(A)
     if eigvals[0] <= 1e-12 * max(1.0, eigvals[-1]):
         raise SingularDesignError(

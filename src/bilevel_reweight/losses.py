@@ -9,7 +9,7 @@ outer loss uses the bare fit term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -22,20 +22,28 @@ CLASSIFICATION = "classification"
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix (n x d) plus targets (reals or class indices)."""
+    """Feature matrix (n x d) plus targets (reals or class indices).
+
+    The dataset owns a read-only copy of the features and their transpose
+    as a C-contiguous d x n array, features_T, so that products with X^T
+    run on a contiguous operand."""
 
     features: np.ndarray
     targets: np.ndarray
     kind: str = REGRESSION
     n_classes: Optional[int] = None
+    features_T: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        X = np.asarray(self.features, dtype=float)
-        object.__setattr__(self, "features", X)
+        X = np.array(self.features, dtype=float)
         if X.ndim != 2 or X.shape[0] < 1:
             raise ValueError("features must be a nonempty n x d matrix")
         if not np.all(np.isfinite(X)):
             raise ValueError("features must be finite")
+        XT = np.ascontiguousarray(X.T)
+        X.flags.writeable = XT.flags.writeable = False
+        object.__setattr__(self, "features", X)
+        object.__setattr__(self, "features_T", XT)
         if self.kind not in (REGRESSION, CLASSIFICATION):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.kind == CLASSIFICATION:
@@ -177,29 +185,35 @@ class LossModel:
         return self.forward(theta, data).sample_hessians()
 
 
+def weighted_gram(data: Dataset, w: np.ndarray) -> np.ndarray:
+    """X^T diag(w) X, d x d, equal bit for bit to X.T @ (w[:, None] * X)
+    without the n x d broadcast of w."""
+    return data.features.T @ (data.features_T * w).T
+
+
 class _RidgePass(ForwardPass):
-    """Forward pass of the ridge model: the residual r = X theta - y."""
+    """Forward pass of the ridge model: the residual r = X theta - y. Its
+    products with X^T use the dataset's contiguous features_T."""
 
     def __init__(self, model, theta, data):
         super().__init__(model, theta, data)
-        self.r = data.features @ theta - data.targets
+        self.r = theta @ data.features_T - data.targets
 
     def fit_losses(self):
         return 0.5 * self.r * self.r
 
     def fit_gamma_apply(self, v):
-        return self.r * (self.data.features @ v)
+        return self.r * (v @ self.data.features_T)
 
     def fit_gamma_T_apply(self, w):
-        return self.data.features.T @ (w * self.r)
+        return self.data.features_T @ (w * self.r)
 
     def fit_hess_apply(self, w, v):
-        X = self.data.features
-        return X.T @ (w * (X @ v))
+        XT = self.data.features_T
+        return XT @ (w * (v @ XT))
 
     def fit_hess(self, w):
-        X = self.data.features
-        return (X.T * w) @ X
+        return weighted_gram(self.data, w)
 
     def fit_grads(self):
         return self.r[:, None] * self.data.features
@@ -232,7 +246,8 @@ class RidgeLeastSquares(LossModel):
 class _LogisticPass(ForwardPass):
     """Forward pass of the multinomial logistic model: the class
     probabilities and the softmax residual R = P - Y, stored class-major
-    (C x n) as Pc and Rc, so the softmax reductions run over the short
+    (C x n) as Pc and Rc with the shifted logits and the softmax
+    denominator sum_e, so the softmax reductions run over the short
     leading axis and each operator is one product with X or X^T.
 
     Parameters are flattened row-major from W (C x d), so row i of Gamma_fit
@@ -243,30 +258,32 @@ class _LogisticPass(ForwardPass):
     def __init__(self, model, theta, data):
         super().__init__(model, theta, data)
         self.W = theta.reshape(data.n_classes, data.d)
-        logits = self.W @ data.features.T
-        logits -= logits.max(axis=0)
-        e = np.exp(logits)
-        self.Pc = e / e.sum(axis=0)
+        self.logits = self.W @ data.features_T
+        self.logits -= self.logits.max(axis=0)
+        e = np.exp(self.logits)
+        self.sum_e = e.sum(axis=0)
+        self.Pc = e / self.sum_e
         self.Rc = self.Pc.copy()
         self.Rc[data.targets, np.arange(data.n)] -= 1.0
         self.P, self.R = self.Pc.T, self.Rc.T
 
     def fit_losses(self):
-        pi = self.Pc[self.data.targets, np.arange(self.data.n)]
-        return -np.log(np.maximum(pi, 1e-300))
+        # -log P_y from the shifted logits: exact where P_y underflows
+        own = self.logits[self.data.targets, np.arange(self.data.n)]
+        return np.log(self.sum_e) - own
 
     def fit_gamma_apply(self, v):
-        A = v.reshape(self.W.shape) @ self.data.features.T  # C x n
+        A = v.reshape(self.W.shape) @ self.data.features_T  # C x n
         return np.sum(self.Rc * A, axis=0)
 
     def fit_gamma_T_apply(self, w):
         return ((self.Rc * w) @ self.data.features).reshape(-1)
 
     def fit_hess_apply(self, w, v):
-        Pc, X = self.Pc, self.data.features
-        PA = Pc * (v.reshape(self.W.shape) @ X.T)  # C x n
+        Pc = self.Pc
+        PA = Pc * (v.reshape(self.W.shape) @ self.data.features_T)  # C x n
         B = PA - Pc * PA.sum(axis=0)
-        return ((B * w) @ X).reshape(-1)
+        return ((B * w) @ self.data.features).reshape(-1)
 
     def _softmax_hessians(self):
         P = self.P

@@ -96,11 +96,12 @@ def mirror_step(w: SimplexWeights, phi, eta: float) -> SimplexWeights:
         raise ValueError("phi dimension mismatch")
     if not np.all(np.isfinite(phi)):
         raise NumericOverflowError("phi must be finite")
-    on = w.values > 0
-    tilde = np.zeros_like(w.values)
+    v = w.values
     with np.errstate(over="ignore", invalid="ignore"):
-        z = eta * phi[on]
-        tilde[on] = w.values[on] * np.exp(-(z - z.min()))
+        z = eta * phi
+        # zmin - z <= 0 on the support, so the clamp only acts off it,
+        # where it keeps 0 * exp(...) an exact 0 however large eta * phi is
+        tilde = v * np.exp(np.minimum(z[v > 0].min() - z, 0.0))
     s = tilde.sum()
     if not np.isfinite(s) or s <= 0:
         raise NumericOverflowError(

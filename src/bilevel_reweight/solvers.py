@@ -106,6 +106,8 @@ class FlowTrace:
                     else r.w.n <= 1000
                 if keep_w:
                     row["w"] = r.w.values.tolist()
+                if r.extra is not None:
+                    row["extra"] = r.extra
                 f.write(json.dumps(row) + "\n")
 
 
@@ -271,19 +273,26 @@ def soba(model, data, test_data, theta0: ModelParams, w0: SimplexWeights,
                 theta_ref)
 
 
+def _sigmoid(lam) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.asarray(lam, dtype=float)))
+
+
 def softmax_weights(lam: np.ndarray) -> SimplexWeights:
     """w_i = sigmoid(lam_i) / sum_j sigmoid(lam_j)."""
-    s = 1.0 / (1.0 + np.exp(-np.asarray(lam, dtype=float)))
-    return SimplexWeights.from_unnormalized(s)
+    return SimplexWeights.from_unnormalized(_sigmoid(lam))
+
+
+def _sigmoid_chain(s: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """lambda_gradient from s = sigmoid(lam)."""
+    S = s.sum()
+    w = s / S
+    return (s * (1.0 - s) / S) * (psi - w @ psi)
 
 
 def lambda_gradient(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Chain rule through the normalized-sigmoid reparameterization:
     dh/dlam_j = sigmoid'(lam_j)/S * (Psi_j - <w, Psi>)."""
-    s = 1.0 / (1.0 + np.exp(-lam))
-    S = s.sum()
-    w = s / S
-    return (s * (1.0 - s) / S) * (psi - w @ psi)
+    return _sigmoid_chain(_sigmoid(lam), psi)
 
 
 def softmax_reparam(model, data, test_data, theta0: ModelParams,
@@ -292,17 +301,20 @@ def softmax_reparam(model, data, test_data, theta0: ModelParams,
                     hcfg: HypergradConfig = DEFAULT_CONFIG,
                     record_resolve_err: bool = False) -> FlowTrace:
     """Joint descent on (theta, lambda) with weights w(lambda); the lambda
-    update is unconstrained so no mirror step is needed."""
+    update is unconstrained so no mirror step is needed. sigmoid(lambda) is
+    kept from the step that made w, so each step evaluates it once."""
     lam = np.asarray(lambda0, dtype=float).copy()
+    s = _sigmoid(lam)
 
     def step(train, test, w):
-        nonlocal lam
+        nonlocal lam, s
         psi = hypergrad_at(train, test, w, hcfg)
         _finite("hypergradient", psi)
         theta = train.theta - cfg.rho * train.gamma_T_apply(w.values)
-        lam = lam - cfg.eta * lambda_gradient(lam, psi)
+        lam = lam - cfg.eta * _sigmoid_chain(s, psi)
         _finite("iterates", theta, lam)
-        return theta, softmax_weights(lam)
+        s = _sigmoid(lam)
+        return theta, SimplexWeights.from_unnormalized(s)
 
     def resolve_err(theta, w):
         # cold-start re-solve with the current weights
@@ -313,4 +325,4 @@ def softmax_reparam(model, data, test_data, theta0: ModelParams,
 
     extra = resolve_err if record_resolve_err and theta_ref is not None else None
     return _run(model, data, test_data, theta0.theta.copy(),
-                softmax_weights(lam), cfg, step, theta_ref, extra)
+                SimplexWeights.from_unnormalized(s), cfg, step, theta_ref, extra)

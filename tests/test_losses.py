@@ -234,3 +234,46 @@ class TestDatasetValidation:
     def test_nonfinite_features(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[np.inf, 0.0]]), [1.0])
+
+
+class TestDatasetOwnsItsArrays:
+    def test_features_are_a_read_only_copy(self):
+        X = np.arange(6.0).reshape(3, 2)
+        data = Dataset(X, np.zeros(3))
+        X[0, 0] = 99.0
+        assert data.features[0, 0] == 0.0
+        assert data.features_T[0, 0] == 0.0
+        for a in (data.features, data.features_T):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+
+    @pytest.mark.parametrize("order", ["C", "F", "slice"])
+    def test_features_T_is_the_contiguous_transpose(self, order):
+        X = np.random.default_rng(0).standard_normal((7, 3))
+        if order == "F":
+            X = np.asfortranarray(X)
+        elif order == "slice":
+            X = np.repeat(X, 2, axis=0)[::2]
+        data = Dataset(X, np.zeros(7))
+        assert data.features_T.flags.c_contiguous
+        assert np.array_equal(data.features_T, data.features.T)
+        assert np.array_equal(data.features, X)
+
+
+class TestLogisticFitLosses:
+    def test_saturated_sample_keeps_its_loss(self):
+        # P_y = exp(-800) underflows to 0; the loss is 800 + log(1 + e^-800)
+        model = RegularizedMultinomialLogistic()
+        data = Dataset(np.ones((1, 1)), [1], "classification", n_classes=2)
+        loss = model.fit_losses(np.array([0.0, -800.0]), data)
+        assert loss[0] > 690
+        assert loss[0] == pytest.approx(800.0, rel=1e-15)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_minus_log_p_away_from_saturation(self, seed):
+        rng = np.random.default_rng(seed)
+        model, data = logistic_instance(rng, n=40, d=3, C=4)
+        fp = model.forward(0.5 * rng.standard_normal(12), data)
+        expected = -np.log(fp.P[np.arange(data.n), data.targets])
+        np.testing.assert_allclose(fp.fit_losses(), expected, rtol=1e-14,
+                                   atol=0)

@@ -1,6 +1,7 @@
-"""Property tests: the direct LAPACK solve, the closed-form inner minimizer
-and the one-pass simplex check give the same bytes and raise the same
-errors as the reference formulas they replace."""
+"""Property tests: the direct LAPACK solve, the closed-form inner minimizer,
+the weighted Gram, the mirror step and the one-pass simplex check give the
+same bytes and raise the same errors as the reference formulas they
+replace."""
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from hypothesis import strategies as st
 from bilevel_reweight import (
     AssumptionViolationError,
     Dataset,
+    NumericOverflowError,
     SimplexWeights,
     SingularDesignError,
     closed_form_inner_quadratic,
+    mirror_step,
 )
 from bilevel_reweight.hypergrad import _solve_direct
+from bilevel_reweight.losses import weighted_gram
 from bilevel_reweight.simplex import SUM_TOL
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -35,7 +39,8 @@ def outcome(fn, *args):
     """(bytes of the result, None) or (None, (exception type, message))."""
     try:
         return fn(*args).tobytes(), None
-    except (ValueError, AssumptionViolationError, SingularDesignError) as exc:
+    except (ValueError, AssumptionViolationError, SingularDesignError,
+            NumericOverflowError) as exc:
         return None, (type(exc), str(exc))
 
 
@@ -134,6 +139,93 @@ class TestClosedForm:
         assert got == outcome(reference_closed_form, X, y, w.values, mu)
         if mu == 0.0 and (n < d or (duplicate and d > 1 and tilt == 0.0)):
             assert got[1][0] is SingularDesignError
+
+
+def layout(X, kind):
+    """X itself, an F-ordered copy, or a non-contiguous view of a larger
+    array holding the same values."""
+    if kind == "F":
+        return np.asfortranarray(X)
+    if kind == "slice":
+        n, d = X.shape
+        big = np.zeros((2 * n, d + 1))
+        big[::2, 1:] = X
+        return big[::2, 1:]
+    return X
+
+
+class TestWeightedGram:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, n=st.integers(1, 3000), d=st.integers(1, 8),
+           zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+           kind=st.sampled_from(["C", "F", "slice"]))
+    def test_equals_the_broadcast_formula(self, seed, n, d, zero_share, kind):
+        rng = np.random.default_rng(seed)
+        X = layout(rng.standard_normal((n, d)), kind)
+        w = rng.random(n)
+        w[rng.random(n) < zero_share] = 0.0
+        data = Dataset(X, np.zeros(n))
+        # the dataset's own copy; NumPy's product on a strided view
+        # rounds differently from the same product on contiguous data
+        F = data.features
+        assert np.array_equal(F, X)
+        got = weighted_gram(data, w)
+        assert got.tobytes() == (F.T @ (w[:, None] * F)).tobytes()
+
+
+def reference_mirror_step(w, phi, eta):
+    """The mirror step as a gather over the support and a scatter back."""
+    phi = np.asarray(phi, dtype=float)
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    if phi.shape != w.values.shape:
+        raise ValueError("phi dimension mismatch")
+    if not np.all(np.isfinite(phi)):
+        raise NumericOverflowError("phi must be finite")
+    on = w.values > 0
+    tilde = np.zeros_like(w.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = eta * phi[on]
+        tilde[on] = w.values[on] * np.exp(-(z - z.min()))
+    s = tilde.sum()
+    if not np.isfinite(s) or s <= 0:
+        raise NumericOverflowError(
+            "mirror step produced a degenerate update; rescale eta"
+        )
+    return SimplexWeights(tilde / s).values
+
+
+@st.composite
+def mirror_inputs(draw):
+    rng = np.random.default_rng(draw(SEEDS))
+    n = draw(st.integers(1, 50))
+    if draw(st.booleans()):
+        v = np.eye(n)[rng.integers(n)]
+    else:
+        v = rng.dirichlet(np.ones(n))
+        v[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+        s = v.sum()
+        v = v / s if s > 0 else np.eye(n)[0]
+    spread = draw(st.sampled_from([1.0, 1e3, 1e100, 1e300]))
+    phi = spread * rng.standard_normal(n)
+    off = v == 0
+    # off-support entries at the extremes, where eta * phi overflows
+    phi[off & (rng.random(n) < 0.5)] = draw(st.sampled_from([1e300, -1e300]))
+    for bad in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]),
+                             max_size=1)):
+        phi[rng.integers(n)] = bad
+    eta = draw(st.sampled_from([1e-3, 0.5, 1.0, 1e3, 1e10, 0.0, -1.0]))
+    return SimplexWeights(v), phi, eta
+
+
+class TestMirrorStepReference:
+    @settings(max_examples=500, deadline=None)
+    @given(args=mirror_inputs())
+    def test_equals_the_gather_scatter_formula(self, args):
+        def step(w, phi, eta):
+            return mirror_step(w, phi, eta).values
+
+        assert outcome(step, *args) == outcome(reference_mirror_step, *args)
 
 
 def reference_simplex_check(v):

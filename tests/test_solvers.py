@@ -422,3 +422,15 @@ class TestFlowTrace:
             assert set(row) == {"k", "inner_loss", "outer_loss", "entropy",
                                 "support_size", "theta_err", "w"}
             assert len(row["w"]) == train.n
+
+    def test_jsonl_writes_extra(self, toy, tmp_path):
+        model, train, test, theta_hat, _ = toy
+        cfg = SolverConfig(eta=0.05, rho=1e-3, iterations=4, record_every=2)
+        trace = softmax_reparam(model, train, test, ModelParams(np.zeros(2)),
+                                np.zeros(train.n), cfg, theta_ref=theta_hat,
+                                record_resolve_err=True)
+        path = tmp_path / "trace.jsonl"
+        trace.to_jsonl(path, include_weights=False)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [row["extra"] for row in rows] == [r.extra for r in trace.records]
+        assert all(row["extra"]["resolve_err"] >= 0 for row in rows)
