@@ -24,10 +24,10 @@ from .losses import (
     Dataset,
     ForwardPass,
     ModelParams,
+    _weighted_gram,
     gradient_matrix,
     outer_grad,
     outer_loss,
-    weighted_gram,
 )
 from .simplex import SimplexWeights, TangentVector
 
@@ -181,7 +181,7 @@ def closed_form_inner_quadratic(data: Dataset, w: SimplexWeights,
                                 mu: float = 0.0) -> ModelParams:
     """Exact inner minimizer for the ridge model:
     theta*(w) = (sum_i w_i d_i d_i^T + mu I)^{-1} sum_i w_i y_i d_i."""
-    A = weighted_gram(data, w.values)
+    A = _weighted_gram(data, w.values)
     A.flat[::data.d + 1] += mu
     # X.T, not features_T: this product keeps the rounding theta*(w) had
     b = data.features.T @ (w.values * data.targets)

@@ -185,7 +185,7 @@ class LossModel:
         return self.forward(theta, data).sample_hessians()
 
 
-def weighted_gram(data: Dataset, w: np.ndarray) -> np.ndarray:
+def _weighted_gram(data: Dataset, w: np.ndarray) -> np.ndarray:
     """X^T diag(w) X, d x d, equal bit for bit to X.T @ (w[:, None] * X)
     without the n x d broadcast of w."""
     return data.features.T @ (data.features_T * w).T
@@ -213,7 +213,7 @@ class _RidgePass(ForwardPass):
         return XT @ (w * (v @ XT))
 
     def fit_hess(self, w):
-        return weighted_gram(self.data, w)
+        return _weighted_gram(self.data, w)
 
     def fit_grads(self):
         return self.r[:, None] * self.data.features

@@ -19,7 +19,7 @@ from bilevel_reweight import (
     mirror_step,
 )
 from bilevel_reweight.hypergrad import _solve_direct
-from bilevel_reweight.losses import weighted_gram
+from bilevel_reweight.losses import _weighted_gram
 from bilevel_reweight.simplex import SUM_TOL
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -169,7 +169,7 @@ class TestWeightedGram:
         # rounds differently from the same product on contiguous data
         F = data.features
         assert np.array_equal(F, X)
-        got = weighted_gram(data, w)
+        got = _weighted_gram(data, w)
         assert got.tobytes() == (F.T @ (w[:, None] * F)).tobytes()
 
 
