@@ -24,9 +24,9 @@ CLASSIFICATION = "classification"
 class Dataset:
     """Feature matrix (n x d) plus targets (reals or class indices).
 
-    The dataset owns a read-only copy of the features and their transpose
-    as a C-contiguous d x n array, features_T, so that products with X^T
-    run on a contiguous operand."""
+    The dataset owns read-only copies of the features and targets, and the
+    features' transpose as a C-contiguous d x n array, features_T, so that
+    products with X^T run on a contiguous operand."""
 
     features: np.ndarray
     targets: np.ndarray
@@ -47,15 +47,16 @@ class Dataset:
         if self.kind not in (REGRESSION, CLASSIFICATION):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.kind == CLASSIFICATION:
-            y = np.asarray(self.targets, dtype=int)
+            y = np.array(self.targets, dtype=int)
             if self.n_classes is None or self.n_classes < 2:
                 raise ValueError("classification needs n_classes >= 2")
             if y.min() < 0 or y.max() >= self.n_classes:
                 raise ValueError("class targets out of range")
         else:
-            y = np.asarray(self.targets, dtype=float)
+            y = np.array(self.targets, dtype=float)
             if not np.all(np.isfinite(y)):
                 raise ValueError("regression targets must be finite")
+        y.flags.writeable = False
         object.__setattr__(self, "targets", y)
         if y.shape != (X.shape[0],):
             raise ValueError("targets must be a length-n vector")

@@ -237,15 +237,17 @@ class TestDatasetValidation:
 
 
 class TestDatasetOwnsItsArrays:
-    def test_features_are_a_read_only_copy(self):
-        X = np.arange(6.0).reshape(3, 2)
-        data = Dataset(X, np.zeros(3))
-        X[0, 0] = 99.0
-        assert data.features[0, 0] == 0.0
-        assert data.features_T[0, 0] == 0.0
+    def test_arrays_are_read_only_copies(self):
+        X, y = np.arange(6.0).reshape(3, 2), np.zeros(3)
+        data = Dataset(X, y)
+        X[0, 0] = y[0] = 99.0
+        assert data.features[0, 0] == data.features_T[0, 0] == 0.0
+        assert data.targets[0] == 0.0
         for a in (data.features, data.features_T):
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            data.targets[0] = 1.0
 
     @pytest.mark.parametrize("order", ["C", "F", "slice"])
     def test_features_T_is_the_contiguous_transpose(self, order):
