@@ -29,6 +29,7 @@ from .dynamics import (
     jacobian_field,
     linearized_trajectory,
     membership_I,
+    omega_from_trace,
     omega_limit,
     sparsity_certificate,
     stability_check,

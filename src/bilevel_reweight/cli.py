@@ -31,7 +31,7 @@ from .dynamics import (
     integrate_joint_flow,
     integrate_mirror_flow,
     is_stationary,
-    omega_limit,
+    omega_from_trace,
     sparsity_certificate,
     stability_check,
 )
@@ -277,7 +277,7 @@ def cmd_flow(args) -> int:
     w0 = SimplexWeights.uniform(n)
     trace = integrate_mirror_flow(field, w0, fcfg)
     trace.to_jsonl(out / "trace.jsonl")
-    result = omega_limit(field, w0, fcfg)
+    result = omega_from_trace(trace, w0, fcfg)
     report = is_stationary(result.w, field,
                            tol=max(10 * fcfg.stationarity_tol, 1e-6))
     if report.is_stationary:
@@ -435,13 +435,13 @@ def _exp_frozen_flow(cfg: dict, out: Path, jobs: int) -> list:
     fcfg = FlowConfig(**{"rtol": FLOW_RTOL, **cfg["flow"]})
     field = _fig3_field(n, p, seed)
     w0 = SimplexWeights.uniform(n)
-    result = omega_limit(field, w0, fcfg)
+    trace = integrate_mirror_flow(field, w0, fcfg)
+    trace.to_jsonl(out / "trace.jsonl")
+    result = omega_from_trace(trace, w0, fcfg)
     member = None
     if result.converged:
         member, _ = sparsity_certificate(result.w, field.gamma, tol=1e-6,
                                          support_tol=1e-6)
-    trace = integrate_mirror_flow(field, w0, fcfg)
-    trace.to_jsonl(out / "trace.jsonl")
     return [{
         "seed": seed, "converged": result.converged,
         "oscillating": result.oscillating,

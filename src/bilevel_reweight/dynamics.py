@@ -111,9 +111,11 @@ def _dual_record(t, u) -> TraceRecord:
 
 
 def _theta_record(model, data, test_data, theta: np.ndarray,
-                  w: SimplexWeights, t, theta_ref=None) -> TraceRecord:
+                  w: SimplexWeights, t, theta_ref=None,
+                  extra=None) -> TraceRecord:
     return _make_record(model.forward(theta, data),
-                        model.forward(theta, test_data), w, t, theta_ref)
+                        model.forward(theta, test_data), w, t, theta_ref,
+                        extra)
 
 
 def _rk4(state: np.ndarray, h: float, deriv) -> np.ndarray:
@@ -134,17 +136,24 @@ _DP_A = [np.array(row) for row in (
     [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])]
 _DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
                   22 / 525, -1 / 40])
+# Its 4th-order dense output (ibid. II.6; Shampine, Math. Comp. 46, 1986), as
+# in DOPRI5's CONTD5: with d = y_new - y and a = h k0 - d, y(t + x h) =
+# y + x (d + (1 - x) (a + x (d - h k6 - a + (1 - x) h _DP_D @ k))).
+_DP_D = np.array([-12715105075 / 11282082432, 0, 87487479700 / 32700410799,
+                  -10690763975 / 1880347072, 701980252875 / 199316789632,
+                  -1453857185 / 822651844, 69997945 / 29380423])
 
 
-def _dopri5(deriv, y: np.ndarray, t: float, t1: float, h: float,
-            rtol: float, recentre):
-    """Dormand-Prince steps from t to t1, trying h first; returns y at t1
-    and the next trial step. A step passes if the RMS of err / (1e-2 rtol
-    + rtol max(|y|, |y_new|)) is at most 1 (NaN fails), and h is scaled by
-    0.9 err^(-1/5) within [0.2, 5]. A step ending within 1e-9 h of t1 is
-    stretched to land on it."""
+def _dopri5(deriv, y: np.ndarray, grid, h: float, rtol: float, recentre):
+    """Dormand-Prince steps from grid[0] to grid[-1], trying h first, that
+    yield (t, y) at each later grid time: one inside a step is read off its
+    dense output, and only grid[-1] ends a step (stretched onto it if within
+    1e-9 h), so deriv is never evaluated past it. A step passes if the RMS of
+    err / (1e-2 rtol + rtol max(|y|, |y_new|)) is at most 1 (NaN fails), and
+    h is scaled by 0.9 err^(-1/5) within [0.2, 5]."""
     k = np.empty((7, y.size))
     k[0] = deriv(y)
+    t, t1, j = grid[0], grid[-1], 1
     while t < t1:
         if h < 1e-12 * max(1.0, abs(t)):
             raise NoConvergenceError(
@@ -158,40 +167,45 @@ def _dopri5(deriv, y: np.ndarray, t: float, t1: float, h: float,
             rtol * (1e-2 + np.maximum(np.abs(y), np.abs(y_new))))
         err = math.sqrt(r @ r / r.size)
         if err <= 1.0:
-            t, y, k[0] = t1 if last else t + step, recentre(y_new), k[6]
-            grown = step * (min(5.0, 0.9 * err ** -0.2) if err > 0 else 5.0)
-            h = max(h, grown) if last else grown
+            t_new = t1 if last else t + step
+            d = y_new - y
+            a = step * k[0] - d
+            while grid[j] < t_new:
+                x = (grid[j] - t) / step
+                yield grid[j], recentre(y + x * (d + (1 - x) * (a + x * (
+                    d - step * k[6] - a + (1 - x) * (step * _DP_D) @ k))))
+                j += 1
+            t, y, k[0] = t_new, recentre(y_new), k[6]
+            if last:
+                yield t, y
+            h = step * (min(5.0, 0.9 * err ** -0.2) if err > 0 else 5.0)
         else:  # rejected, a NaN err included
             h = step * (max(0.2, 0.9 * err ** -0.2) if err < math.inf else 0.2)
-    return y, h
 
 
 def _path(deriv, y: np.ndarray, grid, dt: float, dual=None,
           rtol: Optional[float] = None):
-    """Integrate y' = deriv(y) through the times of grid, yielding (t, y)
-    at each grid time, the first one included. With rtol None, each
-    interval takes equal RK4 steps, as few as keep them at most dt (an
-    interval within a relative 1e-9 of a whole multiple of dt counts as
-    that multiple); else adaptive _dopri5 steps, dt the first trial. With
-    dual (an index into y), y[dual] holds log-weights and is shifted after
-    each step so that its maximum is 0, which keeps exp well-scaled. The
-    state is advanced lazily and each interval starts from a fresh
-    derivative, so deriv may read values the caller changes between two
-    grid times."""
+    """Integrate y' = deriv(y), deriv fixed for the whole call, through the
+    times of grid, yielding (t, y) at each grid time, the first one
+    included. With rtol None, each interval takes equal RK4 steps, as few
+    as keep them at most dt (an interval within a relative 1e-9 of a whole
+    multiple of dt counts as that multiple); else _dopri5 steps, dt the
+    first trial, which grid times do not cut short. With dual (an index
+    into y), y[dual] holds log-weights and is shifted after each step so
+    that its maximum is 0, which keeps exp well-scaled."""
     def recentre(y):
         if dual is not None:
             y[dual] -= y[dual].max()
         return y
 
     yield grid[0], y
-    h = dt
+    if rtol is not None:
+        yield from _dopri5(deriv, y, grid, dt, rtol, recentre)
+        return
     for t0, t1 in zip(grid[:-1], grid[1:]):
-        if rtol is None:
-            n_steps = max(1, math.ceil((t1 - t0) / dt * (1 - 1e-9)))
-            for _ in range(n_steps):
-                y = recentre(_rk4(y, (t1 - t0) / n_steps, deriv))
-        else:
-            y, h = _dopri5(deriv, y, t0, t1, h, rtol, recentre)
+        n_steps = max(1, math.ceil((t1 - t0) / dt * (1 - 1e-9)))
+        for _ in range(n_steps):
+            y = recentre(_rk4(y, (t1 - t0) / n_steps, deriv))
         yield t1, y
 
 
@@ -452,9 +466,11 @@ class OmegaResult:
 
 def omega_limit(field, w0: SimplexWeights, cfg: FlowConfig,
                 n_checkpoints: int = 500) -> OmegaResult:
-    """Integrate the mirror flow until the per-checkpoint change falls below
-    stationarity_tol, oscillation is detected, or t_max is reached.
-    Non-convergence is an ordinary value, never an error."""
+    """Integrate the mirror flow through n_checkpoints equal checkpoints to
+    t_max. Stop at the first whose change is at most stationarity_tol, or
+    that lies within 1e-4 of one more than oscillation_window back with no
+    fall in the change over the window (oscillating). Non-convergence is an
+    ordinary value, never an error."""
     if np.any(w0.values <= 0):
         # already on a face; one-hot starts are stationary immediately
         rep = is_stationary(w0, field, max(cfg.stationarity_tol, 1e-12))
@@ -463,27 +479,37 @@ def omega_limit(field, w0: SimplexWeights, cfg: FlowConfig,
         raise ValueError("w0 must lie in the simplex interior")
     grid = np.linspace(0.0, cfg.t_max, n_checkpoints + 1)
     path = _mirror_path(field, w0, grid, cfg)
-    t, u = next(path)
-    history = [w0.values]
+    next(path)
+    return _omega_stop(w0, ((t, _softmax(u)) for t, u in path), grid.size,
+                       cfg)
+
+
+def omega_from_trace(trace: FlowTrace, w0: SimplexWeights,
+                     cfg: FlowConfig) -> OmegaResult:
+    """omega_limit's stop rules with a mirror trace's later records from w0
+    as checkpoints: equal to omega_limit(field, w0, cfg, n) when
+    integrate_mirror_flow(field, w0, cfg) wrote it on n equal intervals."""
+    return _omega_stop(w0, ((r.k, r.w.values) for r in trace.records[1:]),
+                       len(trace.records), cfg)
+
+
+def _omega_stop(w0, checkpoints, size: int, cfg: FlowConfig) -> OmegaResult:
+    history = np.empty((size, w0.n))
+    history[0] = w0.values
     changes: List[float] = []
-    win = cfg.oscillation_window
-    for t, u in path:
-        cur = _softmax(u)
-        change = float(np.linalg.norm(cur - history[-1]))
+    win, t, cur = cfg.oscillation_window, 0.0, w0.values
+    for i, (t, cur) in enumerate(checkpoints, 1):
+        change = float(np.linalg.norm(cur - history[i - 1]))
         changes.append(change)
         if change <= cfg.stationarity_tol:
             return OmegaResult(SimplexWeights(cur), True, False, float(t),
                                changes)
-        if len(changes) > win:
-            revisits = any(
-                np.linalg.norm(cur - past) < 1e-4 for past in history[:-win])
-            no_decrease = changes[-1] >= changes[-win] * (1 - 1e-3)
-            if revisits and no_decrease:
-                return OmegaResult(SimplexWeights(cur), False, True, float(t),
-                                   changes)
-        history.append(cur)
-    return OmegaResult(SimplexWeights(_softmax(u)), False, False, float(t),
-                       changes)
+        if i > win and changes[-1] >= changes[-win] * (1 - 1e-3) and (
+                np.linalg.norm(history[:i - win] - cur, axis=1).min() < 1e-4):
+            return OmegaResult(SimplexWeights(cur), False, True, float(t),
+                               changes)
+        history[i] = cur
+    return OmegaResult(SimplexWeights(cur), False, False, float(t), changes)
 
 
 def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
@@ -493,7 +519,9 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
                                theta_ref: Optional[ModelParams] = None) -> FlowTrace:
     """Reference trajectory theta' = -grad G(theta, Omega(theta, w0)) with
     the sparse limit Omega refreshed every refresh_dt of slow time and held
-    piecewise-constant in between."""
+    piecewise-constant in between, one _path per segment. A record's extra
+    holds its segment's omega_converged, omega_oscillating, omega_t and
+    omega_change (the last checkpoint change, or None)."""
     if omega_cfg is None:
         omega_cfg = FlowConfig(dt=min(cfg.dt, 1e-2), t_max=200.0,
                                stationarity_tol=1e-9, rtol=cfg.rtol)
@@ -505,21 +533,24 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
     refreshes = np.where(near.any(axis=1), grid[near.argmax(axis=1)], refreshes)
     refreshes = refreshes[refreshes < grid[-1]]
     times = np.union1d(grid, refreshes)
+    record = np.isin(times, grid)
 
-    def refresh(theta):
-        f = frozen_field(model, data, test_data, ModelParams(theta))
-        return omega_limit(f, w0, omega_cfg).w
-
-    omega_w = refresh(theta0.theta)
-    # reads omega_w when called, so each refresh acts on the steps after it
-    deriv = lambda th: -inner_grad(model, data, ModelParams(th), omega_w)
     trace = FlowTrace()
-    path = _path(deriv, theta0.theta.copy(), times, cfg.dt, rtol=cfg.rtol)
-    for (t, theta), record, refreshed in zip(
-            path, np.isin(times, grid), np.isin(times, refreshes)):
-        if record:
-            trace.append(_theta_record(model, data, test_data, theta, omega_w,
-                                       t, theta_ref))
-        if refreshed:
-            omega_w = refresh(theta)
+    theta, start = theta0.theta.copy(), 0
+    for end in [*np.flatnonzero(np.isin(times, refreshes)), times.size - 1]:
+        f = frozen_field(model, data, test_data, ModelParams(theta))
+        omega = omega_limit(f, w0, omega_cfg)
+        extra = {"omega_converged": omega.converged,
+                 "omega_oscillating": omega.oscillating, "omega_t": omega.t,
+                 "omega_change": (omega.checkpoint_changes or [None])[-1]}
+        deriv = lambda th, w=omega.w: -inner_grad(model, data, ModelParams(th),
+                                                  w)
+        path = _path(deriv, theta, times[start:end + 1], cfg.dt,
+                     rtol=cfg.rtol)
+        for i, (t, theta) in enumerate(path, start):
+            # a segment's first time is the last of the one before
+            if record[i] and (i == 0 or i > start):
+                trace.append(_theta_record(model, data, test_data, theta,
+                                           omega.w, t, theta_ref, extra))
+        start = end
     return trace

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -209,6 +210,30 @@ class TestExperiment:
             rows = list(csv.DictReader(f))
         assert rows[0]["converged"] == "True"
         assert rows[0]["support_leq_p"] == "True"
+
+    def test_frozen_flow_limit_is_a_separate_omega_limit(self, tmp_path,
+                                                         monkeypatch):
+        # the preset reads Omega off the mirror trace it writes; the result
+        # is the bytes of an omega_limit call on the same field
+        from bilevel_reweight import cli, dynamics
+
+        got = []
+
+        def capture(*args):
+            got.append(dynamics.omega_from_trace(*args))
+            return got[-1]
+
+        monkeypatch.setattr(cli, "omega_from_trace", capture)
+        flow = cli.EXPERIMENTS["frozen-flow"][1]["flow"]
+        cfg = dynamics.FlowConfig(rtol=cli.FLOW_RTOL, **flow)
+        for seed in range(16):
+            assert main(["experiment", "frozen-flow", "--out",
+                         str(tmp_path / str(seed)), "--set",
+                         f"seed={seed}"]) == 0
+            want = dynamics.omega_limit(cli._fig3_field(5, 3, seed),
+                                        dynamics.SimplexWeights.uniform(5),
+                                        cfg)
+            assert pickle.dumps(got[-1]) == pickle.dumps(want)
 
     def test_resolved_config_reruns_identically(self, tmp_path):
         out_a = tmp_path / "a"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bilevel_reweight import (
     ConstantField,
@@ -185,18 +186,43 @@ class TestAdaptiveSteps:
                               FlowConfig(dt=0.05, t_max=100.0, rtol=1e-10))
         assert len(calls) < 8000
 
-    def test_value_changed_between_grid_times_acts_on_next_interval(self):
+    def test_interior_grid_times_add_no_derivative_calls(self):
+        # the steps are the controller's alone; grid times inside a step are
+        # read off its dense output
         from bilevel_reweight import dynamics
 
-        rate = [1.0]
-        path = dynamics._path(lambda y: np.full_like(y, rate[0]), np.zeros(2),
-                              np.array([0.0, 1.0, 2.0]), 0.1, rtol=1e-10)
-        assert next(path)[0] == 0.0
-        t, y = next(path)
-        assert t == 1.0 and np.allclose(y, 1.0, rtol=0, atol=1e-14)
-        rate[0] = -3.0
-        t, y = next(path)
-        assert t == 2.0 and np.allclose(y, -2.0, rtol=0, atol=1e-14)
+        counts, values = [], []
+        for n_times in (2, 1001):
+            calls = []
+
+            def deriv(y):
+                calls.append(1)
+                return -y
+
+            grid = np.linspace(0.0, 10.0, n_times)
+            values = list(dynamics._path(deriv, np.ones(1), grid, 0.1,
+                                         rtol=1e-11))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        assert [t for t, _ in values] == list(grid)
+        for t, y in values:
+            assert abs(y[0] - np.exp(-t)) <= 1e-9 * np.exp(-t)
+
+    def test_never_evaluates_past_the_horizon(self):
+        from bilevel_reweight import dynamics
+
+        # y[0] is the time; its derivative is 1
+        seen = []
+
+        def deriv(y):
+            seen.append(y[0])
+            return np.array([1.0, np.cos(y[0]) - y[1]])
+
+        grid = np.concatenate([np.linspace(0.0, 7.3, 40), [7.31]])
+        t, y = list(dynamics._path(deriv, np.zeros(2), grid, 0.05,
+                                   rtol=1e-8))[-1]
+        assert t == 7.31 and y[0] == pytest.approx(7.31, abs=1e-12)
+        assert max(seen) <= 7.31 + 1e-12
 
     def test_nan_derivative_raises_instead_of_looping(self):
         from bilevel_reweight import dynamics
@@ -556,6 +582,50 @@ class TestSparseReference:
         assert [r.k for r in trace.records] == [0.0, 0.05, 0.1]
         # at t = 0, 0.02, 0.04, 0.06 and 0.08; not at the end
         assert len(refreshed) == 5
+
+    def test_refresh_acts_exactly_from_its_time(self, monkeypatch):
+        # Omega_A on [0, 0.1), Omega_B after it: theta follows the closed-form
+        # ridge gradient flow theta* + expm(-H t)(theta0 - theta*) piecewise
+        from bilevel_reweight import dynamics
+
+        train, test, _, _ = gen_mixture(MixtureSpec(n=20, m=10, sigma=0.1,
+                                                    seed=4))
+        model = RidgeLeastSquares(1e-3)
+        omegas = [SimplexWeights.from_unnormalized(np.r_[1.0, 2.0, [0.0] * 18]),
+                  SimplexWeights.from_unnormalized(np.r_[[0.0] * 17, 1, 1, 1])]
+        results = [OmegaResult(omegas[0], True, False, 3.0, [1e-10]),
+                   OmegaResult(omegas[1], False, False, 5.0, [2e-6])]
+        monkeypatch.setattr(dynamics, "omega_limit",
+                            lambda field, w0, cfg: results.pop(0))
+
+        def closed_form(w, theta0, t):
+            X = train.features
+            H = X.T @ (w.values[:, None] * X) + model.mu * np.eye(2)
+            star = closed_form_inner_quadratic(train, w, model.mu).theta
+            return star + scipy.linalg.expm(-H * t) @ (theta0 - star)
+
+        theta0 = np.array([0.4, -0.3])
+        trace = integrate_sparse_reference(
+            model, train, test, ModelParams(theta0),
+            SimplexWeights.uniform(train.n),
+            FlowConfig(dt=1e-3, t_max=0.15, rtol=1e-12),
+            record_times=[0.099, 0.101, 0.15], refresh_dt=0.1)
+        assert not results
+        at_refresh = closed_form(omegas[0], theta0, 0.1)
+        want = [theta0, closed_form(omegas[0], theta0, 0.099),
+                closed_form(omegas[1], at_refresh, 0.001),
+                closed_form(omegas[1], at_refresh, 0.05)]
+        assert [r.k for r in trace.records] == [0.0, 0.099, 0.101, 0.15]
+        for rec, theta, w in zip(trace.records, want, omegas[:1] * 2
+                                 + omegas[1:] * 2):
+            assert np.max(np.abs(rec.theta - theta)) <= 1e-8
+            assert rec.w is w
+        assert trace.records[1].extra == {
+            "omega_converged": True, "omega_oscillating": False,
+            "omega_t": 3.0, "omega_change": 1e-10}
+        assert trace.records[3].extra == {
+            "omega_converged": False, "omega_oscillating": False,
+            "omega_t": 5.0, "omega_change": 2e-6}
 
     def test_refresh_at_a_record_time_takes_no_extra_step(self, monkeypatch):
         # criterion 6's grid: k * 0.01 for k = 5, 10, 20, 25 lies one ulp
