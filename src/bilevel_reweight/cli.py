@@ -172,29 +172,25 @@ def cmd_generate(args) -> int:
     with open(args.spec) as f:
         spec_cfg = json.load(f)
     _apply_overrides(spec_cfg, args.set)
-    kind = spec_cfg.get("type", "mixture")
     fields = dict(spec_cfg.get("spec", {}))
     if args.seed is not None:
         fields["seed"] = args.seed
-    if kind == "mixture":
-        spec = MixtureSpec(**fields)
-        train, test, theta_hat, z = gen_mixture(spec)
-        datagen.save_dataset(train, out / "train.csv", seed=spec.seed)
-        datagen.save_dataset(test, out / "test.csv", seed=spec.seed)
-        _write_json(out / "meta.json", {
-            "theta_hat": theta_hat.theta.tolist(),
-            "clusters": z.tolist()})
-    elif kind == "corruption":
-        spec = CorruptionSpec(**fields)
-        train, clean_mask, test, val = gen_corrupted(spec)
-        datagen.save_dataset(train, out / "train.csv", seed=spec.seed)
-        datagen.save_dataset(test, out / "test.csv", seed=spec.seed)
-        datagen.save_dataset(val, out / "val.csv", seed=spec.seed)
-        _write_json(out / "meta.json", {"clean_mask": clean_mask.tolist()})
-    else:
-        print(f"unknown dataset type {kind!r}", file=sys.stderr)
+    resolved = {"type": spec_cfg.get("type", "mixture"), "spec": fields}
+    try:
+        train, test, val, extras = _dataset_from_config(resolved)
+    except SystemExit as exc:  # an unknown dataset type
+        print(exc, file=sys.stderr)
         return 2
-    resolved = {"type": kind, "spec": fields}
+    seed = extras["spec"].seed
+    for name, data in (("train", train), ("test", test), ("val", val)):
+        if data is not None:
+            datagen.save_dataset(data, out / f"{name}.csv", seed=seed)
+    if "clean_mask" in extras:
+        meta = {"clean_mask": extras["clean_mask"].tolist()}
+    else:
+        meta = {"theta_hat": extras["theta_hat"].theta.tolist(),
+                "clusters": extras["clusters"].tolist()}
+    _write_json(out / "meta.json", meta)
     _write_json(out / "resolved-config.json", resolved)
     log.info("wrote datasets to %s", out)
     return 0

@@ -51,12 +51,14 @@ class FlowConfig:
     rtol: Optional[float] = None  # None: fixed RK4 steps; else Dormand-Prince
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
-        if self.dt <= 0 or self.t_max <= 0 or self.dt >= self.t_max:
-            raise ValueError("need 0 < dt < t_max")
-        if self.stationarity_tol <= 0:
-            raise ValueError("stationarity_tol must be positive")
+        # each test is written so that NaN fails it
+        for name in ("alpha", "beta"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
+        if not 0 < self.dt < self.t_max < math.inf:
+            raise ValueError("need 0 < dt < t_max < inf")
+        if not 0 < self.stationarity_tol < math.inf:
+            raise ValueError("stationarity_tol must be positive and finite")
         if self.oscillation_window < 2:
             raise ValueError("oscillation_window must be >= 2")
         if self.rtol is not None and not 0 < self.rtol < math.inf:

@@ -43,6 +43,8 @@ class HypergradConfig:
     def __post_init__(self):
         if not (0 < self.cg_tol <= 1e-2):
             raise ValueError("cg_tol must lie in (0, 1e-2]")
+        if self.cg_max_iter < 0:
+            raise ValueError("cg_max_iter must be >= 0 (0 means 10 * p)")
 
 
 DEFAULT_CONFIG = HypergradConfig()
@@ -98,10 +100,10 @@ def _solve_cg(apply_H, rhs: np.ndarray, tol: float, max_iter: int) -> np.ndarray
 
 
 def _solve_hessian(train: ForwardPass, w_values: np.ndarray, rhs: np.ndarray,
-                   cfg: HypergradConfig) -> np.ndarray:
+                   cfg: HypergradConfig, fit_hess=None) -> np.ndarray:
     p = rhs.size
     if p <= cfg.direct_threshold:
-        return _solve_direct(train.hess(w_values), rhs)
+        return _solve_direct(train.hess(w_values, fit_hess), rhs)
     max_iter = cfg.cg_max_iter or 10 * p
     return _solve_cg(lambda v: train.hess_apply(w_values, v), rhs, cfg.cg_tol,
                      max_iter)
@@ -123,11 +125,13 @@ def hypergrad(model, data, test_data, theta: ModelParams, w: SimplexWeights,
 
 
 def hypergrad_at(train: ForwardPass, test: ForwardPass, w: SimplexWeights,
-                 cfg: HypergradConfig = DEFAULT_CONFIG) -> np.ndarray:
+                 cfg: HypergradConfig = DEFAULT_CONFIG,
+                 fit_hess=None) -> np.ndarray:
     """Psi from forward passes at the same theta over the training and test
     sets: -Gamma H(w)^{-1} grad F(theta), with neither Gamma nor a per-sample
-    Hessian formed."""
-    v = _solve_hessian(train, w.values, test.mean_fit_grad(), cfg)
+    Hessian formed. fit_hess, if given, is train.fit_hess(w.values) as the
+    caller already built it (see ForwardPass.hess)."""
+    v = _solve_hessian(train, w.values, test.mean_fit_grad(), cfg, fit_hess)
     return -train.gamma_apply(v)
 
 
@@ -181,16 +185,23 @@ def closed_form_inner_quadratic(data: Dataset, w: SimplexWeights,
                                 mu: float = 0.0) -> ModelParams:
     """Exact inner minimizer for the ridge model:
     theta*(w) = (sum_i w_i d_i d_i^T + mu I)^{-1} sum_i w_i y_i d_i."""
-    A = _weighted_gram(data, w.values)
+    return _closed_form(data, w.values, mu)[0]
+
+
+def _closed_form(data: Dataset, w_values: np.ndarray, mu: float):
+    """theta*(w) and the weighted Gram X^T diag(w) X it was solved with,
+    which is the ridge pass's fit_hess(w) bit for bit."""
+    G = _weighted_gram(data, w_values)
+    A = G.copy()
     A.flat[::data.d + 1] += mu
     # X.T, not features_T: this product keeps the rounding theta*(w) had
-    b = data.features.T @ (w.values * data.targets)
+    b = data.features.T @ (w_values * data.targets)
     eigvals = np.linalg.eigvalsh(A)
     if eigvals[0] <= 1e-12 * max(1.0, eigvals[-1]):
         raise SingularDesignError(
             "weighted design is singular; enlarge the support or set mu > 0"
         )
-    return ModelParams(np.linalg.solve(A, b))
+    return ModelParams(np.linalg.solve(A, b)), G
 
 
 def _value_function(model, data, test_data, w: SimplexWeights,

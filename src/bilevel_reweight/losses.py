@@ -26,13 +26,17 @@ class Dataset:
 
     The dataset owns read-only copies of the features and targets, and the
     features' transpose as a C-contiguous d x n array, features_T, so that
-    products with X^T run on a contiguous operand."""
+    products with X^T run on a contiguous operand. A classification dataset
+    also holds its targets one-hot and class-major, C x n, as one_hot_T
+    (None for regression), so the softmax residual is one subtraction."""
 
     features: np.ndarray
     targets: np.ndarray
     kind: str = REGRESSION
     n_classes: Optional[int] = None
     features_T: np.ndarray = field(init=False, repr=False, compare=False)
+    one_hot_T: Optional[np.ndarray] = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         X = np.array(self.features, dtype=float)
@@ -60,6 +64,12 @@ class Dataset:
         object.__setattr__(self, "targets", y)
         if y.shape != (X.shape[0],):
             raise ValueError("targets must be a length-n vector")
+        Y = None
+        if self.kind == CLASSIFICATION:
+            Y = np.zeros((self.n_classes, y.size))
+            Y[y, np.arange(y.size)] = 1.0
+            Y.flags.writeable = False
+        object.__setattr__(self, "one_hot_T", Y)
 
     @property
     def n(self) -> int:
@@ -92,16 +102,19 @@ class ForwardPass:
 
     * gamma_apply(v) = Gamma v,
     * gamma_T_apply(w) = Gamma^T w, the inner gradient,
-    * hess_apply(w, v) = H(w) v and hess(w) = H(w), p x p.
+    * hess_apply(w, v) = H(w) v and hess(w) = H(w), p x p,
+    * gamma_hess_apply(w, v) = (Gamma v, H(w) v) from one product of v
+      with X^T, the pair a SOBA step needs.
 
     fit_grads and fit_sample_hessians materialize the n x p and n x p x p
     arrays and are meant for small frozen snapshots only. The pass holds
     theta by reference: theta must not change while the pass is in use.
 
-    Subclasses compute the fit term in fit_losses, fit_gamma_apply,
-    fit_gamma_T_apply, fit_hess_apply, fit_hess, fit_grads and
-    fit_sample_hessians; the (mu/2)||theta||^2 regularizer of each
-    per-sample loss is added here.
+    Subclasses compute the fit term in fit_losses, fit_gamma_T_apply,
+    fit_hess, fit_grads and fit_sample_hessians, and Gamma v and H(w) v in
+    two steps: the product A of v with X^T (fit_product), then
+    fit_gamma_from(A) and fit_hess_from(w, A). The (mu/2)||theta||^2
+    regularizer of each per-sample loss is added here.
     """
 
     def __init__(self, model: "LossModel", theta: np.ndarray, data: Dataset):
@@ -118,17 +131,31 @@ class ForwardPass:
     def sample_losses(self) -> np.ndarray:
         return self.fit_losses() + 0.5 * self.mu * float(self.theta @ self.theta)
 
+    def _gamma(self, v, A) -> np.ndarray:
+        return self.fit_gamma_from(A) + self.mu * float(self.theta @ v)
+
+    def _hess(self, w, v, A) -> np.ndarray:
+        return self.fit_hess_from(w, A) + (self.mu * w.sum()) * v
+
     def gamma_apply(self, v) -> np.ndarray:
-        return self.fit_gamma_apply(v) + self.mu * float(self.theta @ v)
+        return self._gamma(v, self.fit_product(v))
+
+    def hess_apply(self, w, v) -> np.ndarray:
+        return self._hess(w, v, self.fit_product(v))
+
+    def gamma_hess_apply(self, w, v):
+        """(gamma_apply(v), hess_apply(w, v)), bit for bit, from one
+        product of v with X^T. Nothing is kept between calls."""
+        A = self.fit_product(v)
+        return self._gamma(v, A), self._hess(w, v, A)
 
     def gamma_T_apply(self, w) -> np.ndarray:
         return self.fit_gamma_T_apply(w) + (self.mu * w.sum()) * self.theta
 
-    def hess_apply(self, w, v) -> np.ndarray:
-        return self.fit_hess_apply(w, v) + (self.mu * w.sum()) * v
-
-    def hess(self, w) -> np.ndarray:
-        H = self.fit_hess(w)
+    def hess(self, w, fit_hess=None) -> np.ndarray:
+        """H(w), p x p. fit_hess, if given, is fit_hess(w) as the caller
+        already built it; it is copied, not changed."""
+        H = self.fit_hess(w) if fit_hess is None else fit_hess.copy()
         H.flat[::H.shape[0] + 1] += self.mu * w.sum()
         return H
 
@@ -203,15 +230,17 @@ class _RidgePass(ForwardPass):
     def fit_losses(self):
         return 0.5 * self.r * self.r
 
-    def fit_gamma_apply(self, v):
-        return self.r * (v @ self.data.features_T)
+    def fit_product(self, v):
+        return v @ self.data.features_T
+
+    def fit_gamma_from(self, A):
+        return self.r * A
+
+    def fit_hess_from(self, w, A):
+        return self.data.features_T @ (w * A)
 
     def fit_gamma_T_apply(self, w):
         return self.data.features_T @ (w * self.r)
-
-    def fit_hess_apply(self, w, v):
-        XT = self.data.features_T
-        return XT @ (w * (v @ XT))
 
     def fit_hess(self, w):
         return _weighted_gram(self.data, w)
@@ -249,7 +278,8 @@ class _LogisticPass(ForwardPass):
     probabilities and the softmax residual R = P - Y, stored class-major
     (C x n) as Pc and Rc with the shifted logits and the softmax
     denominator sum_e, so the softmax reductions run over the short
-    leading axis and each operator is one product with X or X^T.
+    leading axis and each operator is one product with X or X^T. Rc is
+    Pc minus the dataset's one_hot_T.
 
     Parameters are flattened row-major from W (C x d), so row i of Gamma_fit
     is R_i (x) x_i and sample i's fit Hessian is kron(S_i, x_i x_i^T) with
@@ -261,11 +291,10 @@ class _LogisticPass(ForwardPass):
         self.W = theta.reshape(data.n_classes, data.d)
         self.logits = self.W @ data.features_T
         self.logits -= self.logits.max(axis=0)
-        e = np.exp(self.logits)
-        self.sum_e = e.sum(axis=0)
-        self.Pc = e / self.sum_e
-        self.Rc = self.Pc.copy()
-        self.Rc[data.targets, np.arange(data.n)] -= 1.0
+        self.Pc = np.exp(self.logits)
+        self.sum_e = self.Pc.sum(axis=0)
+        self.Pc /= self.sum_e
+        self.Rc = self.Pc - data.one_hot_T
         self.P, self.R = self.Pc.T, self.Rc.T
 
     def fit_losses(self):
@@ -273,18 +302,21 @@ class _LogisticPass(ForwardPass):
         own = self.logits[self.data.targets, np.arange(self.data.n)]
         return np.log(self.sum_e) - own
 
-    def fit_gamma_apply(self, v):
-        A = v.reshape(self.W.shape) @ self.data.features_T  # C x n
+    def fit_product(self, v):
+        return v.reshape(self.W.shape) @ self.data.features_T  # C x n
+
+    def fit_gamma_from(self, A):
         return np.sum(self.Rc * A, axis=0)
+
+    def fit_hess_from(self, w, A):
+        Pc = self.Pc
+        B = Pc * A
+        B -= Pc * B.sum(axis=0)
+        B *= w
+        return (B @ self.data.features).reshape(-1)
 
     def fit_gamma_T_apply(self, w):
         return ((self.Rc * w) @ self.data.features).reshape(-1)
-
-    def fit_hess_apply(self, w, v):
-        Pc = self.Pc
-        PA = Pc * (v.reshape(self.W.shape) @ self.data.features_T)  # C x n
-        B = PA - Pc * PA.sum(axis=0)
-        return ((B * w) @ self.data.features).reshape(-1)
 
     def _softmax_hessians(self):
         P = self.P

@@ -7,6 +7,7 @@ is a pure function; weights are validated on construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,16 +99,22 @@ def mirror_step(w: SimplexWeights, phi, eta: float) -> SimplexWeights:
         raise NumericOverflowError("phi must be finite")
     v = w.values
     with np.errstate(over="ignore", invalid="ignore"):
-        z = eta * phi
+        # one buffer: z becomes exp(min(zmin - z, 0)), then the new weights;
         # zmin - z <= 0 on the support, so the clamp only acts off it,
         # where it keeps 0 * exp(...) an exact 0 however large eta * phi is
-        tilde = v * np.exp(np.minimum(z[v > 0].min() - z, 0.0))
-    s = tilde.sum()
-    if not np.isfinite(s) or s <= 0:
+        z = eta * phi
+        zmin = z.min(where=v > 0, initial=np.inf)
+        np.subtract(zmin, z, out=z)
+        np.minimum(z, 0.0, out=z)
+        np.exp(z, out=z)
+        z *= v
+    s = z.sum()
+    if not math.isfinite(s) or s <= 0:
         raise NumericOverflowError(
             "mirror step produced a degenerate update; rescale eta"
         )
-    return SimplexWeights(tilde / s)
+    z /= s
+    return SimplexWeights(z)
 
 
 def preconditioner(w: SimplexWeights) -> np.ndarray:

@@ -17,6 +17,7 @@ trace and turns a failed step into a halt with a reason.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -31,6 +32,7 @@ from .errors import (
 from .hypergrad import (
     DEFAULT_CONFIG,
     HypergradConfig,
+    _closed_form,
     _solve_cg,
     closed_form_inner_quadratic,
     hypergrad_at,
@@ -49,14 +51,14 @@ class SolverConfig:
     rho_v: Optional[float] = None  # soba only; defaults to rho
 
     def __post_init__(self):
-        if self.eta < 0 or self.rho < 0:
-            raise ValueError("step sizes must be nonnegative")
-        if not np.isfinite(self.eta) or not np.isfinite(self.rho):
-            raise ValueError("step sizes must be finite")
+        for name in ("eta", "rho", "rho_v"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
         if self.iterations < 1 or self.record_every < 1:
             raise ValueError("iterations and record_every must be >= 1")
-        if self.inner_tol <= 0:
-            raise ValueError("inner_tol must be positive")
+        if not 0 < self.inner_tol < math.inf:
+            raise ValueError("inner_tol must be positive and finite")
 
 
 @dataclass
@@ -215,14 +217,21 @@ def exact_bilevel(model, data, test_data, w0: SimplexWeights, cfg: SolverConfig,
                   theta_ref: Optional[ModelParams] = None,
                   hcfg: HypergradConfig = DEFAULT_CONFIG) -> FlowTrace:
     """Exact bilevel: inner solve, hypergradient, mirror step, repeated.
-    A failed inner solve at w0 raises; a later one halts the run."""
+    A failed inner solve at w0 raises; a later one halts the run. For a
+    quadratic model the closed-form solve's weighted Gram is kept and
+    serves the next step's hypergradient, which is at the same w."""
     theta0 = ModelParams(np.zeros(model.n_params(data)))
+    gram = None
 
     def solve(w):
+        nonlocal gram
+        if model.is_quadratic:
+            theta, gram = _closed_form(data, w.values, model.mu)
+            return theta.theta
         return solve_inner(model, data, w, theta0, tol=cfg.inner_tol).theta
 
     def step(train, test, w):
-        psi = hypergrad_at(train, test, w, hcfg)
+        psi = hypergrad_at(train, test, w, hcfg, gram)
         if cfg.eta > 0:
             w = mirror_step(w, psi, cfg.eta)
         return solve(w), w
@@ -253,15 +262,16 @@ def soba(model, data, test_data, theta0: ModelParams, w0: SimplexWeights,
          theta_ref: Optional[ModelParams] = None) -> FlowTrace:
     """Deterministic full-batch SOBA: an auxiliary v tracks H^{-1} grad F via
     Hessian-vector products; neither the Hessian nor Gamma is formed, and
-    one forward pass per data set serves the whole step."""
+    one forward pass per data set serves the whole step, whose Gamma v and
+    H(w) v share one product of v with X^T."""
     v = np.asarray(v0, dtype=float).copy()
     rho_v = cfg.rho_v if cfg.rho_v is not None else cfg.rho
 
     def step(train, test, w):
         nonlocal v
-        psi_hat = -train.gamma_apply(v)
+        gv, hv = train.gamma_hess_apply(w.values, v)
+        psi_hat = -gv
         _finite("hypergradient estimate", psi_hat)
-        hv = train.hess_apply(w.values, v)
         v = v - rho_v * (hv - test.mean_fit_grad())
         theta = train.theta - cfg.rho * train.gamma_T_apply(w.values)
         _finite("iterates", theta, v)
@@ -282,17 +292,16 @@ def softmax_weights(lam: np.ndarray) -> SimplexWeights:
     return SimplexWeights.from_unnormalized(_sigmoid(lam))
 
 
-def _sigmoid_chain(s: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """lambda_gradient from s = sigmoid(lam)."""
-    S = s.sum()
-    w = s / S
-    return (s * (1.0 - s) / S) * (psi - w @ psi)
+def _sigmoid_chain(s: np.ndarray, w: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """lambda_gradient from s = sigmoid(lam) and w = s / sum(s)."""
+    return (s * (1.0 - s) / s.sum()) * (psi - w @ psi)
 
 
 def lambda_gradient(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Chain rule through the normalized-sigmoid reparameterization:
     dh/dlam_j = sigmoid'(lam_j)/S * (Psi_j - <w, Psi>)."""
-    return _sigmoid_chain(_sigmoid(lam), psi)
+    s = _sigmoid(lam)
+    return _sigmoid_chain(s, s / s.sum(), psi)
 
 
 def softmax_reparam(model, data, test_data, theta0: ModelParams,
@@ -311,7 +320,7 @@ def softmax_reparam(model, data, test_data, theta0: ModelParams,
         psi = hypergrad_at(train, test, w, hcfg)
         _finite("hypergradient", psi)
         theta = train.theta - cfg.rho * train.gamma_T_apply(w.values)
-        lam = lam - cfg.eta * _sigmoid_chain(s, psi)
+        lam = lam - cfg.eta * _sigmoid_chain(s, w.values, psi)
         _finite("iterates", theta, lam)
         s = _sigmoid(lam)
         return theta, SimplexWeights.from_unnormalized(s)

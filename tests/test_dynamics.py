@@ -238,6 +238,15 @@ class TestAdaptiveSteps:
             FlowConfig(rtol=rtol)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("alpha", np.nan), ("beta", np.nan), ("dt", np.nan),
+    ("stationarity_tol", np.nan), ("t_max", np.inf), ("alpha", -1.0),
+    ("stationarity_tol", np.inf)])
+def test_flow_config_rejects_invalid_value_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        FlowConfig(**{field: value})
+
+
 @pytest.fixture(scope="module")
 def joint_toy():
     spec = MixtureSpec(n=30, m=15, sigma=0.1, seed=5)

@@ -34,6 +34,13 @@ def ridge_problem(rng, n=15, d=3, m=8, mu=0.2):
     return model, train, test
 
 
+@pytest.mark.parametrize("field,value", [
+    ("cg_max_iter", -3), ("cg_max_iter", -1), ("cg_tol", np.nan)])
+def test_hypergrad_config_rejects_invalid_value_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        HypergradConfig(**{field: value})
+
+
 class TestSolveInnerSystem:
     def test_zero_rhs(self):
         rng = np.random.default_rng(0)

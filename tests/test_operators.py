@@ -1,5 +1,6 @@
 """Property tests: the structured per-sample operators of a forward pass
-agree with the materialized gradient matrix Gamma and Hessian stack."""
+agree with the materialized gradient matrix Gamma and Hessian stack, and
+the shared-product operator with the single operators bit for bit."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -93,3 +94,27 @@ def test_outer_grad_is_mean_of_fit_grads(inst):
     assert_rel_close(outer_grad(model, data, ModelParams(theta)),
                      fit_grads.mean(axis=0), np.abs(fit_grads).mean(axis=0))
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_shared_product_equals_fresh_passes_bit_for_bit(inst):
+    model, data, theta, w, v = inst
+    gv, hv = model.forward(theta, data).gamma_hess_apply(w.values, v)
+    assert gv.tobytes() == model.gamma_apply(theta, data, v).tobytes()
+    assert hv.tobytes() == model.weighted_hess_apply(theta, data, w.values,
+                                                     v).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(instances())
+def test_v_changed_in_place_gets_a_fresh_product(inst):
+    model, data, theta, w, v = inst
+    fp = model.forward(theta, data)
+    fp.gamma_hess_apply(w.values, v)
+    v *= -3.0
+    v[0] += 1.0
+    gv, hv = fp.gamma_hess_apply(w.values, v)
+    assert gv.tobytes() == model.gamma_apply(theta, data, v).tobytes()
+    assert hv.tobytes() == model.weighted_hess_apply(theta, data, w.values,
+                                                     v).tobytes()

@@ -1,7 +1,7 @@
 """Property tests: the direct LAPACK solve, the closed-form inner minimizer,
-the weighted Gram, the mirror step and the one-pass simplex check give the
-same bytes and raise the same errors as the reference formulas they
-replace."""
+the weighted Gram, the logistic residual, the mirror step and the one-pass
+simplex check give the same bytes and raise the same errors as the
+reference formulas they replace."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from bilevel_reweight import (
     AssumptionViolationError,
     Dataset,
     NumericOverflowError,
+    RegularizedMultinomialLogistic,
     SimplexWeights,
     SingularDesignError,
     closed_form_inner_quadratic,
@@ -171,6 +172,26 @@ class TestWeightedGram:
         assert np.array_equal(F, X)
         got = _weighted_gram(data, w)
         assert got.tobytes() == (F.T @ (w[:, None] * F)).tobytes()
+
+
+class TestLogisticResidual:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, n=st.integers(1, 300), d=st.integers(1, 6),
+           C=st.integers(2, 12), scale=st.sampled_from([0.1, 1.0, 30.0, 1e3]))
+    def test_equals_copy_and_subtract(self, seed, n, d, C, scale):
+        rng = np.random.default_rng(seed)
+        data = Dataset(rng.standard_normal((n, d)), rng.integers(0, C, n),
+                       "classification", n_classes=C)
+        theta = scale * rng.standard_normal(C * d)
+        fp = RegularizedMultinomialLogistic().forward(theta, data)
+        logits = theta.reshape(C, d) @ data.features_T
+        logits -= logits.max(axis=0)
+        e = np.exp(logits)
+        P = e / e.sum(axis=0)
+        R = P.copy()
+        R[data.targets, np.arange(n)] -= 1.0
+        assert fp.Pc.tobytes() == P.tobytes()
+        assert fp.Rc.tobytes() == R.tobytes()
 
 
 def reference_mirror_step(w, phi, eta):

@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -32,7 +33,9 @@ from bilevel_reweight import (
     solve_inner_system,
     warm_started,
 )
+from bilevel_reweight import losses
 from bilevel_reweight.dynamics import FlowConfig
+from bilevel_reweight.hypergrad import _closed_form, hypergrad_at
 from bilevel_reweight.solvers import lambda_gradient, softmax_weights
 
 
@@ -152,6 +155,44 @@ class TestExactBilevel:
         cfg = SolverConfig(eta=5.0, iterations=10)
         trace = exact_bilevel(model, train, test, w0, cfg)
         assert np.allclose(trace.final.w.values, w0.values, atol=1e-12)
+
+
+    def test_builds_one_weighted_gram_per_step(self, monkeypatch):
+        # the package attribute bilevel_reweight.hypergrad is the function
+        hg_module = sys.modules["bilevel_reweight.hypergrad"]
+        builds = []
+        gram = losses._weighted_gram
+
+        def counted(data, w):
+            builds.append(w)
+            return gram(data, w)
+
+        monkeypatch.setattr(losses, "_weighted_gram", counted)
+        monkeypatch.setattr(hg_module, "_weighted_gram", counted)
+        train, test, _, _ = gen_mixture(MixtureSpec(n=200, m=50, seed=4))
+        exact_bilevel(RidgeLeastSquares(1e-4), train, test,
+                      SimplexWeights.uniform(train.n),
+                      SolverConfig(eta=0.1, iterations=20, record_every=5))
+        assert len(builds) == 21
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 40),
+           d=st.integers(1, 4), mu=st.sampled_from([0.0, 1e-4, 1.0]))
+    def test_kept_gram_gives_the_fresh_hypergradient(self, seed, n, d, mu):
+        rng = np.random.default_rng(seed)
+        model = RidgeLeastSquares(mu)
+        train = Dataset(rng.standard_normal((n, d)), rng.standard_normal(n))
+        test = Dataset(rng.standard_normal((5, d)), rng.standard_normal(5))
+        mass = rng.random(n) * (rng.random(n) < 0.7)
+        mass[:d + 1] += 0.1  # full rank
+        w = SimplexWeights.from_unnormalized(mass)
+        theta, G = _closed_form(train, w.values, mu)
+        kept = G.copy()
+        tr, te = (model.forward(theta.theta, train),
+                  model.forward(theta.theta, test))
+        psi = hypergrad_at(tr, te, w, fit_hess=G)
+        assert psi.tobytes() == hypergrad_at(tr, te, w).tobytes()
+        assert G.tobytes() == kept.tobytes()
 
 
 class TestWarmStarted:
@@ -394,6 +435,14 @@ class TestSoftmaxReparam:
                                 np.zeros(train.n), cfg, theta_ref=theta_hat)
         assert trace.records[0].entropy == pytest.approx(np.log(train.n))
         assert trace.final.entropy < trace.records[0].entropy
+
+
+@pytest.mark.parametrize("field,value", [
+    ("rho_v", -1.0), ("rho_v", np.nan), ("inner_tol", np.nan),
+    ("inner_tol", np.inf), ("eta", np.nan), ("rho", -1.0)])
+def test_solver_config_rejects_invalid_value_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
 
 
 class TestFlowTrace:
