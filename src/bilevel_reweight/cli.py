@@ -231,8 +231,12 @@ def cmd_solve(args) -> int:
     cfg = _apply_overrides(_load_config(args.config), args.set)
     if args.seed is not None:
         _set_dotted(cfg, "dataset.spec.seed", args.seed)
-    train, test, val, extras = _dataset_from_config(cfg.get("dataset", {}))
-    trace, summary = _run_solver(cfg, train, test, extras)
+    try:
+        train, test, val, extras = _dataset_from_config(cfg.get("dataset", {}))
+        trace, summary = _run_solver(cfg, train, test, extras)
+    except SystemExit as exc:  # an unknown dataset type, model or solver kind
+        print(exc, file=sys.stderr)
+        return 2
     trace.to_jsonl(out / "trace.jsonl")
     _write_json(out / "summary.json", summary)
     _write_json(out / "resolved-config.json", cfg)

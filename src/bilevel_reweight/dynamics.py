@@ -25,7 +25,6 @@ from .hypergrad import (
     DEFAULT_CONFIG,
     FrozenField,
     frozen_field,
-    hypergrad,
     hypergrad_at,
 )
 from .losses import ModelParams, inner_grad
@@ -37,7 +36,7 @@ from .simplex import (
     preconditioner,
     support,
 )
-from .solvers import FlowTrace, TraceRecord, _make_record, solve_inner
+from .solvers import FlowTrace, TraceRecord, _inner_solution, _make_record
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,9 @@ class ConstantField:
 
 class ExactHypergradField:
     """Oracle field psi(theta*(w), w): the true gradient of the value
-    function, backed by a high-precision inner solve per evaluation."""
+    function, backed by a high-precision inner solve per evaluation. For a
+    quadratic model the closed form's weighted Gram serves the
+    hypergradient too, so each evaluation builds it once."""
 
     def __init__(self, model, data, test_data, inner_tol: float = 1e-12,
                  hcfg=DEFAULT_CONFIG):
@@ -92,10 +93,11 @@ class ExactHypergradField:
         self._theta0 = ModelParams(np.zeros(model.n_params(data)))
 
     def __call__(self, w: SimplexWeights) -> np.ndarray:
-        theta = solve_inner(self.model, self.data, w, self._theta0,
-                            tol=self.inner_tol)
-        return hypergrad(self.model, self.data, self.test_data, theta, w,
-                         self.hcfg)
+        theta, gram = _inner_solution(self.model, self.data, w, self._theta0,
+                                      self.inner_tol)
+        return hypergrad_at(self.model.forward(theta, self.data),
+                            self.model.forward(theta, self.test_data), w,
+                            self.hcfg, gram)
 
 
 def _softmax(u: np.ndarray) -> np.ndarray:
@@ -170,13 +172,16 @@ def _dopri5(deriv, y: np.ndarray, grid, h: float, rtol: float, recentre):
         err = math.sqrt(r @ r / r.size)
         if err <= 1.0:
             t_new = t1 if last else t + step
-            d = y_new - y
-            a = step * k[0] - d
-            while grid[j] < t_new:
-                x = (grid[j] - t) / step
-                yield grid[j], recentre(y + x * (d + (1 - x) * (a + x * (
-                    d - step * k[6] - a + (1 - x) * (step * _DP_D) @ k))))
-                j += 1
+            if grid[j] < t_new:  # grid times inside the step: dense output
+                d = y_new - y
+                a = step * k[0] - d
+                b = d - step * k[6] - a
+                hD = step * _DP_D
+                while grid[j] < t_new:
+                    x = (grid[j] - t) / step
+                    yield grid[j], recentre(y + x * (d + (1 - x) * (a + x * (
+                        b + (1 - x) * hD @ k))))
+                    j += 1
             t, y, k[0] = t_new, recentre(y_new), k[6]
             if last:
                 yield t, y

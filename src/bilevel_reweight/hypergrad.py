@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (
@@ -24,12 +25,13 @@ from .losses import (
     Dataset,
     ForwardPass,
     ModelParams,
+    _check_mu,
     _weighted_gram,
     gradient_matrix,
     outer_grad,
     outer_loss,
 )
-from .simplex import SimplexWeights, TangentVector
+from .simplex import SimplexWeights, TangentVector, _all_finite
 
 
 @dataclass(frozen=True)
@@ -54,11 +56,26 @@ DEFAULT_CONFIG = HypergradConfig()
 # tiny and SciPy's cho_factor/cho_solve wrappers cost ten times the solve.
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
+# The gufuncs behind np.linalg.eigvalsh and np.linalg.solve for a vector
+# right-hand side, called directly on the d x d closed-form system for the
+# same reason. They run under the error state that eigvalsh and solve set
+# and fail with the same LinAlgError messages.
+_eigvalsh_lo = _umath_linalg.eigvalsh_lo
+_solve1 = _umath_linalg.solve1
+
+
+def _eig_failed(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
 
 def _solve_direct(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """H^{-1} rhs by Cholesky, as scipy.linalg.cho_factor and cho_solve
     compute it, bit for bit."""
-    if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
+    if not (_all_finite(H) and _all_finite(rhs)):
         raise ValueError("array must not contain infs or NaNs")
     c, info = _potrf(H, lower=False, clean=False, overwrite_a=False)
     if info > 0:
@@ -185,7 +202,7 @@ def closed_form_inner_quadratic(data: Dataset, w: SimplexWeights,
                                 mu: float = 0.0) -> ModelParams:
     """Exact inner minimizer for the ridge model:
     theta*(w) = (sum_i w_i d_i d_i^T + mu I)^{-1} sum_i w_i y_i d_i."""
-    return _closed_form(data, w.values, mu)[0]
+    return _closed_form(data, w.values, _check_mu(mu))[0]
 
 
 def _closed_form(data: Dataset, w_values: np.ndarray, mu: float):
@@ -196,12 +213,17 @@ def _closed_form(data: Dataset, w_values: np.ndarray, mu: float):
     A.flat[::data.d + 1] += mu
     # X.T, not features_T: this product keeps the rounding theta*(w) had
     b = data.features.T @ (w_values * data.targets)
-    eigvals = np.linalg.eigvalsh(A)
+    with np.errstate(call=_eig_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        eigvals = _eigvalsh_lo(A)
     if eigvals[0] <= 1e-12 * max(1.0, eigvals[-1]):
         raise SingularDesignError(
             "weighted design is singular; enlarge the support or set mu > 0"
         )
-    return ModelParams(np.linalg.solve(A, b)), G
+    with np.errstate(call=_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        theta = _solve1(A, b)
+    return ModelParams(theta), G
 
 
 def _value_function(model, data, test_data, w: SimplexWeights,

@@ -9,12 +9,13 @@ outer loss uses the bare fit term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .simplex import SimplexWeights
+from .simplex import SimplexWeights, _all_finite
 
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
@@ -28,7 +29,8 @@ class Dataset:
     features' transpose as a C-contiguous d x n array, features_T, so that
     products with X^T run on a contiguous operand. A classification dataset
     also holds its targets one-hot and class-major, C x n, as one_hot_T
-    (None for regression), so the softmax residual is one subtraction."""
+    (None for regression), so the softmax residual is one subtraction, and
+    mean_weights, the read-only uniform weights 1/n of a mean."""
 
     features: np.ndarray
     targets: np.ndarray
@@ -37,12 +39,13 @@ class Dataset:
     features_T: np.ndarray = field(init=False, repr=False, compare=False)
     one_hot_T: Optional[np.ndarray] = field(init=False, repr=False,
                                             compare=False)
+    mean_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X = np.array(self.features, dtype=float)
         if X.ndim != 2 or X.shape[0] < 1:
             raise ValueError("features must be a nonempty n x d matrix")
-        if not np.all(np.isfinite(X)):
+        if not _all_finite(X):
             raise ValueError("features must be finite")
         XT = np.ascontiguousarray(X.T)
         X.flags.writeable = XT.flags.writeable = False
@@ -58,7 +61,7 @@ class Dataset:
                 raise ValueError("class targets out of range")
         else:
             y = np.array(self.targets, dtype=float)
-            if not np.all(np.isfinite(y)):
+            if not _all_finite(y):
                 raise ValueError("regression targets must be finite")
         y.flags.writeable = False
         object.__setattr__(self, "targets", y)
@@ -70,6 +73,9 @@ class Dataset:
             Y[y, np.arange(y.size)] = 1.0
             Y.flags.writeable = False
         object.__setattr__(self, "one_hot_T", Y)
+        u = np.full(y.size, 1.0 / y.size)
+        u.flags.writeable = False
+        object.__setattr__(self, "mean_weights", u)
 
     @property
     def n(self) -> int:
@@ -87,7 +93,7 @@ class ModelParams:
     def __post_init__(self):
         t = np.asarray(self.theta, dtype=float)
         object.__setattr__(self, "theta", t)
-        if not np.all(np.isfinite(t)):
+        if not _all_finite(t):
             raise ValueError("parameters must be finite")
 
 
@@ -124,8 +130,7 @@ class ForwardPass:
 
     def mean_fit_grad(self) -> np.ndarray:
         """Gradient of the mean fit loss, Gamma_fit^T (1/n)."""
-        n = self.data.n
-        return self.fit_gamma_T_apply(np.full(n, 1.0 / n))
+        return self.fit_gamma_T_apply(self.data.mean_weights)
 
     # --- regularized per-sample training loss ---
     def sample_losses(self) -> np.ndarray:
@@ -213,6 +218,13 @@ class LossModel:
         return self.forward(theta, data).sample_hessians()
 
 
+def _check_mu(mu) -> float:
+    """mu as a float; a negative, NaN or infinite mu raises ValueError."""
+    if not 0 <= mu < math.inf:
+        raise ValueError("mu must be nonnegative and finite")
+    return float(mu)
+
+
 def _weighted_gram(data: Dataset, w: np.ndarray) -> np.ndarray:
     """X^T diag(w) X, d x d, equal bit for bit to X.T @ (w[:, None] * X)
     without the n x d broadcast of w."""
@@ -262,9 +274,7 @@ class RidgeLeastSquares(LossModel):
     is_quadratic = True
 
     def __init__(self, mu: float = 0.0):
-        if mu < 0:
-            raise ValueError("mu must be nonnegative")
-        self.mu = float(mu)
+        self.mu = _check_mu(mu)
 
     def n_params(self, data: Dataset) -> int:
         return data.d
@@ -351,9 +361,7 @@ class RegularizedMultinomialLogistic(LossModel):
     """
 
     def __init__(self, mu: float = 1e-2):
-        if mu < 0:
-            raise ValueError("mu must be nonnegative")
-        self.mu = float(mu)
+        self.mu = _check_mu(mu)
 
     def n_params(self, data: Dataset) -> int:
         if data.kind != CLASSIFICATION:

@@ -8,7 +8,7 @@ is a pure function; weights are validated on construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,11 +18,22 @@ SUM_TOL = 1e-12
 DEFAULT_SUPPORT_TOL = 1e-8
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all() for a real array, mostly in one BLAS product: a
+    NaN or an infinity makes the sum of squares non-finite, and only a
+    finite array whose squares overflow needs the exact test. Unlike
+    a.sum(), np.vdot raises no floating-point warning on overflow or on
+    inf - inf."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 @dataclass(frozen=True)
 class SimplexWeights:
-    """A point of the n-simplex: nonnegative entries summing to one."""
+    """A point of the n-simplex: nonnegative entries summing to one.
+    interior is True when every entry is positive."""
 
     values: np.ndarray
+    interior: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -32,9 +43,11 @@ class SimplexWeights:
         # the common case in two reductions: a NaN fails the min test, +inf
         # the sum test and -inf both, so this accepts only what the checks
         # below accept
-        if v.min() >= 0 and abs(v.sum() - 1.0) <= SUM_TOL:
+        least = v.min()
+        if least >= 0 and abs(v.sum() - 1.0) <= SUM_TOL:
+            object.__setattr__(self, "interior", bool(least > 0))
             return
-        if not np.all(np.isfinite(v)):
+        if not _all_finite(v):
             raise ValueError("weights must be finite")
         if np.any(v < 0):
             raise ValueError("weights must be nonnegative")
@@ -53,7 +66,7 @@ class SimplexWeights:
     def from_unnormalized(v) -> "SimplexWeights":
         v = np.asarray(v, dtype=float)
         s = v.sum()
-        if not np.isfinite(s) or s <= 0:
+        if not math.isfinite(s) or s <= 0:
             raise ValueError("cannot normalize: nonpositive or nonfinite mass")
         return SimplexWeights(v / s)
 
@@ -73,7 +86,7 @@ class TangentVector:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if not np.all(np.isfinite(v)):
+        if not _all_finite(v):
             raise ValueError("tangent vector must be finite")
         if abs(v.sum()) > SUM_TOL * max(1.0, np.abs(v).max(initial=0.0)):
             raise ValueError("tangent vector entries must sum to 0")
@@ -95,7 +108,7 @@ def mirror_step(w: SimplexWeights, phi, eta: float) -> SimplexWeights:
         raise ValueError("eta must be positive")
     if phi.shape != w.values.shape:
         raise ValueError("phi dimension mismatch")
-    if not np.all(np.isfinite(phi)):
+    if not _all_finite(phi):
         raise NumericOverflowError("phi must be finite")
     v = w.values
     with np.errstate(over="ignore", invalid="ignore"):
@@ -103,7 +116,7 @@ def mirror_step(w: SimplexWeights, phi, eta: float) -> SimplexWeights:
         # zmin - z <= 0 on the support, so the clamp only acts off it,
         # where it keeps 0 * exp(...) an exact 0 however large eta * phi is
         z = eta * phi
-        zmin = z.min(where=v > 0, initial=np.inf)
+        zmin = z.min() if w.interior else z.min(where=v > 0, initial=np.inf)
         np.subtract(zmin, z, out=z)
         np.minimum(z, 0.0, out=z)
         np.exp(z, out=z)
@@ -139,6 +152,6 @@ def support(w: SimplexWeights, tol: float = DEFAULT_SUPPORT_TOL) -> np.ndarray:
 def project_tangent(v) -> TangentVector:
     """Center v onto the tangent space by subtracting its mean."""
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
+    if not _all_finite(v):
         raise ValueError("input must be finite")
     return TangentVector(v - v.mean())

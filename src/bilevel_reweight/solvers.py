@@ -38,7 +38,13 @@ from .hypergrad import (
     hypergrad_at,
 )
 from .losses import ForwardPass, ModelParams
-from .simplex import SimplexWeights, entropy, mirror_step, support
+from .simplex import (
+    SimplexWeights,
+    _all_finite,
+    entropy,
+    mirror_step,
+    support,
+)
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,7 @@ def _make_record(train: ForwardPass, test: ForwardPass, w: SimplexWeights, k,
 
 def _finite(what: str, *arrays):
     for a in arrays:
-        if not np.isfinite(a).all():
+        if not _all_finite(a):
             raise NumericOverflowError(f"{what} overflowed to a non-finite value")
 
 
@@ -213,6 +219,17 @@ def solve_inner(model, data, w: SimplexWeights, theta0: ModelParams,
         f"inner solve stopped at gradient norm {gnorm:.3e} (tol {tol:.1e})")
 
 
+def _inner_solution(model, data, w: SimplexWeights, theta0: ModelParams,
+                    tol: float):
+    """theta*(w) as solve_inner finds it, and for a quadratic model the
+    weighted Gram its closed form was solved with (else None), which is
+    the training pass's fit_hess(w.values) bit for bit."""
+    if model.is_quadratic:
+        theta, gram = _closed_form(data, w.values, model.mu)
+        return theta.theta, gram
+    return solve_inner(model, data, w, theta0, tol=tol).theta, None
+
+
 def exact_bilevel(model, data, test_data, w0: SimplexWeights, cfg: SolverConfig,
                   theta_ref: Optional[ModelParams] = None,
                   hcfg: HypergradConfig = DEFAULT_CONFIG) -> FlowTrace:
@@ -225,10 +242,8 @@ def exact_bilevel(model, data, test_data, w0: SimplexWeights, cfg: SolverConfig,
 
     def solve(w):
         nonlocal gram
-        if model.is_quadratic:
-            theta, gram = _closed_form(data, w.values, model.mu)
-            return theta.theta
-        return solve_inner(model, data, w, theta0, tol=cfg.inner_tol).theta
+        theta, gram = _inner_solution(model, data, w, theta0, cfg.inner_tol)
+        return theta
 
     def step(train, test, w):
         psi = hypergrad_at(train, test, w, hcfg, gram)

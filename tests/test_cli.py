@@ -128,6 +128,21 @@ class TestSolve:
         rows = read_jsonl(out / "trace.jsonl")
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("override, message", [
+        ({"dataset": {"type": "images"}}, "unknown dataset type 'images'"),
+        ({"model": "svm"}, "unknown model 'svm'"),
+        ({"solver": {"kind": "newton"}}, "unknown solver kind 'newton'")])
+    def test_unknown_config_kind_exits_2(self, tmp_path, capsys, override,
+                                         message):
+        cfg = {"dataset": {"type": "mixture",
+                           "spec": {"n": 30, "m": 10, "seed": 1}},
+               **override}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == message
+
     def test_malformed_override_exits(self, tmp_path):
         cfg = self.solve_config(tmp_path)
         with pytest.raises(SystemExit):

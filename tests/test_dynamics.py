@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from bilevel_reweight import (
     ConstantField,
+    CorruptionSpec,
     Dataset,
     ExactHypergradField,
     FlowConfig,
@@ -13,6 +16,7 @@ from bilevel_reweight import (
     NoConvergenceError,
     OmegaResult,
     PreconditionError,
+    RegularizedMultinomialLogistic,
     RidgeLeastSquares,
     SimplexWeights,
     TangentVector,
@@ -20,7 +24,9 @@ from bilevel_reweight import (
     constant_field_solution,
     frozen_field,
     full_flow_jacobian,
+    gen_corrupted,
     gen_mixture,
+    hypergrad,
     integrate_joint_flow,
     integrate_mirror_flow,
     integrate_sparse_reference,
@@ -30,9 +36,11 @@ from bilevel_reweight import (
     membership_I,
     omega_limit,
     project_tangent,
+    solve_inner,
     sparsity_certificate,
     stability_check,
 )
+from bilevel_reweight import losses
 
 
 def random_frozen_field(seed, n=5, p=3, ridge=0.5):
@@ -133,6 +141,47 @@ class TestMirrorFlow:
 
         vals = [h(r.w) for r in trace.records]
         assert all(b < a for a, b in zip(vals[:-1], vals[1:]))
+
+
+class TestExactHypergradField:
+    def test_builds_one_weighted_gram_per_call(self, monkeypatch):
+        # the package attribute bilevel_reweight.hypergrad is the function
+        hg_module = sys.modules["bilevel_reweight.hypergrad"]
+        builds = []
+        gram = losses._weighted_gram
+
+        def counted(data, w):
+            builds.append(w)
+            return gram(data, w)
+
+        monkeypatch.setattr(losses, "_weighted_gram", counted)
+        monkeypatch.setattr(hg_module, "_weighted_gram", counted)
+        train, test, _, _ = gen_mixture(MixtureSpec(n=60, m=30, seed=2))
+        field = ExactHypergradField(RidgeLeastSquares(1e-4), train, test)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            field(SimplexWeights.from_unnormalized(rng.random(train.n)))
+        assert len(builds) == 10
+
+    @pytest.mark.parametrize("kind", ["ridge", "ridge-mu0", "logistic"])
+    def test_equals_inner_solve_then_hypergrad(self, kind):
+        if kind == "logistic":
+            train, _, test, _ = gen_corrupted(CorruptionSpec(
+                n=40, classes=3, d=4, n_test=20, n_val=5, seed=1))
+            model = RegularizedMultinomialLogistic(1e-2)
+        else:
+            train, test, _, _ = gen_mixture(MixtureSpec(n=40, m=20, seed=3))
+            model = RidgeLeastSquares(0.0 if kind == "ridge-mu0" else 1e-3)
+        field = ExactHypergradField(model, train, test)
+        theta0 = ModelParams(np.zeros(model.n_params(train)))
+        rng = np.random.default_rng(5)
+        for share in (0.0, 0.0, 0.5, 0.5):
+            mass = rng.random(train.n) * (rng.random(train.n) >= share)
+            mass[:4] += 0.1
+            w = SimplexWeights.from_unnormalized(mass)
+            theta = solve_inner(model, train, w, theta0, tol=1e-12)
+            want = hypergrad(model, train, test, theta, w)
+            assert field(w).tobytes() == want.tobytes()
 
 
 class TestAdaptiveSteps:

@@ -41,6 +41,17 @@ def test_hypergrad_config_rejects_invalid_value_naming_the_field(field, value):
         HypergradConfig(**{field: value})
 
 
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("make", [
+    RidgeLeastSquares, RegularizedMultinomialLogistic,
+    lambda mu: closed_form_inner_quadratic(
+        Dataset(np.eye(2), np.ones(2)), SimplexWeights.uniform(2), mu)],
+    ids=["ridge", "logistic", "closed_form"])
+def test_rejects_nan_infinite_or_negative_mu_naming_it(make, mu):
+    with pytest.raises(ValueError, match="mu must be nonnegative and finite"):
+        make(mu)
+
+
 class TestSolveInnerSystem:
     def test_zero_rhs(self):
         rng = np.random.default_rng(0)

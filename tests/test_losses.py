@@ -249,6 +249,13 @@ class TestDatasetOwnsItsArrays:
         with pytest.raises(ValueError, match="read-only"):
             data.targets[0] = 1.0
 
+    @pytest.mark.parametrize("n", [1, 3, 7, 2000])
+    def test_mean_weights_are_read_only_uniform(self, n):
+        data = Dataset(np.zeros((n, 2)), np.zeros(n))
+        assert data.mean_weights.tobytes() == np.full(n, 1.0 / n).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            data.mean_weights[0] = 1.0
+
     @pytest.mark.parametrize("order", ["C", "F", "slice"])
     def test_features_T_is_the_contiguous_transpose(self, order):
         X = np.random.default_rng(0).standard_normal((7, 3))

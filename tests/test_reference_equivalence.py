@@ -1,12 +1,12 @@
 """Property tests: the direct LAPACK solve, the closed-form inner minimizer,
-the weighted Gram, the logistic residual, the mirror step and the one-pass
-simplex check give the same bytes and raise the same errors as the
-reference formulas they replace."""
+the weighted Gram, the logistic residual, the mirror step, the one-pass
+simplex check and the finite guard give the same bytes and raise the same
+errors as the reference formulas they replace."""
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from bilevel_reweight import (
@@ -21,7 +21,7 @@ from bilevel_reweight import (
 )
 from bilevel_reweight.hypergrad import _solve_direct
 from bilevel_reweight.losses import _weighted_gram
-from bilevel_reweight.simplex import SUM_TOL
+from bilevel_reweight.simplex import SUM_TOL, _all_finite
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -293,3 +293,77 @@ class TestSimplexCheck:
     def test_shape_is_checked_first(self, v):
         with pytest.raises(ValueError, match="nonempty 1-d vector"):
             SimplexWeights(v)
+
+
+@st.composite
+def guard_inputs(draw):
+    """Float arrays of 0-2 dimensions, with NaNs, infinities of either sign
+    and finite entries large enough that their squares or sum overflow;
+    or int arrays."""
+    rng = np.random.default_rng(draw(SEEDS))
+    shape = draw(st.sampled_from([(0,), (1,), (2,), (7,), (60,), (2000,),
+                                  (0, 3), (5, 2), (3, 3)]))
+    if draw(st.booleans()) and len(shape) == 1:
+        return rng.integers(-2**62, 2**62, size=shape)
+    a = draw(st.sampled_from([1.0, 1e150, 1e300])) * rng.standard_normal(shape)
+    for bad in draw(st.lists(st.sampled_from(
+            [np.nan, np.inf, -np.inf, 1e308, -1e308]), max_size=3)):
+        if a.size:
+            a.flat[rng.integers(a.size)] = bad
+    return a
+
+
+class TestAllFinite:
+    @settings(max_examples=500, deadline=None)
+    @given(a=guard_inputs())
+    def test_agrees_with_isfinite_all(self, a):
+        assert _all_finite(a) is bool(np.all(np.isfinite(a)))
+
+    @pytest.mark.parametrize("a, finite", [
+        ([np.nan], False), ([np.inf], False), ([-np.inf], False),
+        ([np.inf, -np.inf], False), ([1.0, np.nan, np.inf], False),
+        ([1e308, 1e308], True), ([-1e308, 1e308, -1e308], True),
+        ([1e200], True), (np.empty(0), True), (np.empty((0, 4)), True),
+        (np.arange(5), True), (np.full(3, 2**62), True),
+        (np.array([[1.0, 2.0], [np.nan, 0.0]]), False)])
+    def test_named_cases_without_a_warning(self, a, finite):
+        # RuntimeWarnings are errors in this suite: a.sum() would warn on
+        # [1e308, 1e308] (overflow) and [inf, -inf] (invalid)
+        assert _all_finite(np.asarray(a)) is finite
+
+
+def test_mirror_inputs_draw_interior_weights_and_weights_with_zeros():
+    interior = find(mirror_inputs(), lambda args: args[0].n > 1
+                    and args[0].interior)
+    assert np.all(interior[0].values > 0)
+    zeros = find(mirror_inputs(), lambda args: not args[0].interior)
+    assert np.any(zeros[0].values == 0)
+
+
+class TestInteriorFlag:
+    @settings(max_examples=300, deadline=None)
+    @given(v=weight_vectors())
+    def test_is_every_entry_positive(self, v):
+        try:
+            w = SimplexWeights(v)
+        except ValueError:
+            return
+        assert w.interior is bool(np.all(w.values > 0))
+
+    def test_set_by_every_constructor(self):
+        assert SimplexWeights.uniform(3).interior
+        assert not SimplexWeights.one_hot(3, 1).interior
+        assert SimplexWeights.one_hot(1, 0).interior
+        assert not SimplexWeights.from_unnormalized([0.0, 2.0]).interior
+
+
+def test_closed_form_of_an_overflowing_gram_equals_the_numpy_formula():
+    # the direct gufuncs see the same infinite matrix eigvalsh and solve see
+    X = np.array([[1e200, 1.0], [1.0, 1e200], [1.0, 2.0]])
+    y = np.ones(3)
+    w = SimplexWeights.uniform(3)
+    with np.errstate(over="ignore"):
+        got = outcome(lambda: closed_form_inner_quadratic(
+            Dataset(X, y), w, 0.0).theta)
+        want = outcome(reference_closed_form, X, y, w.values, 0.0)
+    assert got == want
