@@ -35,7 +35,7 @@ from .dynamics import (
     sparsity_certificate,
     stability_check,
 )
-from .hypergrad import FrozenField, closed_form_inner_quadratic, frozen_field
+from .hypergrad import FrozenField, closed_form_inner_quadratic
 from .losses import (
     ModelParams,
     RegularizedMultinomialLogistic,
@@ -58,9 +58,6 @@ log = logging.getLogger("bilevel_reweight")
 RATIO_GRID = [1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5]
 ETA_MAX = 1.0
 RHO_MAX = 1e-2
-# relative tolerance of the adaptive steps taken by the regime-check and
-# frozen-flow presets (FlowConfig.rtol)
-FLOW_RTOL = 1e-10
 
 
 def _setup_logging():
@@ -247,11 +244,7 @@ def cmd_solve(args) -> int:
 
 def _fig3_field(n: int, p: int, seed: int) -> FrozenField:
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    gamma = rng.standard_normal((n, p))
-    us = rng.standard_normal((n, p))
-    hess = np.einsum("ij,ik->ijk", us, us) + 0.1 * np.eye(p)[None]
-    g_outer = rng.standard_normal(p)
-    return FrozenField(gamma, hess, g_outer)
+    return FrozenField.ridge_like(rng, n, p, 0.1)
 
 
 def cmd_flow(args) -> int:
@@ -432,7 +425,7 @@ def _exp_softmax_toy(cfg: dict, out: Path, jobs: int) -> list:
 
 def _exp_frozen_flow(cfg: dict, out: Path, jobs: int) -> list:
     n, p, seed = cfg["n"], cfg["p"], cfg["seed"]
-    fcfg = FlowConfig(**{"rtol": FLOW_RTOL, **cfg["flow"]})
+    fcfg = FlowConfig(**cfg["flow"])
     field = _fig3_field(n, p, seed)
     w0 = SimplexWeights.uniform(n)
     trace = integrate_mirror_flow(field, w0, fcfg)
@@ -462,8 +455,7 @@ def _exp_regime_check(cfg: dict, out: Path, jobs: int) -> list:
 
     oracle_field = ExactHypergradField(model, train, test)
     ref = integrate_mirror_flow(oracle_field, w0,
-                                FlowConfig(dt=cfg["dt"], t_max=T,
-                                           rtol=FLOW_RTOL),
+                                FlowConfig(dt=cfg["dt"], t_max=T),
                                 record_times=t_grid)
     ref_w = np.stack([r.w.values for r in ref.records])
 
@@ -473,7 +465,7 @@ def _exp_regime_check(cfg: dict, out: Path, jobs: int) -> list:
         # the joint flow runs for T / beta units of fast time; dt_joint is
         # its first trial step
         fcfg = FlowConfig(alpha=1.0, beta=beta, dt=cfg["dt_joint"],
-                          t_max=T / beta, rtol=FLOW_RTOL)
+                          t_max=T / beta)
         tr = integrate_joint_flow(model, train, test, theta_star, w0, fcfg,
                                   record_times=t_grid / beta)
         ws = np.stack([r.w.values for r in tr.records])

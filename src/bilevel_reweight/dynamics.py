@@ -14,6 +14,7 @@ restricted to the tangent space.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional
 
@@ -47,7 +48,7 @@ class FlowConfig:
     t_max: float = 10.0
     stationarity_tol: float = 1e-8
     oscillation_window: int = 50
-    rtol: Optional[float] = None  # None: fixed RK4 steps; else Dormand-Prince
+    rtol: float = 1e-10  # Dormand-Prince tolerance; dt is the first trial step
 
     def __post_init__(self):
         # each test is written so that NaN fails it
@@ -60,7 +61,8 @@ class FlowConfig:
             raise ValueError("stationarity_tol must be positive and finite")
         if self.oscillation_window < 2:
             raise ValueError("oscillation_window must be >= 2")
-        if self.rtol is not None and not 0 < self.rtol < math.inf:
+        rtol = self.rtol if isinstance(self.rtol, numbers.Real) else math.nan
+        if not 0 < rtol < math.inf:
             raise ValueError("rtol must be positive and finite")
 
 
@@ -122,14 +124,6 @@ def _theta_record(model, data, test_data, theta: np.ndarray,
                         extra)
 
 
-def _rk4(state: np.ndarray, h: float, deriv) -> np.ndarray:
-    k1 = deriv(state)
-    k2 = deriv(state + 0.5 * h * k1)
-    k3 = deriv(state + 0.5 * h * k2)
-    k4 = deriv(state + h * k3)
-    return state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5):
 # stage i + 1 is at y + h _DP_A[i] @ k[:i + 1]. The last row is the 5th-order
 # solution, so its stage serves as the next step's first. _DP_E: 5th - 4th.
@@ -148,13 +142,22 @@ _DP_D = np.array([-12715105075 / 11282082432, 0, 87487479700 / 32700410799,
                   -1453857185 / 822651844, 69997945 / 29380423])
 
 
-def _dopri5(deriv, y: np.ndarray, grid, h: float, rtol: float, recentre):
-    """Dormand-Prince steps from grid[0] to grid[-1], trying h first, that
-    yield (t, y) at each later grid time: one inside a step is read off its
-    dense output, and only grid[-1] ends a step (stretched onto it if within
-    1e-9 h), so deriv is never evaluated past it. A step passes if the RMS of
-    err / (1e-2 rtol + rtol max(|y|, |y_new|)) is at most 1 (NaN fails), and
-    h is scaled by 0.9 err^(-1/5) within [0.2, 5]."""
+def _path(deriv, y: np.ndarray, grid, h: float, rtol: float, dual=None):
+    """Integrate y' = deriv(y), deriv fixed for the whole call, by
+    Dormand-Prince steps from grid[0] to grid[-1], trying h first, and
+    yield (t, y) at grid[0] and at each later grid time: one inside a step
+    is read off its dense output, and only grid[-1] ends a step (stretched
+    onto it if within 1e-9 h), so deriv is never evaluated past it. A step
+    passes if the RMS of err / (1e-2 rtol + rtol max(|y|, |y_new|)) is at
+    most 1 (NaN fails), and h is scaled by 0.9 err^(-1/5) within [0.2, 5].
+    With dual (an index into y), y[dual] holds log-weights and is shifted
+    after each step so that its maximum is 0, which keeps exp well-scaled."""
+    def recentre(y):
+        if dual is not None:
+            y[dual] -= y[dual].max()
+        return y
+
+    yield grid[0], y
     k = np.empty((7, y.size))
     k[0] = deriv(y)
     t, t1, j = grid[0], grid[-1], 1
@@ -190,32 +193,6 @@ def _dopri5(deriv, y: np.ndarray, grid, h: float, rtol: float, recentre):
             h = step * (max(0.2, 0.9 * err ** -0.2) if err < math.inf else 0.2)
 
 
-def _path(deriv, y: np.ndarray, grid, dt: float, dual=None,
-          rtol: Optional[float] = None):
-    """Integrate y' = deriv(y), deriv fixed for the whole call, through the
-    times of grid, yielding (t, y) at each grid time, the first one
-    included. With rtol None, each interval takes equal RK4 steps, as few
-    as keep them at most dt (an interval within a relative 1e-9 of a whole
-    multiple of dt counts as that multiple); else _dopri5 steps, dt the
-    first trial, which grid times do not cut short. With dual (an index
-    into y), y[dual] holds log-weights and is shifted after each step so
-    that its maximum is 0, which keeps exp well-scaled."""
-    def recentre(y):
-        if dual is not None:
-            y[dual] -= y[dual].max()
-        return y
-
-    yield grid[0], y
-    if rtol is not None:
-        yield from _dopri5(deriv, y, grid, dt, rtol, recentre)
-        return
-    for t0, t1 in zip(grid[:-1], grid[1:]):
-        n_steps = max(1, math.ceil((t1 - t0) / dt * (1 - 1e-9)))
-        for _ in range(n_steps):
-            y = recentre(_rk4(y, (t1 - t0) / n_steps, deriv))
-        yield t1, y
-
-
 def _record_grid(t_max: float, record_times, n_default: int = 500):
     if record_times is None:
         return np.linspace(0.0, t_max, n_default + 1)
@@ -228,7 +205,7 @@ def _record_grid(t_max: float, record_times, n_default: int = 500):
 def _mirror_path(field, w0: SimplexWeights, grid, cfg: FlowConfig):
     """The mirror flow of field from w0 in dual coordinates, via _path."""
     deriv = lambda u: -field(SimplexWeights(_softmax(u)))
-    return _path(deriv, np.log(w0.values), grid, cfg.dt, slice(None), cfg.rtol)
+    return _path(deriv, np.log(w0.values), grid, cfg.dt, cfg.rtol, slice(None))
 
 
 def integrate_mirror_flow(field, w0: SimplexWeights, cfg: FlowConfig,
@@ -275,7 +252,7 @@ def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
     trace = FlowTrace()
     state = np.concatenate([theta0.theta, np.log(w0.values)])
     grid = _record_grid(cfg.t_max, record_times)
-    for t, y in _path(deriv, state, grid, cfg.dt, slice(p, None), cfg.rtol):
+    for t, y in _path(deriv, state, grid, cfg.dt, cfg.rtol, slice(p, None)):
         w = SimplexWeights(_softmax(y[p:]))
         trace.append(_theta_record(model, data, test_data, y[:p], w, t,
                                    theta_ref))
@@ -341,7 +318,7 @@ def jacobian_field(field, w: SimplexWeights, mode: str = "analytic-frozen",
     if mode == "analytic-frozen":
         if not isinstance(field, FrozenField):
             raise PreconditionError("analytic mode needs a FrozenField")
-        H = field.weighted_hessian(w)
+        H = field.weighted_hessian(w.values)
         g = scipy.linalg.solve(H, field.grad_outer, assume_a="pos")
         Hg = field.sample_hessians @ g  # (n, p)
         X = scipy.linalg.solve(H, Hg.T, assume_a="pos")  # (p, n)
@@ -477,7 +454,8 @@ def omega_limit(field, w0: SimplexWeights, cfg: FlowConfig,
     t_max. Stop at the first whose change is at most stationarity_tol, or
     that lies within 1e-4 of one more than oscillation_window back with no
     fall in the change over the window (oscillating). Non-convergence is an
-    ordinary value, never an error."""
+    ordinary value, never an error. The checkpoints carry the integrator's
+    error, about rtol, so a stationarity_tol far below it may never trip."""
     if np.any(w0.values <= 0):
         # already on a face; one-hot starts are stationary immediately
         rep = is_stationary(w0, field, max(cfg.stationarity_tol, 1e-12))
@@ -530,8 +508,8 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
     holds its segment's omega_converged, omega_oscillating, omega_t and
     omega_change (the last checkpoint change, or None)."""
     if omega_cfg is None:
-        omega_cfg = FlowConfig(dt=min(cfg.dt, 1e-2), t_max=200.0,
-                               stationarity_tol=1e-9, rtol=cfg.rtol)
+        omega_cfg = FlowConfig(dt=min(cfg.dt, 1e-2), t_max=1e3,
+                               stationarity_tol=1e-9)
     grid = _record_grid(cfg.t_max, record_times)
     refreshes = refresh_dt * np.arange(1, math.ceil(grid[-1] / refresh_dt) + 1)
     # a refresh time that rounding put within 1e-9 dt of a record time is
@@ -552,8 +530,7 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
                  "omega_change": (omega.checkpoint_changes or [None])[-1]}
         deriv = lambda th, w=omega.w: -inner_grad(model, data, ModelParams(th),
                                                   w)
-        path = _path(deriv, theta, times[start:end + 1], cfg.dt,
-                     rtol=cfg.rtol)
+        path = _path(deriv, theta, times[start:end + 1], cfg.dt, cfg.rtol)
         for i, (t, theta) in enumerate(path, start):
             # a segment's first time is the last of the one before
             if record[i] and (i == 0 or i > start):

@@ -9,6 +9,7 @@ live here too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 from .errors import (
     AssumptionViolationError,
     NoConvergenceError,
+    NumericOverflowError,
     SingularDesignError,
     StepTooLargeError,
 )
@@ -173,20 +175,28 @@ class FrozenField:
         self.n = n
         self.p = p
 
-    def weighted_hessian(self, w: SimplexWeights) -> np.ndarray:
-        return np.einsum("i,ijk->jk", w.values, self.sample_hessians)
-
-    def g(self, w: SimplexWeights) -> np.ndarray:
-        return _solve_direct(self.weighted_hessian(w), self.grad_outer)
+    def weighted_hessian(self, values: np.ndarray) -> np.ndarray:
+        """H(w) = sum_i w_i H_i on raw coordinates."""
+        return np.einsum("i,ijk->jk", values, self.sample_hessians)
 
     def __call__(self, w: SimplexWeights) -> np.ndarray:
-        return -(self.gamma @ self.g(w))
+        return self.eval_raw(w.values)
 
     def eval_raw(self, values: np.ndarray) -> np.ndarray:
         """Evaluate on raw coordinates (may lie slightly off the simplex);
         used by finite-difference Jacobians."""
-        H = np.einsum("i,ijk->jk", np.asarray(values, float), self.sample_hessians)
-        return -(self.gamma @ _solve_direct(H, self.grad_outer))
+        return -(self.gamma @ _solve_direct(self.weighted_hessian(values),
+                                            self.grad_outer))
+
+    @classmethod
+    def ridge_like(cls, rng, n: int, p: int, ridge: float) -> "FrozenField":
+        """A random field with H_i = u_i u_i^T + ridge I: Gamma, the u_i and
+        grad F drawn in that order from rng, a seed or a Generator."""
+        rng = np.random.default_rng(rng)
+        gamma = rng.standard_normal((n, p))
+        us = rng.standard_normal((n, p))
+        hess = np.einsum("ij,ik->ijk", us, us) + ridge * np.eye(p)[None]
+        return cls(gamma, hess, rng.standard_normal(p))
 
 
 def frozen_field(model, data, test_data, theta0: ModelParams,
@@ -216,7 +226,11 @@ def _closed_form(data: Dataset, w_values: np.ndarray, mu: float):
     with np.errstate(call=_eig_failed, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
         eigvals = _eigvalsh_lo(A)
-    if eigvals[0] <= 1e-12 * max(1.0, eigvals[-1]):
+    lo, hi = eigvals[0], eigvals[-1]
+    if not (lo > 1e-12 * hi and lo > 1e-12):  # NaN fails
+        if not math.isfinite(lo + hi):
+            raise NumericOverflowError("weighted Gram overflowed to a "
+                                       "non-finite value")
         raise SingularDesignError(
             "weighted design is singular; enlarge the support or set mu > 0"
         )

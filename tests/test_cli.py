@@ -240,7 +240,7 @@ class TestExperiment:
 
         monkeypatch.setattr(cli, "omega_from_trace", capture)
         flow = cli.EXPERIMENTS["frozen-flow"][1]["flow"]
-        cfg = dynamics.FlowConfig(rtol=cli.FLOW_RTOL, **flow)
+        cfg = dynamics.FlowConfig(**flow)
         for seed in range(16):
             assert main(["experiment", "frozen-flow", "--out",
                          str(tmp_path / str(seed)), "--set",

@@ -27,6 +27,8 @@ from bilevel_reweight import (
     gen_corrupted,
     gen_mixture,
     hypergrad,
+    hypergrad_at,
+    inner_grad,
     integrate_joint_flow,
     integrate_mirror_flow,
     integrate_sparse_reference,
@@ -43,19 +45,31 @@ from bilevel_reweight import (
 from bilevel_reweight import losses
 
 
-def random_frozen_field(seed, n=5, p=3, ridge=0.5):
-    rng = np.random.default_rng(seed)
-    gamma = rng.standard_normal((n, p))
-    us = rng.standard_normal((n, p))
-    hess = np.einsum("ij,ik->ijk", us, us) + ridge * np.eye(p)[None]
-    return FrozenField(gamma, hess, rng.standard_normal(p))
+def softmax(u):
+    e = np.exp(u - u.max())
+    return e / e.sum()
+
+
+def rk4(deriv, y, t, steps):
+    """y(t) for y' = deriv(y) from y(0) = y by classical RK4 in equal
+    steps: a fixed-step reference independent of the package's integrator."""
+    h = t / steps
+    for _ in range(steps):
+        k1 = deriv(y)
+        k2 = deriv(y + h / 2 * k1)
+        k3 = deriv(y + h / 2 * k2)
+        k4 = deriv(y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
 
 
 @pytest.fixture(scope="module")
 def sparse_limit():
-    # an instance whose mirror-flow limit keeps three active coordinates
-    field = random_frozen_field(3)
-    cfg = FlowConfig(dt=1e-2, t_max=300.0, stationarity_tol=1e-12)
+    # an instance whose mirror-flow limit keeps three active coordinates;
+    # at rtol 1e-10 the checkpoint changes stay above 1e-11, so the
+    # stationarity_tol of 1e-12 needs the tighter rtol
+    field = FrozenField.ridge_like(3, 5, 3, 0.5)
+    cfg = FlowConfig(dt=1e-2, t_max=300.0, stationarity_tol=1e-12, rtol=1e-12)
     res = omega_limit(field, SimplexWeights.uniform(5), cfg)
     assert res.converged
     return field, res
@@ -83,7 +97,7 @@ class TestMirrorFlow:
         assert np.allclose(trace.records[0].w.values, w0.values)
 
     def test_weights_stay_on_simplex(self):
-        field = random_frozen_field(1)
+        field = FrozenField.ridge_like(1, 5, 3, 0.5)
         trace = integrate_mirror_flow(field, SimplexWeights.uniform(5),
                                       FlowConfig(dt=1e-2, t_max=5.0))
         for r in trace.records:
@@ -95,34 +109,6 @@ class TestMirrorFlow:
         with pytest.raises(ValueError):
             integrate_mirror_flow(ConstantField(np.zeros(2)), w0,
                                   FlowConfig(dt=1e-2, t_max=1.0))
-
-    def test_whole_multiple_intervals_take_whole_step_counts(self):
-        # the default grid's intervals are 4 dt up to rounding: 2000 RK4
-        # steps of 4 field calls each, none added for a one-ulp excess
-        calls = []
-
-        class CountingField(ConstantField):
-            def __call__(self, w):
-                calls.append(1)
-                return self.phi
-
-        integrate_mirror_flow(CountingField(np.arange(5.0)),
-                              SimplexWeights.uniform(5),
-                              FlowConfig(dt=0.05, t_max=100.0))
-        assert len(calls) == 8000
-
-    def test_rk4_step_convergence_order(self):
-        # halving dt should cut the error by at least 2^3 (RK4 gives 2^4)
-        field = random_frozen_field(2)
-        w0 = SimplexWeights.uniform(5)
-        ref = integrate_mirror_flow(field, w0, FlowConfig(dt=1e-4, t_max=1.0),
-                                    record_times=[1.0]).final.w.values
-        errs = []
-        for dt in (0.1, 0.05):
-            got = integrate_mirror_flow(field, w0, FlowConfig(dt=dt, t_max=1.0),
-                                        record_times=[1.0]).final.w.values
-            errs.append(np.max(np.abs(got - ref)))
-        assert errs[1] <= errs[0] / 8.0
 
     def test_exact_field_decreases_value_function(self):
         spec = MixtureSpec(n=40, m=20, sigma=0.1, seed=11)
@@ -185,7 +171,7 @@ class TestExactHypergradField:
 
 
 class TestAdaptiveSteps:
-    """FlowConfig.rtol switches the integrator to Dormand-Prince 5(4)."""
+    """Dormand-Prince 5(4) steps under the tolerance FlowConfig.rtol."""
 
     def test_matches_constant_field_closed_form(self):
         rng = np.random.default_rng(0)
@@ -200,10 +186,10 @@ class TestAdaptiveSteps:
             assert np.max(np.abs(rec.w.values - exact.values)) <= 1e-8
 
     def test_error_falls_with_rtol(self):
-        field = random_frozen_field(2)
+        field = FrozenField.ridge_like(2, 5, 3, 0.5)
         w0 = SimplexWeights.uniform(5)
-        ref = integrate_mirror_flow(field, w0, FlowConfig(dt=1e-4, t_max=1.0),
-                                    record_times=[1.0]).final.w.values
+        ref = softmax(rk4(lambda u: -field(SimplexWeights(softmax(u))),
+                          np.log(w0.values), 1.0, 10_000))
         errs = []
         for rtol in (1e-6, 1e-8, 1e-10):
             got = integrate_mirror_flow(
@@ -214,7 +200,7 @@ class TestAdaptiveSteps:
         assert errs[2] <= 1e-10
 
     def test_lands_on_every_grid_time(self):
-        field = random_frozen_field(3)
+        field = FrozenField.ridge_like(3, 5, 3, 0.5)
         times = np.sort(np.random.default_rng(1).uniform(0.0, 7.0, 9))
         trace = integrate_mirror_flow(
             field, SimplexWeights.uniform(5),
@@ -222,7 +208,7 @@ class TestAdaptiveSteps:
         assert [r.k for r in trace.records] == [0.0] + list(times)
 
     def test_fewer_calls_than_rk4_on_the_frozen_flow_grid(self):
-        # the RK4 grid of test_whole_multiple_intervals_take_whole_step_counts
+        # RK4 steps of dt on this grid would make 8000 field calls
         calls = []
 
         class CountingField(ConstantField):
@@ -281,7 +267,7 @@ class TestAdaptiveSteps:
         with pytest.raises(NoConvergenceError, match="at t = 0.0"):
             list(path)
 
-    @pytest.mark.parametrize("rtol", [0.0, -1e-8, np.inf, np.nan])
+    @pytest.mark.parametrize("rtol", [0.0, -1e-8, np.inf, np.nan, None])
     def test_rejects_nonpositive_or_nonfinite_rtol(self, rtol):
         with pytest.raises(ValueError):
             FlowConfig(rtol=rtol)
@@ -337,35 +323,52 @@ class TestJointFlow:
                                  FlowConfig(alpha=0.0, beta=0.0, dt=1e-3,
                                             t_max=1.0))
 
-    def test_derivative_makes_one_train_and_one_test_pass(self, joint_toy):
-        # 10 RK4 steps: 40 derivatives of 2 passes each, plus 2 records of
-        # 2 passes each
+    def test_derivative_makes_one_train_and_one_test_pass(self, joint_toy,
+                                                          monkeypatch):
+        # one hypergrad_at call per derivative, which takes 2 passes, plus
+        # 2 records of 2 passes each
+        from bilevel_reweight import dynamics
+
         model, train, test, _ = joint_toy
-        calls = []
+        calls, derivs = [], []
 
         class CountingRidge(RidgeLeastSquares):
             def forward(self, theta, data):
                 calls.append(1)
                 return super().forward(theta, data)
 
+        def counting_hypergrad_at(*args):
+            derivs.append(1)
+            return hypergrad_at(*args)
+
+        monkeypatch.setattr(dynamics, "hypergrad_at", counting_hypergrad_at)
         integrate_joint_flow(CountingRidge(model.mu), train, test,
                              ModelParams(np.zeros(2)),
                              SimplexWeights.uniform(train.n),
                              FlowConfig(dt=0.1, t_max=1.0), record_times=[1.0])
-        assert len(calls) == 84
+        assert len(derivs) >= 7  # at least one Dormand-Prince step
+        assert len(calls) == 2 * len(derivs) + 4
 
     def test_adaptive_matches_fine_rk4(self, joint_toy):
         model, train, test, _ = joint_toy
         w0 = SimplexWeights.uniform(train.n)
         theta0 = ModelParams(np.zeros(2))
-        traces = [integrate_joint_flow(model, train, test, theta0, w0,
-                                       FlowConfig(dt=dt, t_max=0.5, rtol=rtol),
-                                       record_times=[0.25, 0.5])
-                  for dt, rtol in ((1e-4, None), (1e-2, 1e-10))]
-        for a, b in zip(*(t.records for t in traces)):
-            assert a.k == b.k
-            assert np.max(np.abs(a.w.values - b.w.values)) <= 1e-7
-            assert np.max(np.abs(a.theta - b.theta)) <= 1e-7
+        cfg = FlowConfig(dt=1e-2, t_max=0.5, rtol=1e-10)
+        trace = integrate_joint_flow(model, train, test, theta0, w0, cfg,
+                                     record_times=[0.25, 0.5])
+
+        def deriv(s):
+            theta, w = ModelParams(s[:2]), SimplexWeights(softmax(s[2:]))
+            return np.concatenate([-inner_grad(model, train, theta, w),
+                                   -hypergrad(model, train, test, theta, w)])
+
+        states = [np.concatenate([theta0.theta, np.log(w0.values)])]
+        for _ in range(2):  # RK4 steps of 1e-4 to t = 0.25, then to 0.5
+            states.append(rk4(deriv, states[-1], 0.25, 2500))
+        assert [r.k for r in trace.records] == [0.0, 0.25, 0.5]
+        for rec, s in zip(trace.records, states):
+            assert np.max(np.abs(rec.w.values - softmax(s[2:]))) <= 1e-7
+            assert np.max(np.abs(rec.theta - s[:2])) <= 1e-7
 
     def test_theta_stays_bounded(self, joint_toy):
         model, train, test, _ = joint_toy
@@ -381,7 +384,7 @@ class TestJointFlow:
 
 class TestStationarity:
     def test_one_hot_is_stationary_for_any_field(self):
-        field = random_frozen_field(4)
+        field = FrozenField.ridge_like(4, 5, 3, 0.5)
         rep = is_stationary(SimplexWeights.one_hot(5, 2), field)
         assert rep.is_stationary
         assert rep.proportionality_residual == 0.0
@@ -393,7 +396,7 @@ class TestStationarity:
         assert rep.is_stationary
 
     def test_uniform_with_generic_field_is_not(self):
-        field = random_frozen_field(5)
+        field = FrozenField.ridge_like(5, 5, 3, 0.5)
         rep = is_stationary(SimplexWeights.uniform(5), field)
         assert not rep.is_stationary
         assert rep.proportionality_residual > 1e-3
@@ -416,7 +419,7 @@ class TestStationarity:
 
 class TestJacobians:
     def test_analytic_matches_finite_difference(self):
-        field = random_frozen_field(6)
+        field = FrozenField.ridge_like(6, 5, 3, 0.5)
         rng = np.random.default_rng(7)
         w = SimplexWeights.from_unnormalized(rng.random(5) + 0.2)
         Ja = jacobian_field(field, w, "analytic-frozen")
@@ -430,7 +433,7 @@ class TestJacobians:
 
     def test_full_flow_jacobian_matches_fd(self):
         # D Phi for Phi(v) = (diag(v) - v v^T) phi(v) in raw coordinates
-        field = random_frozen_field(8)
+        field = FrozenField.ridge_like(8, 5, 3, 0.5)
         rng = np.random.default_rng(9)
         w = SimplexWeights.from_unnormalized(rng.random(5) + 0.2)
         J = jacobian_field(field, w, "analytic-frozen")
@@ -459,12 +462,12 @@ class TestStability:
         assert rep.in_I_lp
 
     def test_rejects_non_stationary_point(self):
-        field = random_frozen_field(5)
+        field = FrozenField.ridge_like(5, 5, 3, 0.5)
         with pytest.raises(PreconditionError):
             stability_check(SimplexWeights.uniform(5), field)
 
     def test_vertex_has_no_tangent_eigenvalues(self):
-        field = random_frozen_field(42)
+        field = FrozenField.ridge_like(42, 5, 3, 0.5)
         cfg = FlowConfig(dt=1e-2, t_max=300.0, stationarity_tol=1e-12)
         res = omega_limit(field, SimplexWeights.uniform(5), cfg)
         assert res.converged
@@ -504,7 +507,7 @@ class TestLinearizedTrajectory:
         assert errs[1] <= errs[0] / 3.0
 
     def test_rejects_non_stationary_base_point(self):
-        field = random_frozen_field(10)
+        field = FrozenField.ridge_like(10, 5, 3, 0.5)
         delta = TangentVector(np.zeros(5))
         with pytest.raises(PreconditionError):
             linearized_trajectory(SimplexWeights.uniform(5), delta, field, 1.0)
@@ -549,14 +552,14 @@ class TestMembership:
 class TestOmegaLimit:
     def test_converges_on_random_instances(self):
         for seed in (0, 1, 2):
-            field = random_frozen_field(seed)
+            field = FrozenField.ridge_like(seed, 5, 3, 0.5)
             cfg = FlowConfig(dt=1e-2, t_max=300.0, stationarity_tol=1e-10)
             res = omega_limit(field, SimplexWeights.uniform(5), cfg)
             assert res.converged and not res.oscillating
             assert (res.w.values > 1e-8).sum() <= 3
 
     def test_one_hot_start_is_immediate(self):
-        field = random_frozen_field(15)
+        field = FrozenField.ridge_like(15, 5, 3, 0.5)
         res = omega_limit(field, SimplexWeights.one_hot(5, 1),
                           FlowConfig(dt=1e-2, t_max=10.0))
         assert res.converged and res.t == 0.0
@@ -688,29 +691,34 @@ class TestSparseReference:
     def test_refresh_at_a_record_time_takes_no_extra_step(self, monkeypatch):
         # criterion 6's grid: k * 0.01 for k = 5, 10, 20, 25 lies one ulp
         # off a record time of linspace(0, 0.3, 7); each is merged into it,
-        # so the 6 record intervals take 50 steps each
+        # so the 30 segments meet end to end and no two times are a
+        # rounding error apart
         from bilevel_reweight import dynamics
 
-        steps, refreshed = [], []
-        rk4 = dynamics._rk4
+        grids, refreshed = [], []
+        path = dynamics._path
 
-        def counting_rk4(*args):
-            steps.append(1)
-            return rk4(*args)
+        def recording_path(deriv, y, grid, *args):
+            grids.append(grid)
+            return path(deriv, y, grid, *args)
 
         def held_omega_limit(field, w0, cfg):
             refreshed.append(1)
             return OmegaResult(w0, True, False, 0.0)
 
-        monkeypatch.setattr(dynamics, "_rk4", counting_rk4)
+        monkeypatch.setattr(dynamics, "_path", recording_path)
         monkeypatch.setattr(dynamics, "omega_limit", held_omega_limit)
         train, test, _, _ = gen_mixture(MixtureSpec(n=20, m=10, sigma=0.1,
                                                     seed=0))
+        dt = 1e-3
         trace = integrate_sparse_reference(
             RidgeLeastSquares(1e-4), train, test, ModelParams(np.zeros(2)),
-            SimplexWeights.uniform(train.n), FlowConfig(dt=1e-3, t_max=0.3),
+            SimplexWeights.uniform(train.n), FlowConfig(dt=dt, t_max=0.3),
             record_times=np.linspace(0.0, 0.3, 7), refresh_dt=0.01)
-        assert len(steps) == 300
+        assert len(grids) == 30
+        assert all(a[-1] == b[0] for a, b in zip(grids, grids[1:]))
+        times = np.concatenate([grids[0][:1]] + [g[1:] for g in grids])
+        assert np.all(np.diff(times) > 1e-9 * dt)
         # once at t = 0, then at k * 0.01 for k = 1 .. 29
         assert len(refreshed) == 1 + 29
         assert [r.k for r in trace.records] == list(np.linspace(0.0, 0.3, 7))

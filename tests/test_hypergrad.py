@@ -213,10 +213,7 @@ class TestFrozenField:
     def test_random_low_dim_instance(self):
         rng = np.random.default_rng(8)
         n, p = 5, 3
-        gamma = rng.standard_normal((n, p))
-        us = rng.standard_normal((n, p))
-        hess = np.einsum("ij,ik->ijk", us, us) + 0.1 * np.eye(p)[None]
-        field = FrozenField(gamma, hess, rng.standard_normal(p))
+        field = FrozenField.ridge_like(rng, n, p, 0.1)
         vals = [field(SimplexWeights.from_unnormalized(rng.random(n) + 0.1))
                 for _ in range(5)]
         assert all(np.all(np.isfinite(v)) for v in vals)

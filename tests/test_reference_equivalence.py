@@ -14,9 +14,12 @@ from bilevel_reweight import (
     Dataset,
     NumericOverflowError,
     RegularizedMultinomialLogistic,
+    RidgeLeastSquares,
     SimplexWeights,
     SingularDesignError,
+    SolverConfig,
     closed_form_inner_quadratic,
+    exact_bilevel,
     mirror_step,
 )
 from bilevel_reweight.hypergrad import _solve_direct
@@ -357,13 +360,16 @@ class TestInteriorFlag:
         assert not SimplexWeights.from_unnormalized([0.0, 2.0]).interior
 
 
-def test_closed_form_of_an_overflowing_gram_equals_the_numpy_formula():
-    # the direct gufuncs see the same infinite matrix eigvalsh and solve see
+def test_closed_form_of_an_overflowing_gram_raises_numeric_overflow():
+    # eigvalsh of the infinite Gram is NaN, which the singularity test must
+    # not pass: neither the closed form nor exact_bilevel's first inner
+    # solve may return theta = 0 or fail with a bare ValueError
     X = np.array([[1e200, 1.0], [1.0, 1e200], [1.0, 2.0]])
-    y = np.ones(3)
+    data = Dataset(X, np.ones(3))
     w = SimplexWeights.uniform(3)
     with np.errstate(over="ignore"):
-        got = outcome(lambda: closed_form_inner_quadratic(
-            Dataset(X, y), w, 0.0).theta)
-        want = outcome(reference_closed_form, X, y, w.values, 0.0)
-    assert got == want
+        with pytest.raises(NumericOverflowError, match="weighted Gram"):
+            closed_form_inner_quadratic(data, w, 0.0)
+        with pytest.raises(NumericOverflowError, match="weighted Gram"):
+            exact_bilevel(RidgeLeastSquares(0.0), data, data, w,
+                          SolverConfig(iterations=2))
