@@ -38,6 +38,7 @@ from .errors import (
     AbsoluteContinuityError,
     AssumptionViolationError,
     BilevelError,
+    ConfigError,
     DatasetFormatError,
     NoConvergenceError,
     NumericOverflowError,
@@ -52,7 +53,6 @@ from .hypergrad import (
     frozen_field,
     hypergrad,
     hypergrad_at,
-    solve_inner_system,
     value_function_fd,
 )
 from .losses import (
@@ -63,11 +63,7 @@ from .losses import (
     RegularizedMultinomialLogistic,
     RidgeLeastSquares,
     accuracy,
-    gradient_matrix,
-    inner_grad,
-    inner_hess_apply,
     inner_loss,
-    outer_grad,
     outer_loss,
 )
 from .simplex import (

@@ -35,6 +35,7 @@ from .dynamics import (
     sparsity_certificate,
     stability_check,
 )
+from .errors import ConfigError
 from .hypergrad import FrozenField, closed_form_inner_quadratic
 from .losses import (
     ModelParams,
@@ -137,7 +138,7 @@ def _dataset_from_config(cfg: dict):
         spec = CorruptionSpec(**cfg.get("spec", {}))
         train, clean_mask, test, val = gen_corrupted(spec)
         return train, test, val, {"clean_mask": clean_mask, "spec": spec}
-    raise SystemExit(f"unknown dataset type {kind!r}")
+    raise ConfigError(f"unknown dataset type {kind!r}")
 
 
 def _model_from_config(cfg: dict, train):
@@ -147,7 +148,7 @@ def _model_from_config(cfg: dict, train):
         return RidgeLeastSquares(0.0 if mu is None else mu)
     if kind == "logistic":
         return RegularizedMultinomialLogistic(1e-2 if mu is None else mu)
-    raise SystemExit(f"unknown model {kind!r}")
+    raise ConfigError(f"unknown model {kind!r}")
 
 
 def _summarize(trace, wall: float) -> dict:
@@ -173,11 +174,7 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         fields["seed"] = args.seed
     resolved = {"type": spec_cfg.get("type", "mixture"), "spec": fields}
-    try:
-        train, test, val, extras = _dataset_from_config(resolved)
-    except SystemExit as exc:  # an unknown dataset type
-        print(exc, file=sys.stderr)
-        return 2
+    train, test, val, extras = _dataset_from_config(resolved)
     seed = extras["spec"].seed
     for name, data in (("train", train), ("test", test), ("val", val)):
         if data is not None:
@@ -218,7 +215,7 @@ def _run_solver(cfg: dict, train, test, extras):
         trace = softmax_reparam(model, train, test, theta0, np.zeros(n), scfg,
                                 theta_ref=theta_ref)
     else:
-        raise SystemExit(f"unknown solver kind {kind!r}")
+        raise ConfigError(f"unknown solver kind {kind!r}")
     wall = time.monotonic() - start
     return trace, _summarize(trace, wall)
 
@@ -228,12 +225,8 @@ def cmd_solve(args) -> int:
     cfg = _apply_overrides(_load_config(args.config), args.set)
     if args.seed is not None:
         _set_dotted(cfg, "dataset.spec.seed", args.seed)
-    try:
-        train, test, val, extras = _dataset_from_config(cfg.get("dataset", {}))
-        trace, summary = _run_solver(cfg, train, test, extras)
-    except SystemExit as exc:  # an unknown dataset type, model or solver kind
-        print(exc, file=sys.stderr)
-        return 2
+    train, test, val, extras = _dataset_from_config(cfg.get("dataset", {}))
+    trace, summary = _run_solver(cfg, train, test, extras)
     trace.to_jsonl(out / "trace.jsonl")
     _write_json(out / "summary.json", summary)
     _write_json(out / "resolved-config.json", cfg)
@@ -264,8 +257,7 @@ def cmd_flow(args) -> int:
         field = ConstantField(phi)
         gamma = None
     else:
-        print(f"unknown flow preset {preset!r}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown flow preset {preset!r}")
     n = field.phi.size if isinstance(field, ConstantField) else field.n
     w0 = SimplexWeights.uniform(n)
     trace = integrate_mirror_flow(field, w0, fcfg)
@@ -513,9 +505,8 @@ def cmd_experiment(args) -> int:
         del cfg["experiment"]
     unknown = sorted(set(cfg) - set(defaults))
     if unknown:
-        print(f"unknown config key(s) {unknown} for experiment {args.name!r}; "
-              f"known keys: {sorted(defaults)}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown config key(s) {unknown} for experiment "
+                          f"{args.name!r}; known keys: {sorted(defaults)}")
     cfg = _merged(copy.deepcopy(defaults), cfg)
     out = _outdir(args)
     start = time.monotonic()
@@ -578,7 +569,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:  # a config value or kind that is rejected
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,7 +17,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import AbsoluteContinuityError, DatasetFormatError
+from .errors import (
+    AbsoluteContinuityError,
+    ConfigError,
+    DatasetFormatError,
+    _check_field_types,
+)
 from .losses import CLASSIFICATION, REGRESSION, Dataset, ModelParams
 from .simplex import SimplexWeights
 
@@ -41,14 +46,15 @@ class MixtureSpec:
     p_cluster1: float = 0.5  # 1.0 forces every train sample into cluster 1
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be >= 1")
+            raise ConfigError("n and m must be >= 1")
         if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+            raise ConfigError("sigma must be nonnegative")
         if not (0.0 <= self.p_cluster1 <= 1.0):
-            raise ValueError("p_cluster1 must lie in [0, 1]")
+            raise ConfigError("p_cluster1 must lie in [0, 1]")
         if len(self.mu1) != len(self.mu2) or len(self.mu1) != len(self.theta1_hat):
-            raise ValueError("centroid/parameter dimensions must agree")
+            raise ConfigError("centroid/parameter dimensions must agree")
 
 
 @dataclass(frozen=True)
@@ -68,10 +74,11 @@ class CorruptionSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.n < 1 or self.classes < 2 or self.d < 1:
-            raise ValueError("invalid corruption spec sizes")
+            raise ConfigError("invalid corruption spec sizes")
         if not (0.0 <= self.p_c <= 1.0):
-            raise ValueError("p_c must lie in [0, 1]")
+            raise ConfigError("p_c must lie in [0, 1]")
 
 
 def gen_mixture(spec: MixtureSpec

@@ -14,21 +14,25 @@ restricted to the tangent space.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NoConvergenceError, PreconditionError
+from .errors import (
+    ConfigError,
+    NoConvergenceError,
+    PreconditionError,
+    _check_field_types,
+)
 from .hypergrad import (
     DEFAULT_CONFIG,
     FrozenField,
     frozen_field,
     hypergrad_at,
 )
-from .losses import ModelParams, inner_grad
+from .losses import ModelParams
 from .simplex import (
     DEFAULT_SUPPORT_TOL,
     SimplexWeights,
@@ -51,19 +55,19 @@ class FlowConfig:
     rtol: float = 1e-10  # Dormand-Prince tolerance; dt is the first trial step
 
     def __post_init__(self):
+        _check_field_types(self)
         # each test is written so that NaN fails it
         for name in ("alpha", "beta"):
             if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite")
+                raise ConfigError(f"{name} must be nonnegative and finite")
         if not 0 < self.dt < self.t_max < math.inf:
-            raise ValueError("need 0 < dt < t_max < inf")
+            raise ConfigError("need 0 < dt < t_max < inf")
         if not 0 < self.stationarity_tol < math.inf:
-            raise ValueError("stationarity_tol must be positive and finite")
+            raise ConfigError("stationarity_tol must be positive and finite")
         if self.oscillation_window < 2:
-            raise ValueError("oscillation_window must be >= 2")
-        rtol = self.rtol if isinstance(self.rtol, numbers.Real) else math.nan
-        if not 0 < rtol < math.inf:
-            raise ValueError("rtol must be positive and finite")
+            raise ConfigError("oscillation_window must be >= 2")
+        if not 0 < self.rtol < math.inf:
+            raise ConfigError("rtol must be positive and finite")
 
 
 class ConstantField:
@@ -528,8 +532,8 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
         extra = {"omega_converged": omega.converged,
                  "omega_oscillating": omega.oscillating, "omega_t": omega.t,
                  "omega_change": (omega.checkpoint_changes or [None])[-1]}
-        deriv = lambda th, w=omega.w: -inner_grad(model, data, ModelParams(th),
-                                                  w)
+        deriv = lambda th, w=omega.w: -model.forward(
+            ModelParams(th).theta, data).gamma_T_apply(w.values)
         path = _path(deriv, theta, times[start:end + 1], cfg.dt, cfg.rtol)
         for i, (t, theta) in enumerate(path, start):
             # a segment's first time is the last of the one before

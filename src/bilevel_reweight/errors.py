@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+import dataclasses
+import numbers
+
 
 class BilevelError(Exception):
     """Base class for all package errors."""
@@ -41,3 +44,26 @@ class DatasetFormatError(BilevelError):
             message = f"{message} (line {line})"
         super().__init__(message)
         self.line = line
+
+
+class ConfigError(BilevelError, ValueError):
+    """A config or dataset spec holds a value it rejects; the message names
+    the field or the kind."""
+
+
+# annotation -> (accepted types, description); the modules that declare
+# configs use `from __future__ import annotations`, so annotations are strings
+_FIELD_TYPES = {"int": (numbers.Integral, "an integer"),
+                "float": (numbers.Real, "a real number"),
+                "Optional[float]": ((numbers.Real, type(None)),
+                                    "a real number or None")}
+
+
+def _check_field_types(config):
+    """Raise ConfigError unless each int, float or Optional[float] field of
+    the dataclass instance config holds a value of that type."""
+    for f in dataclasses.fields(config):
+        types, what = _FIELD_TYPES.get(f.type, (object, None))
+        value = getattr(config, f.name)
+        if not isinstance(value, types):
+            raise ConfigError(f"{f.name} must be {what}, got {value!r}")

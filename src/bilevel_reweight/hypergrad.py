@@ -18,10 +18,12 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (
     AssumptionViolationError,
+    ConfigError,
     NoConvergenceError,
     NumericOverflowError,
     SingularDesignError,
     StepTooLargeError,
+    _check_field_types,
 )
 from .losses import (
     Dataset,
@@ -29,8 +31,6 @@ from .losses import (
     ModelParams,
     _check_mu,
     _weighted_gram,
-    gradient_matrix,
-    outer_grad,
     outer_loss,
 )
 from .simplex import SimplexWeights, TangentVector, _all_finite
@@ -45,10 +45,11 @@ class HypergradConfig:
     direct_threshold: int = 64
 
     def __post_init__(self):
+        _check_field_types(self)
         if not (0 < self.cg_tol <= 1e-2):
-            raise ValueError("cg_tol must lie in (0, 1e-2]")
+            raise ConfigError("cg_tol must lie in (0, 1e-2]")
         if self.cg_max_iter < 0:
-            raise ValueError("cg_max_iter must be >= 0 (0 means 10 * p)")
+            raise ConfigError("cg_max_iter must be >= 0 (0 means 10 * p)")
 
 
 DEFAULT_CONFIG = HypergradConfig()
@@ -128,13 +129,6 @@ def _solve_hessian(train: ForwardPass, w_values: np.ndarray, rhs: np.ndarray,
                      max_iter)
 
 
-def solve_inner_system(model, data, theta: ModelParams, w: SimplexWeights,
-                       rhs, cfg: HypergradConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Solve H v = rhs where H is the weighted inner Hessian at (theta, w)."""
-    rhs = np.asarray(rhs, dtype=float)
-    return _solve_hessian(model.forward(theta.theta, data), w.values, rhs, cfg)
-
-
 def hypergrad(model, data, test_data, theta: ModelParams, w: SimplexWeights,
               cfg: HypergradConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Psi(theta, w): minus the Hessian-metric alignment of each per-sample
@@ -199,13 +193,12 @@ class FrozenField:
         return cls(gamma, hess, rng.standard_normal(p))
 
 
-def frozen_field(model, data, test_data, theta0: ModelParams,
-                 cfg: HypergradConfig = DEFAULT_CONFIG) -> FrozenField:
-    """Snapshot the hypergradient field at theta0."""
-    gamma = gradient_matrix(model, data, theta0)
-    hess = model.sample_hessians(theta0.theta, data)
-    gF = outer_grad(model, test_data, theta0)
-    return FrozenField(gamma, hess, gF)
+def frozen_field(model, data, test_data, theta0: ModelParams) -> FrozenField:
+    """Snapshot the hypergradient field at theta0 from one training pass
+    and one test pass."""
+    train = model.forward(theta0.theta, data)
+    return FrozenField(train.sample_grads(), train.sample_hessians(),
+                       model.forward(theta0.theta, test_data).mean_fit_grad())
 
 
 def closed_form_inner_quadratic(data: Dataset, w: SimplexWeights,
@@ -245,11 +238,8 @@ def _value_function(model, data, test_data, w: SimplexWeights,
     """h(w) = F(theta*(w)) with a high-precision inner solve."""
     from .solvers import solve_inner  # local import to avoid a cycle
 
-    if model.is_quadratic:
-        theta = closed_form_inner_quadratic(data, w, model.mu)
-    else:
-        theta = solve_inner(model, data, w, ModelParams(
-            np.zeros(model.n_params(data))), tol=inner_tol)
+    theta = solve_inner(model, data, w, ModelParams(
+        np.zeros(model.n_params(data))), tol=inner_tol)
     return outer_loss(model, test_data, theta)
 
 

@@ -112,9 +112,11 @@ class ForwardPass:
     * gamma_hess_apply(w, v) = (Gamma v, H(w) v) from one product of v
       with X^T, the pair a SOBA step needs.
 
-    fit_grads and fit_sample_hessians materialize the n x p and n x p x p
-    arrays and are meant for small frozen snapshots only. The pass holds
-    theta by reference: theta must not change while the pass is in use.
+    sample_grads (Gamma itself, n x p) and sample_hessians (the n x p x p
+    per-sample Hessian stack) are the only operators that build either;
+    they, and fit_grads for the bare fit term, are meant for small frozen
+    snapshots and for reference checks. The pass holds theta by reference:
+    theta must not change while the pass is in use.
 
     Subclasses compute the fit term in fit_losses, fit_gamma_T_apply,
     fit_hess, fit_grads and fit_sample_hessians, and Gamma v and H(w) v in
@@ -173,12 +175,13 @@ class ForwardPass:
 
 
 class LossModel:
-    """Per-sample loss with gradient and Hessian oracles.
+    """Per-sample loss: its mu, whether it is quadratic in theta, the
+    parameter count, and forward.
 
     forward(theta, data) makes the one pass over the data that every oracle
-    at theta needs; callers that want several oracles at the same theta
-    should make it once and use its operators. The methods below are one
-    pass each.
+    at theta needs, and its ForwardPass operators are the model's only
+    oracles; a caller that wants several at the same theta makes the pass
+    once.
     """
 
     mu: float
@@ -189,33 +192,6 @@ class LossModel:
 
     def forward(self, theta: np.ndarray, data: Dataset) -> ForwardPass:
         raise NotImplementedError
-
-    def fit_losses(self, theta, data) -> np.ndarray:
-        return self.forward(theta, data).fit_losses()
-
-    def sample_losses(self, theta, data) -> np.ndarray:
-        return self.forward(theta, data).sample_losses()
-
-    def gamma_apply(self, theta, data, v) -> np.ndarray:
-        return self.forward(theta, data).gamma_apply(v)
-
-    def gamma_T_apply(self, theta, data, w_values) -> np.ndarray:
-        return self.forward(theta, data).gamma_T_apply(w_values)
-
-    def weighted_hess_apply(self, theta, data, w_values, v) -> np.ndarray:
-        return self.forward(theta, data).hess_apply(w_values, v)
-
-    def weighted_hess(self, theta, data, w_values) -> np.ndarray:
-        return self.forward(theta, data).hess(w_values)
-
-    def fit_grads(self, theta, data) -> np.ndarray:
-        return self.forward(theta, data).fit_grads()
-
-    def sample_grads(self, theta, data) -> np.ndarray:
-        return self.forward(theta, data).sample_grads()
-
-    def sample_hessians(self, theta, data) -> np.ndarray:
-        return self.forward(theta, data).sample_hessians()
 
 
 def _check_mu(mu) -> float:
@@ -374,32 +350,12 @@ class RegularizedMultinomialLogistic(LossModel):
 
 def inner_loss(model, data, theta: ModelParams, w: SimplexWeights) -> float:
     """Weighted training objective G(theta, w) = sum_i w_i l(theta; x_i)."""
-    return float(w.values @ model.sample_losses(theta.theta, data))
-
-
-def inner_grad(model, data, theta: ModelParams, w: SimplexWeights) -> np.ndarray:
-    """Gradient of G in theta, Gamma^T w."""
-    return model.gamma_T_apply(theta.theta, data, w.values)
-
-
-def inner_hess_apply(model, data, theta: ModelParams, w: SimplexWeights, v) -> np.ndarray:
-    """Action of the weighted inner Hessian, never materialized."""
-    return model.weighted_hess_apply(theta.theta, data, w.values, np.asarray(v, float))
-
-
-def gradient_matrix(model, data, theta: ModelParams) -> np.ndarray:
-    """n x p matrix with row i = grad of the per-sample training loss.
-    Materializes Gamma; solvers use ForwardPass.gamma_apply instead."""
-    return model.sample_grads(theta.theta, data)
+    return float(w.values @ model.forward(theta.theta, data).sample_losses())
 
 
 def outer_loss(model, test_data, theta: ModelParams) -> float:
     """Mean test loss F(theta), unregularized."""
-    return float(model.fit_losses(theta.theta, test_data).mean())
-
-
-def outer_grad(model, test_data, theta: ModelParams) -> np.ndarray:
-    return model.forward(theta.theta, test_data).mean_fit_grad()
+    return float(model.forward(theta.theta, test_data).fit_losses().mean())
 
 
 def accuracy(model, data: Dataset, theta: ModelParams) -> float:

@@ -25,9 +25,11 @@ import numpy as np
 
 from .errors import (
     AssumptionViolationError,
+    ConfigError,
     NoConvergenceError,
     NumericOverflowError,
     SingularDesignError,
+    _check_field_types,
 )
 from .hypergrad import (
     DEFAULT_CONFIG,
@@ -57,14 +59,15 @@ class SolverConfig:
     rho_v: Optional[float] = None  # soba only; defaults to rho
 
     def __post_init__(self):
+        _check_field_types(self)
         for name in ("eta", "rho", "rho_v"):
             value = getattr(self, name)
             if value is not None and not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite")
+                raise ConfigError(f"{name} must be nonnegative and finite")
         if self.iterations < 1 or self.record_every < 1:
-            raise ValueError("iterations and record_every must be >= 1")
+            raise ConfigError("iterations and record_every must be >= 1")
         if not 0 < self.inner_tol < math.inf:
-            raise ValueError("inner_tol must be positive and finite")
+            raise ConfigError("inner_tol must be positive and finite")
 
 
 @dataclass

@@ -78,6 +78,13 @@ class TestGenerate:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_rejected_spec_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                    mixture_spec_file):
+        rc = main(["generate", "--spec", str(mixture_spec_file),
+                   "--out", str(tmp_path / "o"), "--set", "spec.sigma=-1"])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == "sigma must be nonnegative"
+
 
 class TestSolve:
     def solve_config(self, tmp_path, **solver):
@@ -143,6 +150,14 @@ class TestSolve:
         assert rc == 2
         assert capsys.readouterr().err.strip() == message
 
+    def test_rejected_config_exits_2_naming_the_field(self, tmp_path, capsys):
+        cfg = self.solve_config(tmp_path)
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                   "--set", "solver.eta=-1"])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == (
+            "eta must be nonnegative and finite")
+
     def test_malformed_override_exits(self, tmp_path):
         cfg = self.solve_config(tmp_path)
         with pytest.raises(SystemExit):
@@ -185,11 +200,25 @@ class TestFlow:
                    "--set", "preset=spiral"])
         assert rc == 2
 
+    def test_rejected_config_exits_2_naming_the_field(self, tmp_path, capsys):
+        rc = main(["flow", "--out", str(tmp_path / "f"),
+                   "--set", "flow.dt=null"])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == (
+            "dt must be a real number, got None")
+
 
 class TestExperiment:
     def test_unknown_name_exits_nonzero(self, tmp_path):
         rc = main(["experiment", "nope", "--out", str(tmp_path / "e")])
         assert rc == 2
+
+    def test_rejected_config_exits_2_naming_the_field(self, tmp_path, capsys):
+        rc = main(["experiment", "toy-mixture", "--out", str(tmp_path / "e"),
+                   "--set", "exact.iterations=2.5"])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == (
+            "iterations must be an integer, got 2.5")
 
     def test_toy_mixture_small(self, tmp_path):
         out = tmp_path / "exp"

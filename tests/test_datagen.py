@@ -5,6 +5,7 @@ import pytest
 
 from bilevel_reweight import (
     AbsoluteContinuityError,
+    ConfigError,
     CorruptionSpec,
     DatasetFormatError,
     MixtureSpec,
@@ -82,6 +83,23 @@ class TestGenMixture:
             MixtureSpec(p_cluster1=1.5)
         with pytest.raises(ValueError):
             MixtureSpec(mu1=(0.0,), mu2=(0.0, 1.0))
+
+
+_SPEC_FIELDS = [
+    (MixtureSpec, ("sigma", "p_cluster1"), ("n", "m", "seed")),
+    (CorruptionSpec, ("p_c", "separation"),
+     ("n", "classes", "d", "n_test", "n_val", "seed"))]
+
+
+@pytest.mark.parametrize("spec,field,value", [
+    (spec, field, value)
+    for spec, reals, counts in _SPEC_FIELDS
+    for field in reals + counts
+    for value in (None, "1", 2.5)
+    if value != 2.5 or field in counts])
+def test_specs_reject_wrong_type_naming_the_field(spec, field, value):
+    with pytest.raises(ConfigError, match=field):
+        spec(**{field: value})
 
 
 class TestGenCorrupted:

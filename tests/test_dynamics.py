@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from bilevel_reweight import (
+    ConfigError,
     ConstantField,
     CorruptionSpec,
     Dataset,
@@ -28,7 +29,6 @@ from bilevel_reweight import (
     gen_mixture,
     hypergrad,
     hypergrad_at,
-    inner_grad,
     integrate_joint_flow,
     integrate_mirror_flow,
     integrate_sparse_reference,
@@ -282,6 +282,17 @@ def test_flow_config_rejects_invalid_value_naming_the_field(field, value):
         FlowConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    (field, value)
+    for field in ("alpha", "beta", "dt", "t_max", "stationarity_tol", "rtol",
+                  "oscillation_window")
+    for value in (None, "1", 2.5)
+    if value != 2.5 or field == "oscillation_window"])
+def test_flow_config_rejects_wrong_type_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        FlowConfig(**{field: value})
+
+
 @pytest.fixture(scope="module")
 def joint_toy():
     spec = MixtureSpec(n=30, m=15, sigma=0.1, seed=5)
@@ -359,8 +370,9 @@ class TestJointFlow:
 
         def deriv(s):
             theta, w = ModelParams(s[:2]), SimplexWeights(softmax(s[2:]))
-            return np.concatenate([-inner_grad(model, train, theta, w),
-                                   -hypergrad(model, train, test, theta, w)])
+            return np.concatenate([
+                -model.forward(theta.theta, train).gamma_T_apply(w.values),
+                -hypergrad(model, train, test, theta, w)])
 
         states = [np.concatenate([theta0.theta, np.log(w0.values)])]
         for _ in range(2):  # RK4 steps of 1e-4 to t = 0.25, then to 0.5

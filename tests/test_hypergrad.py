@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bilevel_reweight import (
     AssumptionViolationError,
+    ConfigError,
     Dataset,
     FrozenField,
     HypergradConfig,
@@ -18,13 +19,11 @@ from bilevel_reweight import (
     closed_form_inner_quadratic,
     frozen_field,
     hypergrad,
-    inner_grad,
-    outer_grad,
     project_tangent,
     solve_inner,
-    solve_inner_system,
     value_function_fd,
 )
+from bilevel_reweight.hypergrad import DEFAULT_CONFIG, _solve_hessian
 
 
 def ridge_problem(rng, n=15, d=3, m=8, mu=0.2):
@@ -38,6 +37,16 @@ def ridge_problem(rng, n=15, d=3, m=8, mu=0.2):
     ("cg_max_iter", -3), ("cg_max_iter", -1), ("cg_tol", np.nan)])
 def test_hypergrad_config_rejects_invalid_value_naming_the_field(field, value):
     with pytest.raises(ValueError, match=field):
+        HypergradConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    (field, value)
+    for field in ("cg_tol", "cg_max_iter", "direct_threshold")
+    for value in (None, "1", 2.5)
+    if value != 2.5 or field != "cg_tol"])
+def test_hypergrad_config_rejects_wrong_type_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=field):
         HypergradConfig(**{field: value})
 
 
@@ -58,7 +67,8 @@ class TestSolveInnerSystem:
         model, train, _ = ridge_problem(rng)
         w = SimplexWeights.uniform(train.n)
         theta = ModelParams(rng.standard_normal(train.d))
-        v = solve_inner_system(model, train, theta, w, np.zeros(train.d))
+        v = _solve_hessian(model.forward(theta.theta, train), w.values,
+                           np.zeros(train.d), DEFAULT_CONFIG)
         assert np.allclose(v, 0.0)
 
     def test_identity_hessian(self):
@@ -67,7 +77,8 @@ class TestSolveInnerSystem:
         train = Dataset(np.zeros((4, 3)), np.zeros(4))
         w = SimplexWeights.uniform(4)
         rhs = np.array([1.0, -2.0, 0.5])
-        v = solve_inner_system(model, train, ModelParams(np.zeros(3)), w, rhs)
+        v = _solve_hessian(model.forward(np.zeros(3), train), w.values, rhs,
+                           DEFAULT_CONFIG)
         assert np.allclose(v, rhs)
 
     def test_against_dense_factorization(self):
@@ -77,9 +88,10 @@ class TestSolveInnerSystem:
             w = SimplexWeights.from_unnormalized(rng.random(train.n) + 0.1)
             theta = ModelParams(rng.standard_normal(5))
             rhs = rng.standard_normal(5)
-            H = model.weighted_hess(theta.theta, train, w.values)
+            fp = model.forward(theta.theta, train)
+            H = fp.hess(w.values)
             expected = np.linalg.solve(H, rhs)
-            got = solve_inner_system(model, train, theta, w, rhs)
+            got = _solve_hessian(fp, w.values, rhs, DEFAULT_CONFIG)
             assert np.allclose(got, expected, atol=1e-10)
 
     def test_cg_path_matches_direct(self):
@@ -88,9 +100,10 @@ class TestSolveInnerSystem:
         w = SimplexWeights.uniform(train.n)
         theta = ModelParams(rng.standard_normal(6))
         rhs = rng.standard_normal(6)
-        direct = solve_inner_system(model, train, theta, w, rhs)
+        fp = model.forward(theta.theta, train)
+        direct = _solve_hessian(fp, w.values, rhs, DEFAULT_CONFIG)
         cfg = HypergradConfig(direct_threshold=1, cg_tol=1e-12)
-        cg = solve_inner_system(model, train, theta, w, rhs, cfg)
+        cg = _solve_hessian(fp, w.values, rhs, cfg)
         assert np.allclose(cg, direct, atol=1e-8)
 
     def test_cg_iteration_cap_raises_with_final_residual(self):
@@ -101,13 +114,14 @@ class TestSolveInnerSystem:
         model = RidgeLeastSquares(0.0)
         w = SimplexWeights.uniform(d)
         theta = ModelParams(np.zeros(d))
+        fp = model.forward(theta.theta, train)
         cfg = HypergradConfig(direct_threshold=0, cg_max_iter=5)
         with pytest.raises(NoConvergenceError,
                            match=r"final relative residual \d\.\d{3}e[+-]\d+"):
-            solve_inner_system(model, train, theta, w, np.ones(d), cfg)
+            _solve_hessian(fp, w.values, np.ones(d), cfg)
         # with the default cap it converges to the exact solution
-        v = solve_inner_system(model, train, theta, w, np.ones(d),
-                               HypergradConfig(direct_threshold=0))
+        v = _solve_hessian(fp, w.values, np.ones(d),
+                           HypergradConfig(direct_threshold=0))
         assert np.allclose(v, 1.0 / np.logspace(0, 8, d), rtol=1e-6)
 
     def test_non_pd_hessian_signals(self):
@@ -115,8 +129,8 @@ class TestSolveInnerSystem:
         train = Dataset(np.array([[1.0, 0.0]]), np.array([1.0]))
         w = SimplexWeights.one_hot(1, 0)
         with pytest.raises(AssumptionViolationError):
-            solve_inner_system(model, train, ModelParams(np.zeros(2)), w,
-                               np.ones(2))
+            _solve_hessian(model.forward(np.zeros(2), train), w.values,
+                           np.ones(2), DEFAULT_CONFIG)
 
 
 class TestHypergrad:
@@ -186,6 +200,40 @@ class TestHypergrad:
 
 
 class TestFrozenField:
+    @pytest.mark.parametrize("kind", ["ridge", "logistic"])
+    def test_one_pass_per_dataset_with_fresh_pass_bits(self, kind):
+        rng = np.random.default_rng(13)
+        base = RidgeLeastSquares if kind == "ridge" else \
+            RegularizedMultinomialLogistic
+
+        class Counted(base):
+            passes = 0
+
+            def forward(self, theta, data):
+                Counted.passes += 1
+                return super().forward(theta, data)
+
+        model = Counted(0.1)
+        X, Xt = rng.standard_normal((12, 3)), rng.standard_normal((6, 3))
+        if kind == "ridge":
+            train = Dataset(X, rng.standard_normal(12))
+            test = Dataset(Xt, rng.standard_normal(6))
+        else:
+            train = Dataset(X, rng.integers(0, 3, 12), "classification",
+                            n_classes=3)
+            test = Dataset(Xt, rng.integers(0, 3, 6), "classification",
+                           n_classes=3)
+        theta0 = ModelParams(rng.standard_normal(model.n_params(train)))
+        field = frozen_field(model, train, test, theta0)
+        assert Counted.passes == 2
+        # the same bits as a fresh pass per operator
+        assert field.gamma.tobytes() == model.forward(
+            theta0.theta, train).sample_grads().tobytes()
+        assert field.sample_hessians.tobytes() == model.forward(
+            theta0.theta, train).sample_hessians().tobytes()
+        assert field.grad_outer.tobytes() == model.forward(
+            theta0.theta, test).mean_fit_grad().tobytes()
+
     def test_constant_when_hessians_identical(self):
         # pure mu I per-sample Hessians: g(w) does not depend on w
         model = RidgeLeastSquares(1.0)
@@ -238,10 +286,10 @@ class TestClosedFormInner:
         theta = closed_form_inner_quadratic(train, w, model.mu)
         # plain gradient-descent oracle run to tight tolerance
         t = np.zeros(train.d)
-        H = model.weighted_hess(t, train, w.values)
+        H = model.forward(t, train).hess(w.values)
         step = 1.0 / np.linalg.eigvalsh(H).max()
         for _ in range(200_000):
-            g = inner_grad(model, train, ModelParams(t), w)
+            g = model.forward(t, train).gamma_T_apply(w.values)
             if np.linalg.norm(g) < 1e-12:
                 break
             t -= step * g
@@ -252,7 +300,8 @@ class TestClosedFormInner:
         model, train, _ = ridge_problem(rng, mu=0.2)
         w = SimplexWeights.from_unnormalized(rng.random(train.n) + 0.1)
         theta = closed_form_inner_quadratic(train, w, model.mu)
-        assert np.linalg.norm(inner_grad(model, train, theta, w)) <= 1e-9
+        assert np.linalg.norm(
+            model.forward(theta.theta, train).gamma_T_apply(w.values)) <= 1e-9
 
 
 class TestValueFunctionFd:

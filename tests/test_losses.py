@@ -7,11 +7,7 @@ from bilevel_reweight import (
     RegularizedMultinomialLogistic,
     RidgeLeastSquares,
     SimplexWeights,
-    gradient_matrix,
-    inner_grad,
-    inner_hess_apply,
     inner_loss,
-    outer_grad,
     outer_loss,
 )
 
@@ -44,7 +40,7 @@ class TestInnerLoss:
         model, data = ridge_instance(rng)
         theta = ModelParams(rng.standard_normal(data.d))
         w = SimplexWeights.one_hot(data.n, 3)
-        expected = model.sample_losses(theta.theta, data)[3]
+        expected = model.forward(theta.theta, data).sample_losses()[3]
         assert inner_loss(model, data, theta, w) == pytest.approx(expected)
 
     def test_uniform_is_empirical_risk(self):
@@ -52,7 +48,8 @@ class TestInnerLoss:
         model, data = ridge_instance(rng)
         theta = ModelParams(rng.standard_normal(data.d))
         g = inner_loss(model, data, theta, SimplexWeights.uniform(data.n))
-        assert g == pytest.approx(model.sample_losses(theta.theta, data).mean())
+        assert g == pytest.approx(
+            model.forward(theta.theta, data).sample_losses().mean())
 
     def test_ridge_at_zero(self):
         rng = np.random.default_rng(2)
@@ -71,7 +68,7 @@ class TestInnerGrad:
         p = model.n_params(data)
         theta = ModelParams(0.3 * rng.standard_normal(p))
         w = SimplexWeights.from_unnormalized(rng.random(data.n) + 0.1)
-        g = inner_grad(model, data, theta, w)
+        g = model.forward(theta.theta, data).gamma_T_apply(w.values)
         fd = fd_grad(lambda t: inner_loss(model, data, ModelParams(t), w),
                      theta.theta)
         assert np.linalg.norm(g - fd) <= 1e-6 * (1 + np.linalg.norm(fd))
@@ -83,7 +80,8 @@ class TestInnerGrad:
         X, y = data.features, data.targets
         A = X.T @ (w.values[:, None] * X) + model.mu * np.eye(data.d)
         theta = ModelParams(np.linalg.solve(A, X.T @ (w.values * y)))
-        assert np.linalg.norm(inner_grad(model, data, theta, w)) <= 1e-10
+        assert np.linalg.norm(
+            model.forward(theta.theta, data).gamma_T_apply(w.values)) <= 1e-10
 
     def test_linearity_in_weights(self):
         rng = np.random.default_rng(5)
@@ -93,9 +91,10 @@ class TestInnerGrad:
         w2 = SimplexWeights.from_unnormalized(rng.random(data.n) + 0.1)
         a = 0.3
         mix = SimplexWeights(a * w1.values + (1 - a) * w2.values)
-        lhs = inner_grad(model, data, theta, mix)
-        rhs = (a * inner_grad(model, data, theta, w1)
-               + (1 - a) * inner_grad(model, data, theta, w2))
+        fp = model.forward(theta.theta, data)
+        lhs = fp.gamma_T_apply(mix.values)
+        rhs = (a * fp.gamma_T_apply(w1.values)
+               + (1 - a) * fp.gamma_T_apply(w2.values))
         assert np.allclose(lhs, rhs)
 
 
@@ -107,19 +106,19 @@ class TestHessian:
         p = model.n_params(data)
         theta = ModelParams(0.2 * rng.standard_normal(p))
         w = SimplexWeights.from_unnormalized(rng.random(data.n) + 0.1)
-        H = model.weighted_hess(theta.theta, data, w.values)
+        fp = model.forward(theta.theta, data)
+        H = fp.hess(w.values)
         for _ in range(5):
             v = rng.standard_normal(p)
-            assert np.allclose(inner_hess_apply(model, data, theta, w, v),
-                               H @ v, atol=1e-10)
+            assert np.allclose(fp.hess_apply(w.values, v), H @ v, atol=1e-10)
 
     def test_zero_vector(self):
         rng = np.random.default_rng(7)
         model, data = ridge_instance(rng)
         theta = ModelParams(rng.standard_normal(data.d))
         w = SimplexWeights.uniform(data.n)
-        assert np.allclose(
-            inner_hess_apply(model, data, theta, w, np.zeros(data.d)), 0.0)
+        assert np.allclose(model.forward(theta.theta, data).hess_apply(
+            w.values, np.zeros(data.d)), 0.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(8)
@@ -128,8 +127,9 @@ class TestHessian:
         theta = ModelParams(0.2 * rng.standard_normal(p))
         w = SimplexWeights.uniform(data.n)
         u, v = rng.standard_normal(p), rng.standard_normal(p)
-        lhs = u @ inner_hess_apply(model, data, theta, w, v)
-        rhs = v @ inner_hess_apply(model, data, theta, w, u)
+        fp = model.forward(theta.theta, data)
+        lhs = u @ fp.hess_apply(w.values, v)
+        rhs = v @ fp.hess_apply(w.values, u)
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
     def test_logistic_strong_convexity(self):
@@ -138,9 +138,10 @@ class TestHessian:
         p = model.n_params(data)
         theta = ModelParams(0.5 * rng.standard_normal(p))
         w = SimplexWeights.from_unnormalized(rng.random(data.n) + 0.1)
+        fp = model.forward(theta.theta, data)
         for _ in range(20):
             v = rng.standard_normal(p)
-            quad = v @ inner_hess_apply(model, data, theta, w, v)
+            quad = v @ fp.hess_apply(w.values, v)
             assert quad >= model.mu * (v @ v) - 1e-12
 
     def test_per_sample_hessian_eigenvalue_floor(self):
@@ -150,7 +151,7 @@ class TestHessian:
             model, data = make(rng, mu=mu)
             p = model.n_params(data)
             theta = ModelParams(0.3 * rng.standard_normal(p))
-            hs = model.sample_hessians(theta.theta, data)
+            hs = model.forward(theta.theta, data).sample_hessians()
             for H in hs:
                 assert np.linalg.eigvalsh(H).min() >= mu - 1e-10
 
@@ -160,8 +161,9 @@ class TestGradientMatrix:
         rng = np.random.default_rng(11)
         model, data = ridge_instance(rng, n=1)
         theta = ModelParams(rng.standard_normal(data.d))
-        row = gradient_matrix(model, data, theta)[0]
-        g = inner_grad(model, data, theta, SimplexWeights.one_hot(1, 0))
+        fp = model.forward(theta.theta, data)
+        row = fp.sample_grads()[0]
+        g = fp.gamma_T_apply(SimplexWeights.one_hot(1, 0).values)
         assert np.allclose(row, g)
 
     def test_transpose_action_equals_inner_grad(self):
@@ -169,15 +171,16 @@ class TestGradientMatrix:
         model, data = logistic_instance(rng)
         p = model.n_params(data)
         theta = ModelParams(0.2 * rng.standard_normal(p))
+        fp = model.forward(theta.theta, data)
         for _ in range(5):
             w = SimplexWeights.from_unnormalized(rng.random(data.n) + 0.01)
-            assert np.allclose(gradient_matrix(model, data, theta).T @ w.values,
-                               inner_grad(model, data, theta, w))
+            assert np.allclose(fp.sample_grads().T @ w.values,
+                               fp.gamma_T_apply(w.values))
 
     def test_ridge_rows_at_zero(self):
         rng = np.random.default_rng(13)
         model, data = ridge_instance(rng, mu=0.0)
-        rows = gradient_matrix(model, data, ModelParams(np.zeros(data.d)))
+        rows = model.forward(np.zeros(data.d), data).sample_grads()
         expected = -data.targets[:, None] * data.features
         assert np.allclose(rows, expected)
 
@@ -188,7 +191,7 @@ class TestOuter:
         model, _ = ridge_instance(rng)
         test = Dataset(rng.standard_normal((1, 4)), rng.standard_normal(1))
         theta = ModelParams(rng.standard_normal(4))
-        expected = model.fit_losses(theta.theta, test)[0]
+        expected = model.forward(theta.theta, test).fit_losses()[0]
         assert outer_loss(model, test, theta) == pytest.approx(expected)
 
     def test_gradient_zero_at_minimizer(self):
@@ -197,7 +200,8 @@ class TestOuter:
         test = Dataset(rng.standard_normal((20, 3)), rng.standard_normal(20))
         X, y = test.features, test.targets
         theta = ModelParams(np.linalg.solve(X.T @ X, X.T @ y))
-        assert np.linalg.norm(outer_grad(model, test, theta)) <= 1e-8
+        assert np.linalg.norm(
+            model.forward(theta.theta, test).mean_fit_grad()) <= 1e-8
 
     def test_gradient_finite_differences(self):
         rng = np.random.default_rng(16)
@@ -207,7 +211,7 @@ class TestOuter:
         theta = ModelParams(0.3 * rng.standard_normal(9))
         fd = fd_grad(lambda t: outer_loss(model, test, ModelParams(t)),
                      theta.theta)
-        g = outer_grad(model, test, theta)
+        g = model.forward(theta.theta, test).mean_fit_grad()
         assert np.linalg.norm(g - fd) <= 1e-6 * (1 + np.linalg.norm(fd))
 
 
@@ -220,8 +224,8 @@ class TestStrongConvexity:
         for _ in range(50):
             t1 = ModelParams(rng.standard_normal(p))
             t2 = ModelParams(rng.standard_normal(p))
-            dg = (inner_grad(model, data, t1, w)
-                  - inner_grad(model, data, t2, w))
+            dg = (model.forward(t1.theta, data).gamma_T_apply(w.values)
+                  - model.forward(t2.theta, data).gamma_T_apply(w.values))
             dt = t1.theta - t2.theta
             assert dg @ dt >= model.mu * (dt @ dt) - 1e-10
 
@@ -274,7 +278,7 @@ class TestLogisticFitLosses:
         # P_y = exp(-800) underflows to 0; the loss is 800 + log(1 + e^-800)
         model = RegularizedMultinomialLogistic()
         data = Dataset(np.ones((1, 1)), [1], "classification", n_classes=2)
-        loss = model.fit_losses(np.array([0.0, -800.0]), data)
+        loss = model.forward(np.array([0.0, -800.0]), data).fit_losses()
         assert loss[0] > 690
         assert loss[0] == pytest.approx(800.0, rel=1e-15)
 

@@ -8,13 +8,9 @@ from hypothesis import strategies as st
 
 from bilevel_reweight import (
     Dataset,
-    ModelParams,
     RegularizedMultinomialLogistic,
     RidgeLeastSquares,
     SimplexWeights,
-    gradient_matrix,
-    inner_grad,
-    outer_grad,
 )
 
 RTOL = 1e-12
@@ -57,43 +53,41 @@ def instances(draw):
 @given(instances())
 def test_gamma_apply_matches_gradient_matrix(inst):
     model, data, theta, _, v = inst
-    gamma = gradient_matrix(model, data, ModelParams(theta))
+    fp = model.forward(theta, data)
+    gamma = fp.sample_grads()
     terms = np.abs(gamma) @ np.abs(v)
-    assert_rel_close(model.gamma_apply(theta, data, v), gamma @ v, terms)
-    assert_rel_close(model.forward(theta, data).gamma_apply(v), gamma @ v,
-                     terms)
+    assert_rel_close(fp.gamma_apply(v), gamma @ v, terms)
 
 
 @settings(max_examples=200, deadline=None)
 @given(instances())
 def test_gamma_T_apply_matches_gradient_matrix(inst):
     model, data, theta, w, _ = inst
-    gamma = gradient_matrix(model, data, ModelParams(theta))
+    fp = model.forward(theta, data)
+    gamma = fp.sample_grads()
     terms = np.abs(gamma).T @ w.values
-    assert_rel_close(model.gamma_T_apply(theta, data, w.values),
-                     gamma.T @ w.values, terms)
-    assert_rel_close(inner_grad(model, data, ModelParams(theta), w),
-                     gamma.T @ w.values, terms)
+    assert_rel_close(fp.gamma_T_apply(w.values), gamma.T @ w.values, terms)
 
 
 @settings(max_examples=200, deadline=None)
 @given(instances())
 def test_weighted_hess_matches_sample_hessians(inst):
     model, data, theta, w, _ = inst
-    hessians = model.sample_hessians(theta, data)
+    fp = model.forward(theta, data)
+    hessians = fp.sample_hessians()
     stack = np.einsum("i,ijk->jk", w.values, hessians)
     terms = np.einsum("i,ijk->jk", w.values, np.abs(hessians))
-    assert_rel_close(model.weighted_hess(theta, data, w.values), stack, terms)
+    assert_rel_close(fp.hess(w.values), stack, terms)
 
 
 @settings(max_examples=200, deadline=None)
 @given(instances())
 def test_outer_grad_is_mean_of_fit_grads(inst):
     model, data, theta, _, _ = inst
-    fit_grads = model.fit_grads(theta, data)
-    assert_rel_close(outer_grad(model, data, ModelParams(theta)),
-                     fit_grads.mean(axis=0), np.abs(fit_grads).mean(axis=0))
-
+    fp = model.forward(theta, data)
+    fit_grads = fp.fit_grads()
+    assert_rel_close(fp.mean_fit_grad(), fit_grads.mean(axis=0),
+                     np.abs(fit_grads).mean(axis=0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,9 +95,9 @@ def test_outer_grad_is_mean_of_fit_grads(inst):
 def test_shared_product_equals_fresh_passes_bit_for_bit(inst):
     model, data, theta, w, v = inst
     gv, hv = model.forward(theta, data).gamma_hess_apply(w.values, v)
-    assert gv.tobytes() == model.gamma_apply(theta, data, v).tobytes()
-    assert hv.tobytes() == model.weighted_hess_apply(theta, data, w.values,
-                                                     v).tobytes()
+    assert gv.tobytes() == model.forward(theta, data).gamma_apply(v).tobytes()
+    assert hv.tobytes() == model.forward(theta, data).hess_apply(
+        w.values, v).tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -115,6 +109,6 @@ def test_v_changed_in_place_gets_a_fresh_product(inst):
     v *= -3.0
     v[0] += 1.0
     gv, hv = fp.gamma_hess_apply(w.values, v)
-    assert gv.tobytes() == model.gamma_apply(theta, data, v).tobytes()
-    assert hv.tobytes() == model.weighted_hess_apply(theta, data, w.values,
-                                                     v).tobytes()
+    assert gv.tobytes() == model.forward(theta, data).gamma_apply(v).tobytes()
+    assert hv.tobytes() == model.forward(theta, data).hess_apply(
+        w.values, v).tobytes()

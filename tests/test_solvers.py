@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilevel_reweight import (
+    ConfigError,
     CorruptionSpec,
     Dataset,
     MixtureSpec,
@@ -25,17 +26,21 @@ from bilevel_reweight import (
     gen_corrupted,
     gen_mixture,
     hypergrad,
-    inner_grad,
     integrate_mirror_flow,
     soba,
     softmax_reparam,
     solve_inner,
-    solve_inner_system,
     warm_started,
 )
 from bilevel_reweight import losses
 from bilevel_reweight.dynamics import FlowConfig
-from bilevel_reweight.hypergrad import _closed_form, hypergrad_at
+from bilevel_reweight.hypergrad import (
+    DEFAULT_CONFIG,
+    HypergradConfig,
+    _closed_form,
+    _solve_hessian,
+    hypergrad_at,
+)
 from bilevel_reweight.solvers import lambda_gradient, softmax_weights
 
 
@@ -83,8 +88,8 @@ class TestSolveInner:
                        "classification", n_classes=3)
         w = SimplexWeights.uniform(20)
         theta = solve_inner(model, data, w, ModelParams(np.zeros(12)), tol=1e-8)
-        from bilevel_reweight import inner_grad
-        assert np.linalg.norm(inner_grad(model, data, theta, w)) <= 1e-8
+        assert np.linalg.norm(
+            model.forward(theta.theta, data).gamma_T_apply(w.values)) <= 1e-8
 
     def test_newton_solve_takes_few_forward_passes(self):
         # the ratio-sweep clean oracle: n=800, C=10, d=20
@@ -101,9 +106,11 @@ class TestSolveInner:
         theta0 = ModelParams(np.zeros(model.n_params(train)))
         theta = solve_inner(model, train, w, theta0, tol=1e-8)
         assert Counted.passes <= 12
-        assert np.linalg.norm(inner_grad(model, train, theta, w)) <= 1e-8
+        assert np.linalg.norm(
+            model.forward(theta.theta, train).gamma_T_apply(w.values)) <= 1e-8
         tight = solve_inner(model, train, w, theta0, tol=1e-12)
-        assert np.linalg.norm(inner_grad(model, train, tight, w)) <= 1e-12
+        assert np.linalg.norm(
+            model.forward(tight.theta, train).gamma_T_apply(w.values)) <= 1e-12
 
     def test_iteration_cap_raises_with_the_final_gradient_norm(self):
         rng = np.random.default_rng(3)
@@ -116,8 +123,8 @@ class TestSolveInner:
             solve_inner(model, data, w, ModelParams(np.zeros(12)), tol=1e-8,
                         max_iter=1)
         final = float(exc.value.args[0].split("gradient norm ")[1].split()[0])
-        start = np.linalg.norm(inner_grad(model, data,
-                                          ModelParams(np.zeros(12)), w))
+        start = np.linalg.norm(
+            model.forward(np.zeros(12), data).gamma_T_apply(w.values))
         # one Newton step lowers the gradient norm but not to tol
         assert 1e-8 < final < start
 
@@ -278,15 +285,15 @@ class TestSoba:
         model, train, test, _, _ = toy
         w0 = SimplexWeights.uniform(train.n)
         theta0 = closed_form_inner_quadratic(train, w0, model.mu)
-        from bilevel_reweight import outer_grad
-        v0 = solve_inner_system(model, train, theta0, w0,
-                                outer_grad(model, test, theta0))
+        train_pass = model.forward(theta0.theta, train)
+        v0 = _solve_hessian(train_pass, w0.values,
+                            model.forward(theta0.theta, test).mean_fit_grad(),
+                            DEFAULT_CONFIG)
         cfg = SolverConfig(eta=1e-3, rho=1e-3, rho_v=0.05, iterations=5,
                            record_every=1)
         trace = soba(model, train, test, theta0, w0, v0, cfg)
         psi_true = hypergrad(model, train, test, theta0, w0)
-        from bilevel_reweight import gradient_matrix
-        psi_hat = -(gradient_matrix(model, train, theta0) @ v0)
+        psi_hat = -(train_pass.sample_grads() @ v0)
         assert np.allclose(psi_hat, psi_true, atol=1e-8)
         assert len(trace.records) == 6
 
@@ -443,6 +450,29 @@ class TestSoftmaxReparam:
 def test_solver_config_rejects_invalid_value_naming_the_field(field, value):
     with pytest.raises(ValueError, match=field):
         SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    (field, value)
+    for field in ("eta", "rho", "inner_tol", "rho_v", "iterations",
+                  "record_every")
+    for value in (None, "1", 2.5)
+    if not (field == "rho_v" and value is None)
+    and (value != 2.5 or field in ("iterations", "record_every"))])
+def test_solver_config_rejects_wrong_type_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SolverConfig(**{field: value})
+
+
+def test_configs_accept_python_and_numpy_numbers():
+    cfg = SolverConfig(eta=1, rho=np.float64(1e-3), iterations=np.int64(3),
+                       record_every=1, rho_v=None)
+    assert cfg.iterations == 3 and cfg.rho_v is None
+    assert SolverConfig(rho_v=np.float32(0.5)).rho_v == 0.5
+    assert FlowConfig(alpha=2, dt=np.float64(1e-2), t_max=1,
+                      oscillation_window=np.int32(5)).t_max == 1
+    assert HypergradConfig(cg_tol=np.float64(1e-8), cg_max_iter=np.int64(7),
+                           direct_threshold=-1).cg_max_iter == 7
 
 
 class TestFlowTrace:
