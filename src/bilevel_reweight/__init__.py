@@ -48,7 +48,6 @@ from .errors import (
 )
 from .hypergrad import (
     FrozenField,
-    HypergradConfig,
     closed_form_inner_quadratic,
     frozen_field,
     hypergrad,

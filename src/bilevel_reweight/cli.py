@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -101,6 +102,16 @@ def _merged(defaults: dict, cfg: dict) -> dict:
     return out
 
 
+def _build(cls, fields):
+    """cls(**fields); ConfigError names any key cls does not know."""
+    known = sorted(f.name for f in dataclasses.fields(cls))
+    unknown = sorted(set(fields) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} key(s) {unknown}; known "
+                          f"keys: {known}")
+    return cls(**fields)
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -130,12 +141,12 @@ def _dataset_from_config(cfg: dict):
         return train, test, val, {}
     kind = cfg.get("type", "mixture")
     if kind == "mixture":
-        spec = MixtureSpec(**cfg.get("spec", {}))
+        spec = _build(MixtureSpec, cfg.get("spec", {}))
         train, test, theta_hat, z = gen_mixture(spec)
         return train, test, None, {"theta_hat": theta_hat, "clusters": z,
                                    "spec": spec}
     if kind == "corruption":
-        spec = CorruptionSpec(**cfg.get("spec", {}))
+        spec = _build(CorruptionSpec, cfg.get("spec", {}))
         train, clean_mask, test, val = gen_corrupted(spec)
         return train, test, val, {"clean_mask": clean_mask, "spec": spec}
     raise ConfigError(f"unknown dataset type {kind!r}")
@@ -196,7 +207,7 @@ def _run_solver(cfg: dict, train, test, extras):
     model = _model_from_config(cfg, train)
     solver_cfg = dict(cfg.get("solver", {}))
     kind = solver_cfg.pop("kind", "exact")
-    scfg = SolverConfig(**solver_cfg)
+    scfg = _build(SolverConfig, solver_cfg)
     n = train.n
     w0 = SimplexWeights.uniform(n)
     theta_ref = extras.get("theta_hat")
@@ -246,7 +257,7 @@ def cmd_flow(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     preset = cfg.get("preset", "fig3")
-    fcfg = FlowConfig(**cfg.get("flow", {}))
+    fcfg = _build(FlowConfig, cfg.get("flow", {}))
     seed = cfg.get("seed", 0)
     if preset == "fig3":
         field = _fig3_field(cfg.get("n", 5), cfg.get("p", 3), seed)
@@ -300,7 +311,7 @@ def _write_table(path, rows):
 
 
 def _exp_toy_mixture(cfg: dict, out: Path, jobs: int) -> list:
-    spec = MixtureSpec(**cfg["spec"])
+    spec = _build(MixtureSpec, cfg["spec"])
     train, test, theta_hat, z = gen_mixture(spec)
     model = RidgeLeastSquares(cfg["mu"])
     n = train.n
@@ -323,8 +334,8 @@ def _exp_toy_mixture(cfg: dict, out: Path, jobs: int) -> list:
     rows.append(static_row("uniform", w_uniform))
     rows.append(static_row("optimal", w_optimal))
 
-    exact_cfg = SolverConfig(**cfg["exact"])
-    warm_cfg = SolverConfig(**cfg["warm"])
+    exact_cfg = _build(SolverConfig, cfg["exact"])
+    warm_cfg = _build(SolverConfig, cfg["warm"])
     t0 = time.monotonic()
     tr_exact = exact_bilevel(model, train, test, w_uniform, exact_cfg,
                              theta_ref=theta_hat)
@@ -350,7 +361,7 @@ def _exp_toy_mixture(cfg: dict, out: Path, jobs: int) -> list:
 
 
 def _exp_ratio_sweep(cfg: dict, out: Path, jobs: int) -> list:
-    spec = CorruptionSpec(**cfg["spec"])
+    spec = _build(CorruptionSpec, cfg["spec"])
     train, clean_mask, test, val = gen_corrupted(spec)
     model = RegularizedMultinomialLogistic(cfg["mu"])
     ratios = cfg["ratios"]
@@ -399,10 +410,10 @@ def _exp_ratio_sweep(cfg: dict, out: Path, jobs: int) -> list:
 
 
 def _exp_softmax_toy(cfg: dict, out: Path, jobs: int) -> list:
-    spec = MixtureSpec(**cfg["spec"])
+    spec = _build(MixtureSpec, cfg["spec"])
     train, test, theta_hat, z = gen_mixture(spec)
     model = RidgeLeastSquares(cfg["mu"])
-    scfg = SolverConfig(**cfg["solver"])
+    scfg = _build(SolverConfig, cfg["solver"])
     trace = softmax_reparam(model, train, test, ModelParams(np.zeros(train.d)),
                             np.zeros(train.n), scfg, theta_ref=theta_hat,
                             record_resolve_err=True)
@@ -417,7 +428,7 @@ def _exp_softmax_toy(cfg: dict, out: Path, jobs: int) -> list:
 
 def _exp_frozen_flow(cfg: dict, out: Path, jobs: int) -> list:
     n, p, seed = cfg["n"], cfg["p"], cfg["seed"]
-    fcfg = FlowConfig(**cfg["flow"])
+    fcfg = _build(FlowConfig, cfg["flow"])
     field = _fig3_field(n, p, seed)
     w0 = SimplexWeights.uniform(n)
     trace = integrate_mirror_flow(field, w0, fcfg)
@@ -437,7 +448,7 @@ def _exp_frozen_flow(cfg: dict, out: Path, jobs: int) -> list:
 
 
 def _exp_regime_check(cfg: dict, out: Path, jobs: int) -> list:
-    spec = MixtureSpec(**cfg["spec"])
+    spec = _build(MixtureSpec, cfg["spec"])
     train, test, theta_hat, z = gen_mixture(spec)
     model = RidgeLeastSquares(cfg["mu"])
     T = cfg["horizon"]

@@ -26,12 +26,7 @@ from .errors import (
     PreconditionError,
     _check_field_types,
 )
-from .hypergrad import (
-    DEFAULT_CONFIG,
-    FrozenField,
-    frozen_field,
-    hypergrad_at,
-)
+from .hypergrad import FrozenField, frozen_field, hypergrad_at
 from .losses import ModelParams
 from .simplex import (
     DEFAULT_SUPPORT_TOL,
@@ -85,25 +80,21 @@ class ConstantField:
 
 class ExactHypergradField:
     """Oracle field psi(theta*(w), w): the true gradient of the value
-    function, backed by a high-precision inner solve per evaluation. For a
-    quadratic model the closed form's weighted Gram serves the
+    function, backed by an inner solve to |grad G| <= 1e-12 per evaluation.
+    For a quadratic model the closed form's weighted Gram serves the
     hypergradient too, so each evaluation builds it once."""
 
-    def __init__(self, model, data, test_data, inner_tol: float = 1e-12,
-                 hcfg=DEFAULT_CONFIG):
+    def __init__(self, model, data, test_data):
         self.model = model
         self.data = data
         self.test_data = test_data
-        self.inner_tol = inner_tol
-        self.hcfg = hcfg
         self._theta0 = ModelParams(np.zeros(model.n_params(data)))
 
     def __call__(self, w: SimplexWeights) -> np.ndarray:
         theta, gram = _inner_solution(self.model, self.data, w, self._theta0,
-                                      self.inner_tol)
+                                      1e-12)
         return hypergrad_at(self.model.forward(theta, self.data),
-                            self.model.forward(theta, self.test_data), w,
-                            self.hcfg, gram)
+                            self.model.forward(theta, self.test_data), w, gram)
 
 
 def _softmax(u: np.ndarray) -> np.ndarray:
@@ -197,9 +188,9 @@ def _path(deriv, y: np.ndarray, grid, h: float, rtol: float, dual=None):
             h = step * (max(0.2, 0.9 * err ** -0.2) if err < math.inf else 0.2)
 
 
-def _record_grid(t_max: float, record_times, n_default: int = 500):
+def _record_grid(t_max: float, record_times):
     if record_times is None:
-        return np.linspace(0.0, t_max, n_default + 1)
+        return np.linspace(0.0, t_max, 501)
     grid = np.asarray(record_times, dtype=float)
     if grid[0] != 0.0:
         grid = np.concatenate([[0.0], grid])
@@ -235,8 +226,7 @@ def constant_field_solution(w0: SimplexWeights, phi, t: float) -> SimplexWeights
 def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
                          w0: SimplexWeights, cfg: FlowConfig,
                          record_times=None,
-                         theta_ref: Optional[ModelParams] = None,
-                         hcfg=DEFAULT_CONFIG) -> FlowTrace:
+                         theta_ref: Optional[ModelParams] = None) -> FlowTrace:
     """Joint flow theta' = -alpha grad G(theta, w), w' = -beta P(w) psi."""
     if cfg.alpha == 0 and cfg.beta == 0:
         raise ValueError("alpha and beta cannot both be zero")
@@ -249,8 +239,7 @@ def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
         w = SimplexWeights(_softmax(s[p:]))
         train = model.forward(th, data)
         dth = -cfg.alpha * train.gamma_T_apply(w.values)
-        du = -cfg.beta * hypergrad_at(train, model.forward(th, test_data), w,
-                                      hcfg)
+        du = -cfg.beta * hypergrad_at(train, model.forward(th, test_data), w)
         return np.concatenate([dth, du])
 
     trace = FlowTrace()
@@ -294,13 +283,13 @@ class StationaryReport:
         }
 
 
-def is_stationary(w: SimplexWeights, field, tol: float = 1e-8,
-                  support_tol: float = DEFAULT_SUPPORT_TOL) -> StationaryReport:
-    """Stationary iff the field is constant over the support of w."""
+def is_stationary(w: SimplexWeights, field,
+                  tol: float = 1e-8) -> StationaryReport:
+    """Stationary iff the field is constant over support(w)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     phi = field(w)
-    supp = support(w, support_tol)
+    supp = support(w)
     on = phi[supp]
     residual = float(on.max() - on.min()) if supp.size else math.inf
     off = np.setdiff1d(np.arange(w.n), supp)
@@ -311,34 +300,26 @@ def is_stationary(w: SimplexWeights, field, tol: float = 1e-8,
         proportionality_residual=residual, offsupport_margin=margins)
 
 
-def jacobian_field(field, w: SimplexWeights, mode: str = "analytic-frozen",
-                   fd_step: float = 1e-6) -> np.ndarray:
-    """Jacobian D phi(w) of the field.
-
-    Analytic mode uses the frozen-field structure phi = -Gamma g(w),
-    dg/dw_j = -H^{-1} H_j g, giving J_ij = <Gamma_i, H^{-1} H_j g>. The
-    finite-difference mode perturbs raw coordinates with central differences.
-    """
-    if mode == "analytic-frozen":
-        if not isinstance(field, FrozenField):
-            raise PreconditionError("analytic mode needs a FrozenField")
+def jacobian_field(field, w: SimplexWeights) -> np.ndarray:
+    """Jacobian D phi(w): analytic for a FrozenField, where phi = -Gamma g(w)
+    and dg/dw_j = -H^{-1} H_j g give J_ij = <Gamma_i, H^{-1} H_j g>; central
+    differences for any other field with eval_raw; refused otherwise."""
+    if isinstance(field, FrozenField):
         H = field.weighted_hessian(w.values)
         g = scipy.linalg.solve(H, field.grad_outer, assume_a="pos")
         Hg = field.sample_hessians @ g  # (n, p)
         X = scipy.linalg.solve(H, Hg.T, assume_a="pos")  # (p, n)
         return field.gamma @ X
-    if mode == "finite-difference":
-        if not hasattr(field, "eval_raw"):
-            raise PreconditionError("finite-difference mode needs eval_raw")
-        n = w.n
-        J = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = fd_step
-            J[:, j] = (field.eval_raw(w.values + e)
-                       - field.eval_raw(w.values - e)) / (2 * fd_step)
-        return J
-    raise ValueError(f"unknown jacobian mode {mode!r}")
+    if not hasattr(field, "eval_raw"):
+        raise PreconditionError("the Jacobian needs a FrozenField or eval_raw")
+    return _fd_jacobian(field, w)
+
+
+def _fd_jacobian(field, w: SimplexWeights) -> np.ndarray:
+    """Central differences of field.eval_raw at w, step 1e-6 per weight."""
+    f = field.eval_raw
+    return np.column_stack([f(w.values + e) - f(w.values - e)
+                            for e in 1e-6 * np.eye(w.n)]) / 2e-6
 
 
 def _tangent_operator_eigs(A: np.ndarray) -> np.ndarray:
@@ -361,19 +342,15 @@ def full_flow_jacobian(w: SimplexWeights, phi: np.ndarray,
             - np.outer(v, phi + J.T @ v))
 
 
-def stability_check(w: SimplexWeights, field, tol: float = 1e-8,
-                    support_tol: float = DEFAULT_SUPPORT_TOL,
-                    jacobian_mode: Optional[str] = None) -> StationaryReport:
+def stability_check(w: SimplexWeights, field,
+                    tol: float = 1e-8) -> StationaryReport:
     """Certify a stationary point: off-support margins must be positive and
     the tangent restriction of P(w~) J~ must have eigenvalues with positive
     real parts."""
-    report = is_stationary(w, field, tol, support_tol)
+    report = is_stationary(w, field, tol)
     if not report.is_stationary:
         raise PreconditionError("stability_check needs a stationary point")
-    if jacobian_mode is None:
-        jacobian_mode = ("analytic-frozen" if isinstance(field, FrozenField)
-                         else "finite-difference")
-    J = jacobian_field(field, w, jacobian_mode)
+    J = jacobian_field(field, w)
     supp = report.support
     w_tilde = SimplexWeights.from_unnormalized(w.values[supp])
     J_tilde = J[np.ix_(supp, supp)]
@@ -399,14 +376,8 @@ def linearized_trajectory(w_star: SimplexWeights, delta: TangentVector,
     d = delta.values
     if np.any(w_star.values + d < -1e-15):
         raise PreconditionError("w_star + delta must lie in the simplex")
-    phi = field(w_star)
-    if isinstance(field, FrozenField):
-        J = jacobian_field(field, w_star, "analytic-frozen")
-    elif hasattr(field, "eval_raw"):
-        J = jacobian_field(field, w_star, "finite-difference")
-    else:
-        J = np.zeros((w_star.n, w_star.n))
-    DPhi = full_flow_jacobian(w_star, phi, J)
+    DPhi = full_flow_jacobian(w_star, field(w_star),
+                              jacobian_field(field, w_star))
     pred = w_star.values + scipy.linalg.expm(-DPhi * t) @ d
     pred = np.clip(pred, 0.0, None)
     return SimplexWeights.from_unnormalized(pred)

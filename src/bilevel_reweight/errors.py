@@ -21,7 +21,7 @@ class SingularDesignError(BilevelError):
 
 
 class StepTooLargeError(BilevelError):
-    """A finite-difference probe left the simplex."""
+    """A central-difference probe left the simplex."""
 
 
 class NoConvergenceError(BilevelError):

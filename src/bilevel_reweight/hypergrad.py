@@ -5,12 +5,15 @@ Psi(theta*(w), w) with Psi_i = -<grad l_i(theta), H(theta,w)^{-1} grad F(theta)>
 The frozen-parameter field phi(w) = -Gamma g(w) keeps theta fixed and only
 lets w act through the weighted Hessian. Finite-difference oracles for h
 live here too.
+
+The system H(w) v = grad F is solved by Cholesky on the formed Hessian when
+p <= 64, and above that by conjugate gradients on the Hessian-vector product
+to relative residual 1e-10 in at most 10 p iterations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -18,12 +21,10 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (
     AssumptionViolationError,
-    ConfigError,
     NoConvergenceError,
     NumericOverflowError,
     SingularDesignError,
     StepTooLargeError,
-    _check_field_types,
 )
 from .losses import (
     Dataset,
@@ -34,25 +35,6 @@ from .losses import (
     outer_loss,
 )
 from .simplex import SimplexWeights, TangentVector, _all_finite
-
-
-@dataclass(frozen=True)
-class HypergradConfig:
-    """Linear-solver selection for the inner Hessian system."""
-
-    cg_tol: float = 1e-10
-    cg_max_iter: int = 0  # 0 means 10 * p
-    direct_threshold: int = 64
-
-    def __post_init__(self):
-        _check_field_types(self)
-        if not (0 < self.cg_tol <= 1e-2):
-            raise ConfigError("cg_tol must lie in (0, 1e-2]")
-        if self.cg_max_iter < 0:
-            raise ConfigError("cg_max_iter must be >= 0 (0 means 10 * p)")
-
-
-DEFAULT_CONFIG = HypergradConfig()
 
 
 # LAPACK's Cholesky factor and solve, called directly: the p x p systems are
@@ -119,32 +101,35 @@ def _solve_cg(apply_H, rhs: np.ndarray, tol: float, max_iter: int) -> np.ndarray
         f"iterations; final relative residual {np.sqrt(rs) / norm_rhs:.3e}")
 
 
+# Cholesky up to p = 64, CG on the HVP above: each is faster on its side.
+_DIRECT_MAX_P = 64
+_CG_TOL = 1e-10
+
+
 def _solve_hessian(train: ForwardPass, w_values: np.ndarray, rhs: np.ndarray,
-                   cfg: HypergradConfig, fit_hess=None) -> np.ndarray:
+                   fit_hess=None) -> np.ndarray:
     p = rhs.size
-    if p <= cfg.direct_threshold:
+    if p <= _DIRECT_MAX_P:
         return _solve_direct(train.hess(w_values, fit_hess), rhs)
-    max_iter = cfg.cg_max_iter or 10 * p
-    return _solve_cg(lambda v: train.hess_apply(w_values, v), rhs, cfg.cg_tol,
-                     max_iter)
+    return _solve_cg(lambda v: train.hess_apply(w_values, v), rhs, _CG_TOL,
+                     10 * p)
 
 
-def hypergrad(model, data, test_data, theta: ModelParams, w: SimplexWeights,
-              cfg: HypergradConfig = DEFAULT_CONFIG) -> np.ndarray:
+def hypergrad(model, data, test_data, theta: ModelParams,
+              w: SimplexWeights) -> np.ndarray:
     """Psi(theta, w): minus the Hessian-metric alignment of each per-sample
     gradient with the outer gradient."""
     return hypergrad_at(model.forward(theta.theta, data),
-                        model.forward(theta.theta, test_data), w, cfg)
+                        model.forward(theta.theta, test_data), w)
 
 
 def hypergrad_at(train: ForwardPass, test: ForwardPass, w: SimplexWeights,
-                 cfg: HypergradConfig = DEFAULT_CONFIG,
                  fit_hess=None) -> np.ndarray:
     """Psi from forward passes at the same theta over the training and test
     sets: -Gamma H(w)^{-1} grad F(theta), with neither Gamma nor a per-sample
     Hessian formed. fit_hess, if given, is train.fit_hess(w.values) as the
     caller already built it (see ForwardPass.hess)."""
-    v = _solve_hessian(train, w.values, test.mean_fit_grad(), cfg, fit_hess)
+    v = _solve_hessian(train, w.values, test.mean_fit_grad(), fit_hess)
     return -train.gamma_apply(v)
 
 
@@ -178,7 +163,7 @@ class FrozenField:
 
     def eval_raw(self, values: np.ndarray) -> np.ndarray:
         """Evaluate on raw coordinates (may lie slightly off the simplex);
-        used by finite-difference Jacobians."""
+        used by the central-difference Jacobian."""
         return -(self.gamma @ _solve_direct(self.weighted_hessian(values),
                                             self.grad_outer))
 
@@ -233,13 +218,12 @@ def _closed_form(data: Dataset, w_values: np.ndarray, mu: float):
     return ModelParams(theta), G
 
 
-def _value_function(model, data, test_data, w: SimplexWeights,
-                    inner_tol: float = 1e-12) -> float:
+def _value_function(model, data, test_data, w: SimplexWeights) -> float:
     """h(w) = F(theta*(w)) with a high-precision inner solve."""
     from .solvers import solve_inner  # local import to avoid a cycle
 
     theta = solve_inner(model, data, w, ModelParams(
-        np.zeros(model.n_params(data))), tol=inner_tol)
+        np.zeros(model.n_params(data))), tol=1e-12)
     return outer_loss(model, test_data, theta)
 
 
@@ -253,7 +237,7 @@ def value_function_fd(model, data, test_data, w: SimplexWeights,
     plus = w.values + eps * d
     minus = w.values - eps * d
     if np.any(plus < 0) or np.any(minus < 0):
-        raise StepTooLargeError("finite-difference probe leaves the simplex")
+        raise StepTooLargeError("central-difference probe leaves the simplex")
     hp = _value_function(model, data, test_data, SimplexWeights.from_unnormalized(plus))
     hm = _value_function(model, data, test_data, SimplexWeights.from_unnormalized(minus))
     return (hp - hm) / (2.0 * eps)

@@ -10,11 +10,13 @@ outer loss uses the bare fit term.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .errors import ConfigError
 from .simplex import SimplexWeights, _all_finite
 
 REGRESSION = "regression"
@@ -195,9 +197,9 @@ class LossModel:
 
 
 def _check_mu(mu) -> float:
-    """mu as a float; a negative, NaN or infinite mu raises ValueError."""
-    if not 0 <= mu < math.inf:
-        raise ValueError("mu must be nonnegative and finite")
+    """mu as a float, or ConfigError if it is not a nonnegative finite real."""
+    if not (isinstance(mu, numbers.Real) and 0 <= mu < math.inf):
+        raise ConfigError("mu must be nonnegative and finite")
     return float(mu)
 
 

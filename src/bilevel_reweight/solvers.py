@@ -32,8 +32,6 @@ from .errors import (
     _check_field_types,
 )
 from .hypergrad import (
-    DEFAULT_CONFIG,
-    HypergradConfig,
     _closed_form,
     _solve_cg,
     closed_form_inner_quadratic,
@@ -98,9 +96,6 @@ class FlowTrace:
     @property
     def final(self) -> TraceRecord:
         return self.records[-1]
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
 
     def to_jsonl(self, path, include_weights: Optional[bool] = None):
         with open(path, "w") as f:
@@ -234,8 +229,7 @@ def _inner_solution(model, data, w: SimplexWeights, theta0: ModelParams,
 
 
 def exact_bilevel(model, data, test_data, w0: SimplexWeights, cfg: SolverConfig,
-                  theta_ref: Optional[ModelParams] = None,
-                  hcfg: HypergradConfig = DEFAULT_CONFIG) -> FlowTrace:
+                  theta_ref: Optional[ModelParams] = None) -> FlowTrace:
     """Exact bilevel: inner solve, hypergradient, mirror step, repeated.
     A failed inner solve at w0 raises; a later one halts the run. For a
     quadratic model the closed-form solve's weighted Gram is kept and
@@ -249,7 +243,7 @@ def exact_bilevel(model, data, test_data, w0: SimplexWeights, cfg: SolverConfig,
         return theta
 
     def step(train, test, w):
-        psi = hypergrad_at(train, test, w, hcfg, gram)
+        psi = hypergrad_at(train, test, w, gram)
         if cfg.eta > 0:
             w = mirror_step(w, psi, cfg.eta)
         return solve(w), w
@@ -258,12 +252,12 @@ def exact_bilevel(model, data, test_data, w0: SimplexWeights, cfg: SolverConfig,
 
 
 def warm_started(model, data, test_data, theta0: ModelParams, w0: SimplexWeights,
-                 cfg: SolverConfig, theta_ref: Optional[ModelParams] = None,
-                 hcfg: HypergradConfig = DEFAULT_CONFIG) -> FlowTrace:
+                 cfg: SolverConfig,
+                 theta_ref: Optional[ModelParams] = None) -> FlowTrace:
     """Warm-started bilevel: Psi at (theta^k, w^k), then the theta gradient
     step, then the mirror step, in that order."""
     def step(train, test, w):
-        psi = hypergrad_at(train, test, w, hcfg)
+        psi = hypergrad_at(train, test, w)
         _finite("hypergradient", psi)
         theta = train.theta - cfg.rho * train.gamma_T_apply(w.values)
         _finite("model parameters", theta)
@@ -325,7 +319,6 @@ def lambda_gradient(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
 def softmax_reparam(model, data, test_data, theta0: ModelParams,
                     lambda0: np.ndarray, cfg: SolverConfig,
                     theta_ref: Optional[ModelParams] = None,
-                    hcfg: HypergradConfig = DEFAULT_CONFIG,
                     record_resolve_err: bool = False) -> FlowTrace:
     """Joint descent on (theta, lambda) with weights w(lambda); the lambda
     update is unconstrained so no mirror step is needed. sigmoid(lambda) is
@@ -335,7 +328,7 @@ def softmax_reparam(model, data, test_data, theta0: ModelParams,
 
     def step(train, test, w):
         nonlocal lam, s
-        psi = hypergrad_at(train, test, w, hcfg)
+        psi = hypergrad_at(train, test, w)
         _finite("hypergradient", psi)
         theta = train.theta - cfg.rho * train.gamma_T_apply(w.values)
         lam = lam - cfg.eta * _sigmoid_chain(s, w.values, psi)

@@ -85,6 +85,16 @@ class TestGenerate:
         assert rc == 2
         assert capsys.readouterr().err.strip() == "sigma must be nonnegative"
 
+    def test_unknown_spec_key_exits_2_naming_it(self, tmp_path, capsys,
+                                                mixture_spec_file):
+        rc = main(["generate", "--spec", str(mixture_spec_file),
+                   "--out", str(tmp_path / "o"), "--set", "spec.sigmaa=1"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("unknown MixtureSpec key(s) ['sigmaa']; known "
+                              "keys: [")
+        assert "'sigma'" in err
+
 
 class TestSolve:
     def solve_config(self, tmp_path, **solver):
@@ -158,6 +168,23 @@ class TestSolve:
         assert capsys.readouterr().err.strip() == (
             "eta must be nonnegative and finite")
 
+    def test_unknown_solver_key_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = self.solve_config(tmp_path)
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                   "--set", "solver.etaa=1"])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == (
+            "unknown SolverConfig key(s) ['etaa']; known keys: ['eta', "
+            "'inner_tol', 'iterations', 'record_every', 'rho', 'rho_v']")
+
+    def test_out_of_range_mu_exits_2(self, tmp_path, capsys):
+        cfg = self.solve_config(tmp_path)
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                   "--set", "mu=-1"])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == (
+            "mu must be nonnegative and finite")
+
     def test_malformed_override_exits(self, tmp_path):
         cfg = self.solve_config(tmp_path)
         with pytest.raises(SystemExit):
@@ -207,6 +234,15 @@ class TestFlow:
         assert capsys.readouterr().err.strip() == (
             "dt must be a real number, got None")
 
+    def test_unknown_flow_key_exits_2_naming_it(self, tmp_path, capsys):
+        rc = main(["flow", "--out", str(tmp_path / "f"),
+                   "--set", "flow.dtt=0.1"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("unknown FlowConfig key(s) ['dtt']; known "
+                              "keys: [")
+        assert "'dt'" in err
+
 
 class TestExperiment:
     def test_unknown_name_exits_nonzero(self, tmp_path):
@@ -219,6 +255,22 @@ class TestExperiment:
         assert rc == 2
         assert capsys.readouterr().err.strip() == (
             "iterations must be an integer, got 2.5")
+
+    def test_unknown_sub_config_key_exits_2_naming_it(self, tmp_path, capsys):
+        rc = main(["experiment", "toy-mixture", "--out", str(tmp_path / "e"),
+                   "--set", "warm.rhoo=1"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("unknown SolverConfig key(s) ['rhoo']; known "
+                              "keys: [")
+        assert "'rho'" in err
+
+    def test_out_of_range_mu_exits_2(self, tmp_path, capsys):
+        rc = main(["experiment", "toy-mixture", "--out", str(tmp_path / "e"),
+                   "--set", "mu=-1"])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == (
+            "mu must be nonnegative and finite")
 
     def test_toy_mixture_small(self, tmp_path):
         out = tmp_path / "exp"

@@ -42,7 +42,7 @@ from bilevel_reweight import (
     sparsity_certificate,
     stability_check,
 )
-from bilevel_reweight import losses
+from bilevel_reweight import dynamics, losses
 
 
 def softmax(u):
@@ -224,8 +224,6 @@ class TestAdaptiveSteps:
     def test_interior_grid_times_add_no_derivative_calls(self):
         # the steps are the controller's alone; grid times inside a step are
         # read off its dense output
-        from bilevel_reweight import dynamics
-
         counts, values = [], []
         for n_times in (2, 1001):
             calls = []
@@ -244,8 +242,6 @@ class TestAdaptiveSteps:
             assert abs(y[0] - np.exp(-t)) <= 1e-9 * np.exp(-t)
 
     def test_never_evaluates_past_the_horizon(self):
-        from bilevel_reweight import dynamics
-
         # y[0] is the time; its derivative is 1
         seen = []
 
@@ -260,8 +256,6 @@ class TestAdaptiveSteps:
         assert max(seen) <= 7.31 + 1e-12
 
     def test_nan_derivative_raises_instead_of_looping(self):
-        from bilevel_reweight import dynamics
-
         path = dynamics._path(lambda y: np.full_like(y, np.nan), np.zeros(3),
                               np.array([0.0, 1.0]), 0.1, rtol=1e-8)
         with pytest.raises(NoConvergenceError, match="at t = 0.0"):
@@ -338,8 +332,6 @@ class TestJointFlow:
                                                           monkeypatch):
         # one hypergrad_at call per derivative, which takes 2 passes, plus
         # 2 records of 2 passes each
-        from bilevel_reweight import dynamics
-
         model, train, test, _ = joint_toy
         calls, derivs = [], []
 
@@ -434,21 +426,41 @@ class TestJacobians:
         field = FrozenField.ridge_like(6, 5, 3, 0.5)
         rng = np.random.default_rng(7)
         w = SimplexWeights.from_unnormalized(rng.random(5) + 0.2)
-        Ja = jacobian_field(field, w, "analytic-frozen")
-        Jf = jacobian_field(field, w, "finite-difference")
+        Ja = jacobian_field(field, w)
+        Jf = dynamics._fd_jacobian(field, w)
         assert np.max(np.abs(Ja - Jf)) <= 1e-6 * (1 + np.abs(Ja).max())
 
     def test_analytic_mode_requires_frozen_field(self):
+        # neither a FrozenField nor a field with eval_raw: refused
         with pytest.raises(PreconditionError):
-            jacobian_field(lambda w: w.values, SimplexWeights.uniform(3),
-                           "analytic-frozen")
+            jacobian_field(lambda w: w.values, SimplexWeights.uniform(3))
+
+    def test_other_fields_get_central_differences(self):
+        # a FrozenField's eval_raw on a plain object is differentiated
+        # numerically, column by column with step 1e-6, as is a ConstantField
+        field = FrozenField.ridge_like(6, 5, 3, 0.5)
+
+        class Wrapped:
+            eval_raw = staticmethod(field.eval_raw)
+
+        w = SimplexWeights.from_unnormalized(np.arange(1.0, 6.0))
+        J = jacobian_field(Wrapped(), w)
+        for j in range(5):
+            e = np.zeros(5)
+            e[j] = 1e-6
+            assert np.array_equal(J[:, j], (field.eval_raw(w.values + e)
+                                            - field.eval_raw(w.values - e))
+                                  / (2 * 1e-6))
+        assert np.array_equal(jacobian_field(ConstantField(np.ones(4)),
+                                             SimplexWeights.uniform(4)),
+                              np.zeros((4, 4)))
 
     def test_full_flow_jacobian_matches_fd(self):
         # D Phi for Phi(v) = (diag(v) - v v^T) phi(v) in raw coordinates
         field = FrozenField.ridge_like(8, 5, 3, 0.5)
         rng = np.random.default_rng(9)
         w = SimplexWeights.from_unnormalized(rng.random(5) + 0.2)
-        J = jacobian_field(field, w, "analytic-frozen")
+        J = jacobian_field(field, w)
         DPhi = full_flow_jacobian(w, field(w), J)
 
         def Phi(v):
@@ -517,6 +529,14 @@ class TestLinearizedTrajectory:
             errs.append(np.max(np.abs(pred.values - true.values)))
         # quadratic in the perturbation size: halving eps quarters the error
         assert errs[1] <= errs[0] / 3.0
+
+    def test_refuses_a_field_without_a_jacobian(self):
+        # phi constant makes every point stationary; without eval_raw the
+        # Jacobian is unknown, not zero
+        w = SimplexWeights(np.array([0.5, 0.3, 0.2]))
+        delta = TangentVector(np.array([0.01, -0.005, -0.005]))
+        with pytest.raises(PreconditionError):
+            linearized_trajectory(w, delta, lambda w: np.full(3, 1.7), 1.0)
 
     def test_rejects_non_stationary_base_point(self):
         field = FrozenField.ridge_like(10, 5, 3, 0.5)
@@ -636,8 +656,6 @@ class TestSparseReference:
 
     def test_records_only_record_times_and_refreshes_on_schedule(
             self, monkeypatch):
-        from bilevel_reweight import dynamics
-
         spec = MixtureSpec(n=10, m=5, sigma=0.1, seed=2)
         train, test, _, _ = gen_mixture(spec)
         refreshed = []
@@ -659,8 +677,6 @@ class TestSparseReference:
     def test_refresh_acts_exactly_from_its_time(self, monkeypatch):
         # Omega_A on [0, 0.1), Omega_B after it: theta follows the closed-form
         # ridge gradient flow theta* + expm(-H t)(theta0 - theta*) piecewise
-        from bilevel_reweight import dynamics
-
         train, test, _, _ = gen_mixture(MixtureSpec(n=20, m=10, sigma=0.1,
                                                     seed=4))
         model = RidgeLeastSquares(1e-3)
@@ -705,8 +721,6 @@ class TestSparseReference:
         # off a record time of linspace(0, 0.3, 7); each is merged into it,
         # so the 30 segments meet end to end and no two times are a
         # rounding error apart
-        from bilevel_reweight import dynamics
-
         grids, refreshed = [], []
         path = dynamics._path
 

@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from bilevel_reweight import (
     AssumptionViolationError,
-    ConfigError,
     Dataset,
     FrozenField,
-    HypergradConfig,
     ModelParams,
     NoConvergenceError,
     RegularizedMultinomialLogistic,
@@ -23,7 +21,7 @@ from bilevel_reweight import (
     solve_inner,
     value_function_fd,
 )
-from bilevel_reweight.hypergrad import DEFAULT_CONFIG, _solve_hessian
+from bilevel_reweight.hypergrad import _solve_cg, _solve_direct, _solve_hessian
 
 
 def ridge_problem(rng, n=15, d=3, m=8, mu=0.2):
@@ -31,23 +29,6 @@ def ridge_problem(rng, n=15, d=3, m=8, mu=0.2):
     train = Dataset(rng.standard_normal((n, d)), rng.standard_normal(n))
     test = Dataset(rng.standard_normal((m, d)), rng.standard_normal(m))
     return model, train, test
-
-
-@pytest.mark.parametrize("field,value", [
-    ("cg_max_iter", -3), ("cg_max_iter", -1), ("cg_tol", np.nan)])
-def test_hypergrad_config_rejects_invalid_value_naming_the_field(field, value):
-    with pytest.raises(ValueError, match=field):
-        HypergradConfig(**{field: value})
-
-
-@pytest.mark.parametrize("field,value", [
-    (field, value)
-    for field in ("cg_tol", "cg_max_iter", "direct_threshold")
-    for value in (None, "1", 2.5)
-    if value != 2.5 or field != "cg_tol"])
-def test_hypergrad_config_rejects_wrong_type_naming_the_field(field, value):
-    with pytest.raises(ConfigError, match=field):
-        HypergradConfig(**{field: value})
 
 
 @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf, -1.0])
@@ -68,7 +49,7 @@ class TestSolveInnerSystem:
         w = SimplexWeights.uniform(train.n)
         theta = ModelParams(rng.standard_normal(train.d))
         v = _solve_hessian(model.forward(theta.theta, train), w.values,
-                           np.zeros(train.d), DEFAULT_CONFIG)
+                           np.zeros(train.d))
         assert np.allclose(v, 0.0)
 
     def test_identity_hessian(self):
@@ -77,8 +58,7 @@ class TestSolveInnerSystem:
         train = Dataset(np.zeros((4, 3)), np.zeros(4))
         w = SimplexWeights.uniform(4)
         rhs = np.array([1.0, -2.0, 0.5])
-        v = _solve_hessian(model.forward(np.zeros(3), train), w.values, rhs,
-                           DEFAULT_CONFIG)
+        v = _solve_hessian(model.forward(np.zeros(3), train), w.values, rhs)
         assert np.allclose(v, rhs)
 
     def test_against_dense_factorization(self):
@@ -91,7 +71,7 @@ class TestSolveInnerSystem:
             fp = model.forward(theta.theta, train)
             H = fp.hess(w.values)
             expected = np.linalg.solve(H, rhs)
-            got = _solve_hessian(fp, w.values, rhs, DEFAULT_CONFIG)
+            got = _solve_hessian(fp, w.values, rhs)
             assert np.allclose(got, expected, atol=1e-10)
 
     def test_cg_path_matches_direct(self):
@@ -101,9 +81,8 @@ class TestSolveInnerSystem:
         theta = ModelParams(rng.standard_normal(6))
         rhs = rng.standard_normal(6)
         fp = model.forward(theta.theta, train)
-        direct = _solve_hessian(fp, w.values, rhs, DEFAULT_CONFIG)
-        cfg = HypergradConfig(direct_threshold=1, cg_tol=1e-12)
-        cg = _solve_hessian(fp, w.values, rhs, cfg)
+        direct = _solve_hessian(fp, w.values, rhs)
+        cg = _solve_cg(lambda v: fp.hess_apply(w.values, v), rhs, 1e-12, 60)
         assert np.allclose(cg, direct, atol=1e-8)
 
     def test_cg_iteration_cap_raises_with_final_residual(self):
@@ -115,14 +94,31 @@ class TestSolveInnerSystem:
         w = SimplexWeights.uniform(d)
         theta = ModelParams(np.zeros(d))
         fp = model.forward(theta.theta, train)
-        cfg = HypergradConfig(direct_threshold=0, cg_max_iter=5)
+        hess_apply = lambda v: fp.hess_apply(w.values, v)
         with pytest.raises(NoConvergenceError,
                            match=r"final relative residual \d\.\d{3}e[+-]\d+"):
-            _solve_hessian(fp, w.values, np.ones(d), cfg)
-        # with the default cap it converges to the exact solution
-        v = _solve_hessian(fp, w.values, np.ones(d),
-                           HypergradConfig(direct_threshold=0))
+            _solve_cg(hess_apply, np.ones(d), 1e-10, 5)
+        # with the cap of 10 p it converges to the exact solution
+        v = _solve_cg(hess_apply, np.ones(d), 1e-10, 10 * d)
         assert np.allclose(v, 1.0 / np.logspace(0, 8, d), rtol=1e-6)
+
+    @pytest.mark.parametrize("C,d", [(4, 16), (5, 13)])
+    def test_cholesky_up_to_p_64_and_cg_above(self, C, d):
+        rng = np.random.default_rng(C)
+        n = 40
+        train = Dataset(rng.standard_normal((n, d)), rng.integers(0, C, n),
+                        "classification", n_classes=C)
+        fp = RegularizedMultinomialLogistic(1e-2).forward(
+            0.1 * rng.standard_normal(C * d), train)
+        w = SimplexWeights.from_unnormalized(rng.random(n) + 0.1)
+        rhs = rng.standard_normal(C * d)
+        got = _solve_hessian(fp, w.values, rhs)
+        if C * d == 64:
+            want = _solve_direct(fp.hess(w.values), rhs)
+        else:
+            want = _solve_cg(lambda v: fp.hess_apply(w.values, v), rhs,
+                             1e-10, 650)
+        assert np.array_equal(got, want)
 
     def test_non_pd_hessian_signals(self):
         model = RidgeLeastSquares(0.0)
@@ -130,7 +126,7 @@ class TestSolveInnerSystem:
         w = SimplexWeights.one_hot(1, 0)
         with pytest.raises(AssumptionViolationError):
             _solve_hessian(model.forward(np.zeros(2), train), w.values,
-                           np.ones(2), DEFAULT_CONFIG)
+                           np.ones(2))
 
 
 class TestHypergrad:

@@ -35,8 +35,6 @@ from bilevel_reweight import (
 from bilevel_reweight import losses
 from bilevel_reweight.dynamics import FlowConfig
 from bilevel_reweight.hypergrad import (
-    DEFAULT_CONFIG,
-    HypergradConfig,
     _closed_form,
     _solve_hessian,
     hypergrad_at,
@@ -287,8 +285,7 @@ class TestSoba:
         theta0 = closed_form_inner_quadratic(train, w0, model.mu)
         train_pass = model.forward(theta0.theta, train)
         v0 = _solve_hessian(train_pass, w0.values,
-                            model.forward(theta0.theta, test).mean_fit_grad(),
-                            DEFAULT_CONFIG)
+                            model.forward(theta0.theta, test).mean_fit_grad())
         cfg = SolverConfig(eta=1e-3, rho=1e-3, rho_v=0.05, iterations=5,
                            record_every=1)
         trace = soba(model, train, test, theta0, w0, v0, cfg)
@@ -471,8 +468,6 @@ def test_configs_accept_python_and_numpy_numbers():
     assert SolverConfig(rho_v=np.float32(0.5)).rho_v == 0.5
     assert FlowConfig(alpha=2, dt=np.float64(1e-2), t_max=1,
                       oscillation_window=np.int32(5)).t_max == 1
-    assert HypergradConfig(cg_tol=np.float64(1e-8), cg_max_iter=np.int64(7),
-                           direct_threshold=-1).cg_max_iter == 7
 
 
 class TestFlowTrace:
