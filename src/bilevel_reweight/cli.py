@@ -1,9 +1,11 @@
 """Command-line surface: generate datasets, run solvers and flows, and drive
 named reproducible experiments.
 
-Subcommands: generate, solve, flow, experiment. Configs are JSON documents;
---set key=value overrides dotted paths. Every run directory receives the
-fully resolved config so re-running reproduces the outputs.
+Subcommands: generate, solve, flow, experiment. Each resolves its JSON
+config (--spec for generate, --config otherwise) in _resolve: --set
+key=value overrides dotted paths, --seed sets the data seed, and the result
+is checked and merged into the defaults in COMMANDS or EXPERIMENTS. Every
+run directory receives that resolved config, so re-running reproduces it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -78,28 +81,39 @@ def _set_dotted(cfg: dict, key: str, value):
     node[parts[-1]] = value
 
 
-def _apply_overrides(cfg: dict, overrides):
-    for item in overrides or []:
-        if "=" not in item:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        _set_dotted(cfg, key, value)
-    return cfg
-
-
-def _merged(defaults: dict, cfg: dict) -> dict:
-    """defaults overridden by cfg; a sub-config that both give as a dict is
-    merged key by key, so cfg need only name what it changes."""
+def _merged(defaults: dict, cfg: dict, prefix: str = "") -> dict:
+    """defaults overridden by cfg; a sub-config that defaults gives as a dict
+    must be a dict in cfg too, and is merged key by key, so cfg need only name
+    what it changes."""
     out = dict(defaults)
     for key, value in cfg.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            value = _merged(out[key], value)
+        if isinstance(out.get(key), dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{prefix}{key} must be a JSON object, got "
+                                  f"{value!r}")
+            value = _merged(out[key], value, f"{prefix}{key}.")
         out[key] = value
     return out
+
+
+def _check_number(key: str, value, default):
+    """ConfigError unless a top-level value whose default is a number, or a
+    list of numbers, is one: an integer where the default is one, finite,
+    and positive, or zero for seed and mu."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        for item in value:
+            _check_number(key, item, default[0])
+    elif isinstance(default, (int, float)):
+        kind, what = ((int, "an integer") if isinstance(default, int)
+                      else ((int, float), "a real number"))
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        zero_ok = key in ("seed", "mu")
+        if not (0 < value < math.inf or zero_ok and value == 0):
+            sign = "nonnegative" if zero_ok else "positive"
+            raise ConfigError(f"{key} must be {sign} and finite")
 
 
 def _build(cls, fields):
@@ -112,23 +126,44 @@ def _build(cls, fields):
     return cls(**fields)
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    with open(path) as f:
-        return json.load(f)
-
-
 def _write_json(path, obj):
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def _outdir(args) -> Path:
+def _resolve(args, defaults: dict, seed_key: str, name=None):
+    """Every subcommand's config and run directory: the config file with
+    --set applied and --seed put at seed_key, merged into defaults, and
+    written to --out as resolved-config.json (which names an experiment).
+    ConfigError on a top-level key that defaults lacks."""
+    cfg = {} if args.config is None else json.loads(
+        Path(args.config).read_text())
+    for item in args.set or []:
+        if "=" not in item:
+            raise SystemExit(f"--set expects key=value, got {item!r}")
+        key, raw = item.split("=", 1)
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        _set_dotted(cfg, key, value)
+    if args.seed is not None:
+        _set_dotted(cfg, seed_key, args.seed)
+    if name is not None and cfg.get("experiment") == name:
+        del cfg["experiment"]  # a resolved-config.json
+    unknown = sorted(set(cfg) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown {args.command} config key(s) {unknown}; "
+                          f"known keys: {sorted(defaults)}")
+    cfg = _merged(copy.deepcopy(defaults), cfg)
+    for key, default in defaults.items():
+        _check_number(key, cfg[key], default)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    _write_json(out / "resolved-config.json",
+                cfg if name is None else {"experiment": name, **cfg})
+    return cfg, out
 
 
 def _dataset_from_config(cfg: dict):
@@ -139,22 +174,23 @@ def _dataset_from_config(cfg: dict):
         val_path = Path(cfg["path"]) / "val.csv"
         val = datagen.load_dataset(val_path) if val_path.exists() else None
         return train, test, val, {}
-    kind = cfg.get("type", "mixture")
+    kind = cfg["type"]
     if kind == "mixture":
-        spec = _build(MixtureSpec, cfg.get("spec", {}))
+        spec = _build(MixtureSpec, cfg["spec"])
         train, test, theta_hat, z = gen_mixture(spec)
         return train, test, None, {"theta_hat": theta_hat, "clusters": z,
                                    "spec": spec}
     if kind == "corruption":
-        spec = _build(CorruptionSpec, cfg.get("spec", {}))
+        spec = _build(CorruptionSpec, cfg["spec"])
         train, clean_mask, test, val = gen_corrupted(spec)
         return train, test, val, {"clean_mask": clean_mask, "spec": spec}
     raise ConfigError(f"unknown dataset type {kind!r}")
 
 
 def _model_from_config(cfg: dict, train):
-    kind = cfg.get("model", "ridge" if train.kind == "regression" else "logistic")
-    mu = cfg.get("mu")
+    kind = cfg["model"] or ("ridge" if train.kind == "regression"
+                            else "logistic")
+    mu = cfg["mu"]
     if kind == "ridge":
         return RidgeLeastSquares(0.0 if mu is None else mu)
     if kind == "logistic":
@@ -162,30 +198,10 @@ def _model_from_config(cfg: dict, train):
     raise ConfigError(f"unknown model {kind!r}")
 
 
-def _summarize(trace, wall: float) -> dict:
-    r = trace.final
-    return {
-        "final_entropy": r.entropy,
-        "support_size": r.support_size,
-        "outer_loss": r.outer_loss,
-        "theta_err": r.theta_err,
-        "wall_time_s": wall,
-        "halted": trace.halted,
-    }
-
-
 # ---------------------------------------------------------------- generate
 
-def cmd_generate(args) -> int:
-    out = _outdir(args)
-    with open(args.spec) as f:
-        spec_cfg = json.load(f)
-    _apply_overrides(spec_cfg, args.set)
-    fields = dict(spec_cfg.get("spec", {}))
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    resolved = {"type": spec_cfg.get("type", "mixture"), "spec": fields}
-    train, test, val, extras = _dataset_from_config(resolved)
+def _generate(cfg: dict, out: Path):
+    train, test, val, extras = _dataset_from_config(cfg)
     seed = extras["spec"].seed
     for name, data in (("train", train), ("test", test), ("val", val)):
         if data is not None:
@@ -196,21 +212,16 @@ def cmd_generate(args) -> int:
         meta = {"theta_hat": extras["theta_hat"].theta.tolist(),
                 "clusters": extras["clusters"].tolist()}
     _write_json(out / "meta.json", meta)
-    _write_json(out / "resolved-config.json", resolved)
     log.info("wrote datasets to %s", out)
-    return 0
 
 
 # ------------------------------------------------------------------- solve
 
-def _run_solver(cfg: dict, train, test, extras):
-    model = _model_from_config(cfg, train)
-    solver_cfg = dict(cfg.get("solver", {}))
-    kind = solver_cfg.pop("kind", "exact")
-    scfg = _build(SolverConfig, solver_cfg)
+def _run_solver(kind: str, model, train, test, scfg, theta_ref):
+    """Run solver kind from the uniform weights and theta = 0. Returns the
+    trace and its summary: solve's summary.json and toy-mixture's rows."""
     n = train.n
     w0 = SimplexWeights.uniform(n)
-    theta_ref = extras.get("theta_hat")
     p = model.n_params(train)
     theta0 = ModelParams(np.zeros(p))
     start = time.monotonic()
@@ -228,20 +239,26 @@ def _run_solver(cfg: dict, train, test, extras):
     else:
         raise ConfigError(f"unknown solver kind {kind!r}")
     wall = time.monotonic() - start
-    return trace, _summarize(trace, wall)
+    r = trace.final
+    return trace, {
+        "final_entropy": r.entropy,
+        "support_size": r.support_size,
+        "outer_loss": r.outer_loss,
+        "theta_err": r.theta_err,
+        "wall_time_s": wall,
+    }
 
 
-def cmd_solve(args) -> int:
-    out = _outdir(args)
-    cfg = _apply_overrides(_load_config(args.config), args.set)
-    if args.seed is not None:
-        _set_dotted(cfg, "dataset.spec.seed", args.seed)
-    train, test, val, extras = _dataset_from_config(cfg.get("dataset", {}))
-    trace, summary = _run_solver(cfg, train, test, extras)
+def _solve(cfg: dict, out: Path):
+    train, test, _, extras = _dataset_from_config(cfg["dataset"])
+    model = _model_from_config(cfg, train)
+    solver_cfg = dict(cfg["solver"])
+    kind = solver_cfg.pop("kind")
+    trace, summary = _run_solver(kind, model, train, test,
+                                 _build(SolverConfig, solver_cfg),
+                                 extras.get("theta_hat"))
     trace.to_jsonl(out / "trace.jsonl")
-    _write_json(out / "summary.json", summary)
-    _write_json(out / "resolved-config.json", cfg)
-    return 0
+    _write_json(out / "summary.json", {**summary, "halted": trace.halted})
 
 
 # -------------------------------------------------------------------- flow
@@ -251,50 +268,63 @@ def _fig3_field(n: int, p: int, seed: int) -> FrozenField:
     return FrozenField.ridge_like(rng, n, p, 0.1)
 
 
-def cmd_flow(args) -> int:
-    out = _outdir(args)
-    cfg = _apply_overrides(_load_config(args.config), args.set)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    preset = cfg.get("preset", "fig3")
-    fcfg = _build(FlowConfig, cfg.get("flow", {}))
-    seed = cfg.get("seed", 0)
-    if preset == "fig3":
-        field = _fig3_field(cfg.get("n", 5), cfg.get("p", 3), seed)
-        gamma = field.gamma
-    elif preset == "constant":
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        phi = np.asarray(cfg.get("phi", rng.standard_normal(cfg.get("n", 5))))
+def _flow(cfg: dict, out: Path):
+    fcfg = _build(FlowConfig, cfg["flow"])
+    seed = cfg["seed"]
+    if cfg["preset"] == "fig3":
+        field = _fig3_field(cfg["n"], cfg["p"], seed)
+    elif cfg["preset"] == "constant":
+        phi = cfg["phi"]
+        if phi is None:
+            rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+            phi = rng.standard_normal(cfg["n"])
         field = ConstantField(phi)
-        gamma = None
     else:
-        raise ConfigError(f"unknown flow preset {preset!r}")
+        raise ConfigError(f"unknown flow preset {cfg['preset']!r}")
     n = field.phi.size if isinstance(field, ConstantField) else field.n
     w0 = SimplexWeights.uniform(n)
     trace = integrate_mirror_flow(field, w0, fcfg)
     trace.to_jsonl(out / "trace.jsonl")
     result = omega_from_trace(trace, w0, fcfg)
-    report = is_stationary(result.w, field,
-                           tol=max(10 * fcfg.stationarity_tol, 1e-6))
+    tol = max(10 * fcfg.stationarity_tol, 1e-6)
+    report = is_stationary(result.w, field, tol=tol)
     if report.is_stationary:
-        report = stability_check(result.w, field,
-                                 tol=max(10 * fcfg.stationarity_tol, 1e-6))
+        report = stability_check(result.w, field, tol=tol)
     rep_dict = report.to_json_dict()
     rep_dict["converged"] = result.converged
     rep_dict["oscillating"] = result.oscillating
-    if gamma is not None:
-        member, _ = sparsity_certificate(result.w, gamma, tol=1e-6,
-                                         support_tol=1e-6)
-        rep_dict["in_I_lp"] = member
     if isinstance(field, ConstantField):
         closed = constant_field_solution(w0, field.phi, fcfg.t_max)
         err = float(np.max(np.abs(trace.final.w.values - closed.values)))
         rep_dict["closed_form_error"] = err
         print(f"closed-form comparison error: {err:.3e}")
+    else:
+        member, _ = sparsity_certificate(result.w, field.gamma, tol=1e-6,
+                                         support_tol=1e-6)
+        rep_dict["in_I_lp"] = member
     _write_json(out / "stationary_report.json", rep_dict)
-    _write_json(out / "resolved-config.json", cfg)
     if result.oscillating:
         log.info("flow did not converge (oscillation detected)")
+
+
+# command -> (run, default config, dotted key of the data seed), as in
+# EXPERIMENTS. A null model or mu follows the data (ridge with mu 0 for
+# regression, logistic with mu 1e-2 otherwise); a null phi is drawn from seed.
+COMMANDS = {
+    "generate": (_generate, {"type": "mixture", "spec": {}}, "spec.seed"),
+    "solve": (_solve, {
+        "dataset": {"type": "mixture", "spec": {}}, "model": None,
+        "mu": None, "solver": {"kind": "exact"}}, "dataset.spec.seed"),
+    "flow": (_flow, {
+        "preset": "fig3", "n": 5, "p": 3, "seed": 0, "phi": None, "flow": {}},
+        "seed"),
+}
+
+
+def cmd_run(args) -> int:
+    """Run generate, solve or flow into --out."""
+    run, defaults, seed_key = COMMANDS[args.command]
+    run(*_resolve(args, defaults, seed_key))
     return 0
 
 
@@ -334,29 +364,12 @@ def _exp_toy_mixture(cfg: dict, out: Path, jobs: int) -> list:
     rows.append(static_row("uniform", w_uniform))
     rows.append(static_row("optimal", w_optimal))
 
-    exact_cfg = _build(SolverConfig, cfg["exact"])
-    warm_cfg = _build(SolverConfig, cfg["warm"])
-    t0 = time.monotonic()
-    tr_exact = exact_bilevel(model, train, test, w_uniform, exact_cfg,
-                             theta_ref=theta_hat)
-    tr_exact.to_jsonl(out / "trace-exact.jsonl")
-    r = tr_exact.final
-    rows.append({"run": "exact", "final_entropy": r.entropy,
-                 "support_size": r.support_size, "outer_loss": r.outer_loss,
-                 "theta_err": r.theta_err,
-                 "wrong_cluster_mass": float(r.w.values[z == 2].sum()),
-                 "wall_time_s": time.monotonic() - t0})
-    t0 = time.monotonic()
-    theta0 = ModelParams(np.zeros(train.d))
-    tr_warm = warm_started(model, train, test, theta0, w_uniform, warm_cfg,
-                           theta_ref=theta_hat)
-    tr_warm.to_jsonl(out / "trace-warm.jsonl")
-    r = tr_warm.final
-    rows.append({"run": "warm", "final_entropy": r.entropy,
-                 "support_size": r.support_size, "outer_loss": r.outer_loss,
-                 "theta_err": r.theta_err,
-                 "wrong_cluster_mass": float(r.w.values[z == 2].sum()),
-                 "wall_time_s": time.monotonic() - t0})
+    scfgs = {kind: _build(SolverConfig, cfg[kind]) for kind in ("exact", "warm")}
+    for kind, scfg in scfgs.items():
+        trace, summary = _run_solver(kind, model, train, test, scfg, theta_hat)
+        trace.to_jsonl(out / f"trace-{kind}.jsonl")
+        wrong = float(trace.final.w.values[z == 2].sum())
+        rows.append({"run": kind, **summary, "wrong_cluster_mass": wrong})
     return rows
 
 
@@ -509,17 +522,7 @@ def cmd_experiment(args) -> int:
               f"{sorted(EXPERIMENTS)}", file=sys.stderr)
         return 2
     run, defaults, seed_key = EXPERIMENTS[args.name]
-    cfg = _apply_overrides(_load_config(args.config), args.set)
-    if args.seed is not None:
-        _set_dotted(cfg, seed_key, args.seed)
-    if cfg.get("experiment") == args.name:  # a resolved-config.json
-        del cfg["experiment"]
-    unknown = sorted(set(cfg) - set(defaults))
-    if unknown:
-        raise ConfigError(f"unknown config key(s) {unknown} for experiment "
-                          f"{args.name!r}; known keys: {sorted(defaults)}")
-    cfg = _merged(copy.deepcopy(defaults), cfg)
-    out = _outdir(args)
+    cfg, out = _resolve(args, defaults, seed_key, args.name)
     start = time.monotonic()
     if args.profile:
         import cProfile  # on demand: importing it adds 0.13 MB to peak RSS
@@ -532,8 +535,6 @@ def cmd_experiment(args) -> int:
     _write_table(out / "table.csv", rows)
     _write_json(out / "summary.json", {"experiment": args.name,
                                        "rows": rows, "wall_time_s": wall})
-    _write_json(out / "resolved-config.json",
-                {"experiment": args.name, **cfg})
     log.info("experiment %s finished in %.1fs", args.name, wall)
     return 0
 
@@ -546,34 +547,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Data reweighting as bilevel optimization")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="JSON config path")
+    def command(name, help, func=cmd_run):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--spec" if name == "generate" else "--config",
+                       dest="config", required=name == "generate",
+                       help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="dotted-path config override")
+        p.set_defaults(func=func)
+        return p
 
-    g = sub.add_parser("generate", help="write synthetic datasets")
-    g.add_argument("--spec", required=True, help="dataset spec JSON")
-    common(g)
-    g.set_defaults(func=cmd_generate)
-
-    s = sub.add_parser("solve", help="run one solver")
-    common(s)
-    s.set_defaults(func=cmd_solve)
-
-    f = sub.add_parser("flow", help="integrate a mirror flow and certify it")
-    common(f)
-    f.set_defaults(func=cmd_flow)
-
-    e = sub.add_parser("experiment", help="run a named experiment preset")
+    command("generate", "write synthetic datasets")
+    command("solve", "run one solver")
+    command("flow", "integrate a mirror flow and certify it")
+    e = command("experiment", "run a named experiment preset", cmd_experiment)
     e.add_argument("name", help="|".join(sorted(EXPERIMENTS)))
     e.add_argument("--profile", action="store_true",
                    help="write cProfile stats to profile.pstats in --out")
     e.add_argument("--jobs", type=int, default=1,
                    help="ratio-sweep: ratios run at a time")
-    common(e)
-    e.set_defaults(func=cmd_experiment)
     return parser
 
 

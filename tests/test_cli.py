@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import pickle
@@ -10,8 +11,15 @@ import numpy as np
 import pytest
 
 import bilevel_reweight
-from bilevel_reweight import load_dataset
+from bilevel_reweight import cli, load_dataset
 from bilevel_reweight.cli import main
+
+# the benchmark's workload definitions; the module imports only the stdlib
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads",
+    Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def read_jsonl(path):
@@ -84,6 +92,16 @@ class TestGenerate:
                    "--out", str(tmp_path / "o"), "--set", "spec.sigma=-1"])
         assert rc == 2
         assert capsys.readouterr().err.strip() == "sigma must be nonnegative"
+
+    def test_takes_its_config_as_spec_only(self, tmp_path, capsys,
+                                           mixture_spec_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--spec", str(mixture_spec_file),
+                  "--config", str(mixture_spec_file),
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_spec_key_exits_2_naming_it(self, tmp_path, capsys,
                                                 mixture_spec_file):
@@ -331,23 +349,6 @@ class TestExperiment:
                                         cfg)
             assert pickle.dumps(got[-1]) == pickle.dumps(want)
 
-    def test_resolved_config_reruns_identically(self, tmp_path):
-        out_a = tmp_path / "a"
-        args = ["experiment", "softmax-toy",
-                "--set", "spec.n=30", "--set", "spec.m=10",
-                "--set", 'solver={"eta":50.0,"rho":0.001,"iterations":40,'
-                         '"record_every":10}']
-        assert main(args + ["--out", str(out_a)]) == 0
-        resolved = json.loads((out_a / "resolved-config.json").read_text())
-        resolved.pop("experiment")
-        cfg_path = tmp_path / "resolved.json"
-        cfg_path.write_text(json.dumps(resolved))
-        out_b = tmp_path / "b"
-        assert main(["experiment", "softmax-toy", "--config", str(cfg_path),
-                     "--out", str(out_b)]) == 0
-        assert ((out_a / "table.csv").read_text()
-                == (out_b / "table.csv").read_text())
-
 
 def _resolved(out):
     return json.loads((out / "resolved-config.json").read_text())
@@ -417,14 +418,6 @@ class TestExperimentConfig:
         assert _resolved(tmp_path / "exp") == {"experiment": "softmax-toy",
                                                **cfg}
 
-    def test_unknown_top_level_key_exits_and_names_it(self, tmp_path, capsys):
-        out = tmp_path / "exp"
-        rc = main(["experiment", "ratio-sweep", "--out", str(out),
-                   "--set", "jobs=4"])
-        assert rc == 2
-        assert "'jobs'" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_resolved_config_names_its_experiment(self, tmp_path):
         cfg_path = tmp_path / "resolved.json"
         cfg_path.write_text(json.dumps({"experiment": "frozen-flow",
@@ -433,6 +426,111 @@ class TestExperimentConfig:
                      "--out", str(tmp_path / "a")]) == 0
         assert main(["experiment", "softmax-toy", "--config", str(cfg_path),
                      "--out", str(tmp_path / "b")]) == 2
+
+
+def _argv(command, config, out, sets):
+    """command's argv with its config file flag (--spec for generate)."""
+    flag = "--spec" if command[0] == "generate" else "--config"
+    argv = [*command, flag, str(config), "--out", str(out)]
+    for item in sets:
+        argv += ["--set", item]
+    return argv
+
+
+@pytest.mark.parametrize("command, item, key", [
+    (["generate"], "typ=corruption", "typ"),
+    (["solve"], "solverr.iterations=3", "solverr"),
+    (["flow"], "flw.t_max=1", "flw"),
+    (["experiment", "ratio-sweep"], "jobs=4", "jobs")],
+    ids=["generate", "solve", "flow", "experiment"])
+def test_unknown_top_level_key_exits_and_names_it(tmp_path, capsys, command,
+                                                  item, key):
+    config = tmp_path / "cfg.json"
+    config.write_text("{}")
+    out = tmp_path / "out"
+    assert main(_argv(command, config, out, [item])) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, sets", [
+    (["experiment", "softmax-toy"],
+     ["spec.n=30", "spec.m=10",
+      'solver={"eta":50.0,"rho":0.001,"iterations":40,"record_every":10}']),
+    (["generate"], ["spec.n=30", "spec.m=10", "spec.seed=2"]),
+    (["solve"], ["dataset.spec.n=30", "dataset.spec.m=10", "mu=1e-4",
+                 "solver.iterations=10", "solver.record_every=5"]),
+    (["flow"], ["flow.dt=0.01", "flow.t_max=5.0"])],
+    ids=["experiment", "generate", "solve", "flow"])
+def test_resolved_config_reruns_identically(tmp_path, command, sets):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(_argv(command, empty, out_a, sets)) == 0
+    resolved = out_a / "resolved-config.json"
+    # the resolved config holds every default, not only what was given
+    defaults = (cli.EXPERIMENTS[command[1]] if command[0] == "experiment"
+                else cli.COMMANDS[command[0]])[1]
+    assert set(json.loads(resolved.read_text())) - {"experiment"} == set(
+        defaults)
+    assert main(_argv(command, resolved, out_b, [])) == 0
+    names = sorted(f.name for f in out_a.iterdir())
+    assert names == sorted(f.name for f in out_b.iterdir())
+    for name in names:
+        if name != "summary.json":  # holds wall-clock times
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+REJECTED = [
+    # a sub-config that is not an object
+    (["solve"], "solver=3", "solver must be a JSON object, got 3"),
+    (["solve"], "dataset=3", "dataset must be a JSON object, got 3"),
+    (["solve"], "dataset.spec=3", "dataset.spec must be a JSON object, got 3"),
+    (["experiment", "toy-mixture"], "exact=3",
+     "exact must be a JSON object, got 3"),
+    # a top-level number
+    (["experiment", "frozen-flow"], "n=abc", "n must be an integer, got 'abc'"),
+    (["experiment", "frozen-flow"], "n=true", "n must be an integer, got True"),
+    (["experiment", "frozen-flow"], "seed=-1",
+     "seed must be nonnegative and finite"),
+    (["experiment", "regime-check"], "horizon=abc",
+     "horizon must be a real number, got 'abc'"),
+    (["experiment", "regime-check"], "betas=[0]",
+     "betas must be positive and finite"),
+    (["experiment", "regime-check"], "betas=0.1",
+     "betas must be a list, got 0.1"),
+    (["experiment", "ratio-sweep"], "ratios=[0]",
+     "ratios must be positive and finite"),
+    (["experiment", "toy-mixture"], "mu=NaN",
+     "mu must be nonnegative and finite"),
+    (["flow"], "n=abc", "n must be an integer, got 'abc'")]
+
+
+@pytest.mark.parametrize("command, item, message", REJECTED,
+                         ids=[f"{c[-1]}-{item}" for c, item, _ in REJECTED])
+def test_rejected_top_level_value_exits_2_naming_it(tmp_path, capsys, command,
+                                                    item, message):
+    out = tmp_path / "out"
+    assert main([*command, "--out", str(out), "--set", item]) == 2
+    assert capsys.readouterr().err.strip() == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", workloads.PRESETS, ids=lambda p: p.name)
+def test_benchmark_configs_resolve_to_themselves(tmp_path, preset):
+    # the check perfbench's check_call makes of every benchmark call, here
+    # without running the preset
+    _, defaults, seed_key = cli.EXPERIMENTS[preset.name]
+    for seed in range(workloads.DATA_SEEDS):
+        cfg = preset.config(seed)
+        out = tmp_path / str(seed)
+        args = cli.build_parser().parse_args(preset.argv(cfg, out))
+        cli._resolve(args, defaults, seed_key, args.name)
+        resolved = json.loads((out / "resolved-config.json").read_text())
+        assert resolved == json.loads(json.dumps({"experiment": preset.name,
+                                                  **cfg}))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "resolved-config.json"]
 
 
 class TestProfile:
