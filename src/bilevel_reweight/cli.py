@@ -74,10 +74,15 @@ def _setup_logging():
 
 
 def _set_dotted(cfg: dict, key: str, value):
+    """cfg[a][b]... = value for key a.b...; ConfigError, as in _merged, if
+    a path prefix holds something other than an object."""
     parts = key.split(".")
     node = cfg
-    for p in parts[:-1]:
+    for i, p in enumerate(parts[:-1], 1):
         node = node.setdefault(p, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"{'.'.join(parts[:i])} must be a JSON object, "
+                              f"got {node!r}")
     node[parts[-1]] = value
 
 
@@ -168,6 +173,10 @@ def _resolve(args, defaults: dict, seed_key: str, name=None):
 
 def _dataset_from_config(cfg: dict):
     """Return (train, test, val_or_none, extras) from a dataset config."""
+    unknown = sorted(set(cfg) - {"type", "spec", "path"})
+    if unknown:
+        raise ConfigError(f"unknown dataset key(s) {unknown}; known keys: "
+                          f"type and spec, or path")
     if "path" in cfg:
         train = datagen.load_dataset(Path(cfg["path"]) / "train.csv")
         test = datagen.load_dataset(Path(cfg["path"]) / "test.csv")
@@ -219,23 +228,21 @@ def _generate(cfg: dict, out: Path):
 
 def _run_solver(kind: str, model, train, test, scfg, theta_ref):
     """Run solver kind from the uniform weights and theta = 0. Returns the
-    trace and its summary: solve's summary.json and toy-mixture's rows."""
+    trace and its summary, solve's summary.json and toy-mixture's rows, whose
+    theta_err is the final theta's distance to theta_ref (None without)."""
     n = train.n
     w0 = SimplexWeights.uniform(n)
     p = model.n_params(train)
     theta0 = ModelParams(np.zeros(p))
     start = time.monotonic()
     if kind == "exact":
-        trace = exact_bilevel(model, train, test, w0, scfg, theta_ref=theta_ref)
+        trace = exact_bilevel(model, train, test, w0, scfg)
     elif kind == "warm":
-        trace = warm_started(model, train, test, theta0, w0, scfg,
-                             theta_ref=theta_ref)
+        trace = warm_started(model, train, test, theta0, w0, scfg)
     elif kind == "soba":
-        trace = soba(model, train, test, theta0, w0, np.zeros(p), scfg,
-                     theta_ref=theta_ref)
+        trace = soba(model, train, test, theta0, w0, np.zeros(p), scfg)
     elif kind == "softmax":
-        trace = softmax_reparam(model, train, test, theta0, np.zeros(n), scfg,
-                                theta_ref=theta_ref)
+        trace = softmax_reparam(model, train, test, theta0, np.zeros(n), scfg)
     else:
         raise ConfigError(f"unknown solver kind {kind!r}")
     wall = time.monotonic() - start
@@ -244,7 +251,8 @@ def _run_solver(kind: str, model, train, test, scfg, theta_ref):
         "final_entropy": r.entropy,
         "support_size": r.support_size,
         "outer_loss": r.outer_loss,
-        "theta_err": r.theta_err,
+        "theta_err": None if theta_ref is None else float(
+            np.linalg.norm(r.theta - theta_ref.theta)),
         "wall_time_s": wall,
     }
 
@@ -254,18 +262,17 @@ def _solve(cfg: dict, out: Path):
     model = _model_from_config(cfg, train)
     solver_cfg = dict(cfg["solver"])
     kind = solver_cfg.pop("kind")
+    theta_hat = extras.get("theta_hat")
     trace, summary = _run_solver(kind, model, train, test,
-                                 _build(SolverConfig, solver_cfg),
-                                 extras.get("theta_hat"))
-    trace.to_jsonl(out / "trace.jsonl")
+                                 _build(SolverConfig, solver_cfg), theta_hat)
+    trace.to_jsonl(out / "trace.jsonl", theta_ref=theta_hat)
     _write_json(out / "summary.json", {**summary, "halted": trace.halted})
 
 
 # -------------------------------------------------------------------- flow
 
 def _fig3_field(n: int, p: int, seed: int) -> FrozenField:
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return FrozenField.ridge_like(rng, n, p, 0.1)
+    return FrozenField.ridge_like(datagen._rng(seed), n, p, 0.1)
 
 
 def _flow(cfg: dict, out: Path):
@@ -276,8 +283,7 @@ def _flow(cfg: dict, out: Path):
     elif cfg["preset"] == "constant":
         phi = cfg["phi"]
         if phi is None:
-            rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-            phi = rng.standard_normal(cfg["n"])
+            phi = datagen._rng(seed).standard_normal(cfg["n"])
         field = ConstantField(phi)
     else:
         raise ConfigError(f"unknown flow preset {cfg['preset']!r}")
@@ -367,7 +373,7 @@ def _exp_toy_mixture(cfg: dict, out: Path, jobs: int) -> list:
     scfgs = {kind: _build(SolverConfig, cfg[kind]) for kind in ("exact", "warm")}
     for kind, scfg in scfgs.items():
         trace, summary = _run_solver(kind, model, train, test, scfg, theta_hat)
-        trace.to_jsonl(out / f"trace-{kind}.jsonl")
+        trace.to_jsonl(out / f"trace-{kind}.jsonl", theta_ref=theta_hat)
         wrong = float(trace.final.w.values[z == 2].sum())
         rows.append({"run": kind, **summary, "wrong_cluster_mass": wrong})
     return rows
@@ -428,14 +434,18 @@ def _exp_softmax_toy(cfg: dict, out: Path, jobs: int) -> list:
     model = RidgeLeastSquares(cfg["mu"])
     scfg = _build(SolverConfig, cfg["solver"])
     trace = softmax_reparam(model, train, test, ModelParams(np.zeros(train.d)),
-                            np.zeros(train.n), scfg, theta_ref=theta_hat,
-                            record_resolve_err=True)
-    trace.to_jsonl(out / "trace.jsonl")
+                            np.zeros(train.n), scfg)
+    err = lambda theta: float(np.linalg.norm(theta - theta_hat.theta))
     rows = []
     for r in trace.records:
+        # a cold-start re-solve at the record's weights
+        r.extra = {"resolve_err": err(solve_inner(
+            model, train, r.w, ModelParams(np.zeros_like(r.theta)),
+            tol=1e-8).theta)}
         rows.append({"k": r.k, "entropy": r.entropy,
-                     "outer_loss": r.outer_loss, "theta_err": r.theta_err,
-                     "resolve_err": (r.extra or {}).get("resolve_err")})
+                     "outer_loss": r.outer_loss, "theta_err": err(r.theta),
+                     **r.extra})
+    trace.to_jsonl(out / "trace.jsonl", theta_ref=theta_hat)
     return rows
 
 

@@ -28,6 +28,9 @@ from .simplex import SimplexWeights
 
 
 def _rng(seed: int) -> np.random.Generator:
+    """The Philox generator keyed by seed, which must lie in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 

@@ -112,11 +112,9 @@ def _dual_record(t, u) -> TraceRecord:
 
 
 def _theta_record(model, data, test_data, theta: np.ndarray,
-                  w: SimplexWeights, t, theta_ref=None,
-                  extra=None) -> TraceRecord:
+                  w: SimplexWeights, t, extra=None) -> TraceRecord:
     return _make_record(model.forward(theta, data),
-                        model.forward(theta, test_data), w, t, theta_ref,
-                        extra)
+                        model.forward(theta, test_data), w, t, extra)
 
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5):
@@ -225,8 +223,7 @@ def constant_field_solution(w0: SimplexWeights, phi, t: float) -> SimplexWeights
 
 def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
                          w0: SimplexWeights, cfg: FlowConfig,
-                         record_times=None,
-                         theta_ref: Optional[ModelParams] = None) -> FlowTrace:
+                         record_times=None) -> FlowTrace:
     """Joint flow theta' = -alpha grad G(theta, w), w' = -beta P(w) psi."""
     if cfg.alpha == 0 and cfg.beta == 0:
         raise ValueError("alpha and beta cannot both be zero")
@@ -247,8 +244,7 @@ def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
     grid = _record_grid(cfg.t_max, record_times)
     for t, y in _path(deriv, state, grid, cfg.dt, cfg.rtol, slice(p, None)):
         w = SimplexWeights(_softmax(y[p:]))
-        trace.append(_theta_record(model, data, test_data, y[:p], w, t,
-                                   theta_ref))
+        trace.append(_theta_record(model, data, test_data, y[:p], w, t))
     return trace
 
 
@@ -475,8 +471,7 @@ def _omega_stop(w0, checkpoints, size: int, cfg: FlowConfig) -> OmegaResult:
 def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
                                w0: SimplexWeights, cfg: FlowConfig,
                                record_times=None, refresh_dt: float = 0.1,
-                               omega_cfg: Optional[FlowConfig] = None,
-                               theta_ref: Optional[ModelParams] = None) -> FlowTrace:
+                               omega_cfg: Optional[FlowConfig] = None) -> FlowTrace:
     """Reference trajectory theta' = -grad G(theta, Omega(theta, w0)) with
     the sparse limit Omega refreshed every refresh_dt of slow time and held
     piecewise-constant in between, one _path per segment. A record's extra
@@ -510,6 +505,6 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
             # a segment's first time is the last of the one before
             if record[i] and (i == 0 or i > start):
                 trace.append(_theta_record(model, data, test_data, theta,
-                                           omega.w, t, theta_ref, extra))
+                                           omega.w, t, extra))
         start = end
     return trace

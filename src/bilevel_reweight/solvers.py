@@ -77,7 +77,6 @@ class TraceRecord:
     outer_loss: float
     entropy: float
     support_size: int
-    theta_err: Optional[float] = None
     extra: Optional[dict] = None
 
 
@@ -97,7 +96,11 @@ class FlowTrace:
     def final(self) -> TraceRecord:
         return self.records[-1]
 
-    def to_jsonl(self, path, include_weights: Optional[bool] = None):
+    def to_jsonl(self, path, include_weights: Optional[bool] = None,
+                 theta_ref: Optional[ModelParams] = None):
+        """One JSON row per record. theta_err is |theta - theta_ref|, or
+        null without a reference; the weights are kept when include_weights
+        says so, by default when n <= 1000."""
         with open(path, "w") as f:
             for r in self.records:
                 row = {
@@ -106,7 +109,8 @@ class FlowTrace:
                     "outer_loss": r.outer_loss,
                     "entropy": r.entropy,
                     "support_size": r.support_size,
-                    "theta_err": r.theta_err,
+                    "theta_err": None if theta_ref is None else float(
+                        np.linalg.norm(r.theta - theta_ref.theta)),
                 }
                 keep_w = include_weights if include_weights is not None \
                     else r.w.n <= 1000
@@ -118,21 +122,16 @@ class FlowTrace:
 
 
 def _make_record(train: ForwardPass, test: ForwardPass, w: SimplexWeights, k,
-                 theta_ref=None, extra=None):
+                 extra=None):
     """Trace record at the theta of the forward passes train and test."""
-    theta = train.theta
-    err = None
-    if theta_ref is not None:
-        err = float(np.linalg.norm(theta - theta_ref.theta))
     return TraceRecord(
         k=k,
-        theta=theta.copy(),
+        theta=train.theta.copy(),
         w=w,
         inner_loss=float(w.values @ train.sample_losses()),
         outer_loss=float(test.fit_losses().mean()),
         entropy=entropy(w),
         support_size=int(support(w).size),
-        theta_err=err,
         extra=extra,
     )
 
@@ -149,8 +148,7 @@ _HALTS = (NumericOverflowError, AssumptionViolationError, SingularDesignError,
 
 
 def _run(model, data, test_data, theta: np.ndarray, w: SimplexWeights,
-         cfg: SolverConfig, step, theta_ref: Optional[ModelParams] = None,
-         extra=None) -> FlowTrace:
+         cfg: SolverConfig, step) -> FlowTrace:
     """The loop every solver shares. Each iterate makes one forward pass
     over the training set and one over the test set; they serve the trace
     record (every record_every iterations and at the last) and the step
@@ -164,8 +162,7 @@ def _run(model, data, test_data, theta: np.ndarray, w: SimplexWeights,
             train = model.forward(theta, data)
             test = model.forward(theta, test_data)
             if k % cfg.record_every == 0 or k == cfg.iterations:
-                trace.append(_make_record(train, test, w, k, theta_ref,
-                                          extra(theta, w) if extra else None))
+                trace.append(_make_record(train, test, w, k))
             if k == cfg.iterations:
                 break
             try:
@@ -228,8 +225,8 @@ def _inner_solution(model, data, w: SimplexWeights, theta0: ModelParams,
     return solve_inner(model, data, w, theta0, tol=tol).theta, None
 
 
-def exact_bilevel(model, data, test_data, w0: SimplexWeights, cfg: SolverConfig,
-                  theta_ref: Optional[ModelParams] = None) -> FlowTrace:
+def exact_bilevel(model, data, test_data, w0: SimplexWeights,
+                  cfg: SolverConfig) -> FlowTrace:
     """Exact bilevel: inner solve, hypergradient, mirror step, repeated.
     A failed inner solve at w0 raises; a later one halts the run. For a
     quadratic model the closed-form solve's weighted Gram is kept and
@@ -248,12 +245,11 @@ def exact_bilevel(model, data, test_data, w0: SimplexWeights, cfg: SolverConfig,
             w = mirror_step(w, psi, cfg.eta)
         return solve(w), w
 
-    return _run(model, data, test_data, solve(w0), w0, cfg, step, theta_ref)
+    return _run(model, data, test_data, solve(w0), w0, cfg, step)
 
 
 def warm_started(model, data, test_data, theta0: ModelParams, w0: SimplexWeights,
-                 cfg: SolverConfig,
-                 theta_ref: Optional[ModelParams] = None) -> FlowTrace:
+                 cfg: SolverConfig) -> FlowTrace:
     """Warm-started bilevel: Psi at (theta^k, w^k), then the theta gradient
     step, then the mirror step, in that order."""
     def step(train, test, w):
@@ -265,13 +261,11 @@ def warm_started(model, data, test_data, theta0: ModelParams, w0: SimplexWeights
             w = mirror_step(w, psi, cfg.eta)
         return theta, w
 
-    return _run(model, data, test_data, theta0.theta.copy(), w0, cfg, step,
-                theta_ref)
+    return _run(model, data, test_data, theta0.theta.copy(), w0, cfg, step)
 
 
 def soba(model, data, test_data, theta0: ModelParams, w0: SimplexWeights,
-         v0: np.ndarray, cfg: SolverConfig,
-         theta_ref: Optional[ModelParams] = None) -> FlowTrace:
+         v0: np.ndarray, cfg: SolverConfig) -> FlowTrace:
     """Deterministic full-batch SOBA: an auxiliary v tracks H^{-1} grad F via
     Hessian-vector products; neither the Hessian nor Gamma is formed, and
     one forward pass per data set serves the whole step, whose Gamma v and
@@ -291,8 +285,7 @@ def soba(model, data, test_data, theta0: ModelParams, w0: SimplexWeights,
             w = mirror_step(w, psi_hat, cfg.eta)
         return theta, w
 
-    return _run(model, data, test_data, theta0.theta.copy(), w0, cfg, step,
-                theta_ref)
+    return _run(model, data, test_data, theta0.theta.copy(), w0, cfg, step)
 
 
 def _sigmoid(lam) -> np.ndarray:
@@ -317,9 +310,7 @@ def lambda_gradient(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def softmax_reparam(model, data, test_data, theta0: ModelParams,
-                    lambda0: np.ndarray, cfg: SolverConfig,
-                    theta_ref: Optional[ModelParams] = None,
-                    record_resolve_err: bool = False) -> FlowTrace:
+                    lambda0: np.ndarray, cfg: SolverConfig) -> FlowTrace:
     """Joint descent on (theta, lambda) with weights w(lambda); the lambda
     update is unconstrained so no mirror step is needed. sigmoid(lambda) is
     kept from the step that made w, so each step evaluates it once."""
@@ -336,13 +327,5 @@ def softmax_reparam(model, data, test_data, theta0: ModelParams,
         s = _sigmoid(lam)
         return theta, SimplexWeights.from_unnormalized(s)
 
-    def resolve_err(theta, w):
-        # cold-start re-solve with the current weights
-        resolved = solve_inner(model, data, w, ModelParams(np.zeros_like(theta)),
-                               tol=1e-8)
-        return {"resolve_err": float(
-            np.linalg.norm(resolved.theta - theta_ref.theta))}
-
-    extra = resolve_err if record_resolve_err and theta_ref is not None else None
     return _run(model, data, test_data, theta0.theta.copy(),
-                SimplexWeights.from_unnormalized(s), cfg, step, theta_ref, extra)
+                SimplexWeights.from_unnormalized(s), cfg, step)

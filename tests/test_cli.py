@@ -203,6 +203,39 @@ class TestSolve:
         assert capsys.readouterr().err.strip() == (
             "mu must be nonnegative and finite")
 
+    @pytest.mark.parametrize("sets, message", [
+        (["--set", "solver=3", "--set", "solver.eta=1"],
+         "solver must be a JSON object, got 3"),
+        (["--set", "dataset=3", "--seed", "1"],
+         "dataset must be a JSON object, got 3")],
+        ids=["set", "seed"])
+    def test_override_through_a_non_object_exits_2(self, tmp_path, capsys,
+                                                   sets, message):
+        out = tmp_path / "x"
+        assert main(["solve", "--out", str(out), *sets]) == 2
+        assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
+
+    def test_unknown_dataset_key_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = self.solve_config(tmp_path)
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                   "--set", "dataset.typ=corruption"])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == (
+            "unknown dataset key(s) ['typ']; known keys: type and spec, or "
+            "path")
+
+    def test_trace_and_summary_measure_theta_against_theta_hat(self,
+                                                               tmp_path):
+        cfg = self.solve_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        theta_hat = np.array([1.0, -1.0])  # MixtureSpec's theta1_hat
+        summary = json.loads((out / "summary.json").read_text())
+        final = read_jsonl(out / "trace.jsonl")[-1]
+        assert summary["theta_err"] == final["theta_err"]
+        assert 0 < final["theta_err"] < np.linalg.norm(theta_hat)
+
     def test_malformed_override_exits(self, tmp_path):
         cfg = self.solve_config(tmp_path)
         with pytest.raises(SystemExit):
@@ -310,6 +343,21 @@ class TestExperiment:
         assert summary["experiment"] == "toy-mixture"
         assert (out / "trace-exact.jsonl").exists()
         assert (out / "trace-warm.jsonl").exists()
+
+    def test_softmax_toy_traces_the_table_resolve_err(self, tmp_path):
+        out = tmp_path / "exp"
+        assert main([
+            "experiment", "softmax-toy", "--out", str(out),
+            "--set", "spec.n=30", "--set", "spec.m=10",
+            "--set", 'solver={"eta":50.0,"rho":0.001,"iterations":40,'
+                     '"record_every":10}']) == 0
+        with open(out / "table.csv", newline="") as f:
+            table = list(csv.DictReader(f))
+        trace = read_jsonl(out / "trace.jsonl")
+        assert len(table) == len(trace) == 5
+        for row, rec in zip(table, trace):
+            assert float(row["resolve_err"]) == rec["extra"]["resolve_err"]
+            assert float(row["theta_err"]) == rec["theta_err"]
 
     def test_frozen_flow_small(self, tmp_path):
         out = tmp_path / "exp"
@@ -514,6 +562,22 @@ def test_rejected_top_level_value_exits_2_naming_it(tmp_path, capsys, command,
     assert main([*command, "--out", str(out), "--set", item]) == 2
     assert capsys.readouterr().err.strip() == message
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, item", [
+    (["generate"], "spec.seed=-1"),
+    (["solve"], "dataset.spec.seed=18446744073709551616"),
+    (["flow"], "seed=18446744073709551616"),
+    (["experiment", "frozen-flow"], "seed=18446744073709551616")],
+    ids=["generate", "solve", "flow", "experiment"])
+def test_seed_outside_the_philox_key_range_exits_2(tmp_path, capsys, command,
+                                                   item):
+    config = tmp_path / "cfg.json"
+    config.write_text("{}")
+    seed = item.split("=")[1]
+    assert main(_argv(command, config, tmp_path / "out", [item])) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"seed must lie in [0, 2**64), got {seed}")
 
 
 @pytest.mark.parametrize("preset", workloads.PRESETS, ids=lambda p: p.name)

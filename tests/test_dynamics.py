@@ -638,15 +638,14 @@ class TestOmegaLimit:
 class TestSparseReference:
     def test_tracks_sparse_support_and_descends(self):
         spec = MixtureSpec(n=20, m=10, sigma=0.1, seed=21)
-        train, test, theta_hat, _ = gen_mixture(spec)
+        train, test, _, _ = gen_mixture(spec)
         model = RidgeLeastSquares(1e-3)
         cfg = FlowConfig(dt=1e-3, t_max=1.0)
         omega_cfg = FlowConfig(dt=1e-2, t_max=100.0, stationarity_tol=1e-9)
         trace = integrate_sparse_reference(
             model, train, test, ModelParams(np.zeros(2)),
             SimplexWeights.uniform(train.n), cfg,
-            record_times=[0.25, 0.5, 1.0], omega_cfg=omega_cfg,
-            theta_ref=theta_hat)
+            record_times=[0.25, 0.5, 1.0], omega_cfg=omega_cfg)
         ks = [r.k for r in trace.records]
         assert ks == sorted(ks)
         # the held weights are sharply sparsified relative to uniform

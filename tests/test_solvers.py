@@ -132,13 +132,13 @@ class TestExactBilevel:
         model, train, test, theta_hat, z = toy
         cfg = SolverConfig(eta=0.2, iterations=1000, record_every=200)
         trace = exact_bilevel(model, train, test, SimplexWeights.uniform(train.n),
-                              cfg, theta_ref=theta_hat)
+                              cfg)
         w = trace.final.w
         assert w.values[z == 2].sum() <= 0.05
         # mass spread broadly over the correct cluster, not collapsed
         n1 = int((z == 1).sum())
         assert trace.final.entropy >= 0.8 * np.log(n1)
-        assert trace.final.theta_err <= 0.05
+        assert np.linalg.norm(trace.final.theta - theta_hat.theta) <= 0.05
 
     def test_eta_zero_keeps_weights(self, toy):
         model, train, test, _, _ = toy
@@ -208,12 +208,12 @@ class TestWarmStarted:
         warm_cfg = SolverConfig(eta=0.1, rho=1e-4, iterations=600,
                                 record_every=100)
         warm = warm_started(model, train, test, ModelParams(np.zeros(train.d)),
-                            w0, warm_cfg, theta_ref=theta_hat)
+                            w0, warm_cfg)
         exact_cfg = SolverConfig(eta=0.2, iterations=500, record_every=100)
-        exact = exact_bilevel(model, train, test, w0, exact_cfg,
-                              theta_ref=theta_hat)
+        exact = exact_bilevel(model, train, test, w0, exact_cfg)
         assert warm.final.support_size < train.n // 4
-        assert warm.final.theta_err > exact.final.theta_err
+        assert (np.linalg.norm(warm.final.theta - theta_hat.theta)
+                > np.linalg.norm(exact.final.theta - theta_hat.theta))
 
     def test_divergent_rho_halts_with_partial_trace(self):
         rng = np.random.default_rng(4)
@@ -231,12 +231,11 @@ class TestWarmStarted:
     def test_full_collapse_runs_on_at_the_vertex(self, toy):
         # once the weights sit on one vertex, further mirror steps keep them
         # there instead of underflowing
-        _, train, test, theta_hat, _ = toy
+        _, train, test, _, _ = toy
         model = RidgeLeastSquares(1e-4)
         cfg = SolverConfig(eta=0.1, rho=1e-4, iterations=5000, record_every=100)
         trace = warm_started(model, train, test, ModelParams(np.zeros(2)),
-                             SimplexWeights.uniform(train.n), cfg,
-                             theta_ref=theta_hat)
+                             SimplexWeights.uniform(train.n), cfg)
         assert trace.halted is None
         assert len(trace.records) == 51
         assert trace.final.support_size == 1
@@ -431,12 +430,12 @@ class TestSoftmaxReparam:
             assert abs(grad[j] - fd) <= 1e-5 * (1 + abs(fd))
 
     def test_entropy_decreases_on_toy_mixture(self, toy):
-        model, train, test, theta_hat, _ = toy
+        model, train, test, _, _ = toy
         cfg = SolverConfig(eta=100.0, rho=1e-3, iterations=3000,
                            record_every=500)
         trace = softmax_reparam(model, train, test,
                                 ModelParams(np.zeros(train.d)),
-                                np.zeros(train.n), cfg, theta_ref=theta_hat)
+                                np.zeros(train.n), cfg)
         assert trace.records[0].entropy == pytest.approx(np.log(train.n))
         assert trace.final.entropy < trace.records[0].entropy
 
@@ -486,25 +485,29 @@ class TestFlowTrace:
         model, train, test, theta_hat, _ = toy
         cfg = SolverConfig(eta=0.05, rho=1e-3, iterations=10, record_every=5)
         trace = warm_started(model, train, test, ModelParams(np.zeros(2)),
-                             SimplexWeights.uniform(train.n), cfg,
-                             theta_ref=theta_hat)
+                             SimplexWeights.uniform(train.n), cfg)
         path = tmp_path / "trace.jsonl"
-        trace.to_jsonl(path)
+        trace.to_jsonl(path, theta_ref=theta_hat)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(rows) == len(trace.records)
-        for row in rows:
-            assert set(row) == {"k", "inner_loss", "outer_loss", "entropy",
-                                "support_size", "theta_err", "w"}
+        for row, r in zip(rows, trace.records):
+            assert list(row) == ["k", "inner_loss", "outer_loss", "entropy",
+                                 "support_size", "theta_err", "w"]
             assert len(row["w"]) == train.n
+            assert row["theta_err"] == np.linalg.norm(r.theta - theta_hat.theta)
+        trace.to_jsonl(path)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [row["theta_err"] for row in rows] == [None] * len(rows)
 
     def test_jsonl_writes_extra(self, toy, tmp_path):
-        model, train, test, theta_hat, _ = toy
+        model, train, test, _, _ = toy
         cfg = SolverConfig(eta=0.05, rho=1e-3, iterations=4, record_every=2)
         trace = softmax_reparam(model, train, test, ModelParams(np.zeros(2)),
-                                np.zeros(train.n), cfg, theta_ref=theta_hat,
-                                record_resolve_err=True)
+                                np.zeros(train.n), cfg)
+        for r in trace.records:
+            r.extra = {"k": r.k, "label": f"record {r.k}"}
         path = tmp_path / "trace.jsonl"
         trace.to_jsonl(path, include_weights=False)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert [row["extra"] for row in rows] == [r.extra for r in trace.records]
-        assert all(row["extra"]["resolve_err"] >= 0 for row in rows)
+        assert all("w" not in row for row in rows)
