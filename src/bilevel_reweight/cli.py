@@ -103,11 +103,13 @@ def _merged(defaults: dict, cfg: dict, prefix: str = "") -> dict:
 
 def _check_number(key: str, value, default):
     """ConfigError unless a top-level value whose default is a number, or a
-    list of numbers, is one: an integer where the default is one, finite,
-    and positive, or zero for seed and mu."""
+    list of numbers, is one (a list must not be empty): an integer where the
+    default is one, finite, and positive, or zero for seed and mu."""
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError(f"{key} must be a list, got {value!r}")
+        if not value:
+            raise ConfigError(f"{key} must be a non-empty list")
         for item in value:
             _check_number(key, item, default[0])
     elif isinstance(default, (int, float)):
@@ -271,44 +273,50 @@ def _solve(cfg: dict, out: Path):
 
 # -------------------------------------------------------------------- flow
 
-def _fig3_field(n: int, p: int, seed: int) -> FrozenField:
-    return FrozenField.ridge_like(datagen._rng(seed), n, p, 0.1)
+def _fig3_flow(cfg: dict, fcfg: FlowConfig, out: Path):
+    """flow's fig3 preset and experiment frozen-flow: the mirror flow of the
+    ridge-like FrozenField drawn from cfg's n, p and seed, integrated from
+    the uniform weights and written to out/trace.jsonl. Returns the field,
+    the Omega result read off the trace, and whether its support is in
+    I_l^p (sparsity_certificate at tol 1e-6)."""
+    field = FrozenField.ridge_like(datagen._rng(cfg["seed"]), cfg["n"],
+                                   cfg["p"], 0.1)
+    w0 = SimplexWeights.uniform(field.n)
+    trace = integrate_mirror_flow(field, w0, fcfg)
+    trace.to_jsonl(out / "trace.jsonl")
+    result = omega_from_trace(trace, w0, fcfg)
+    member, _ = sparsity_certificate(result.w, field.gamma, tol=1e-6,
+                                     support_tol=1e-6)
+    return field, result, member
 
 
 def _flow(cfg: dict, out: Path):
     fcfg = _build(FlowConfig, cfg["flow"])
-    seed = cfg["seed"]
     if cfg["preset"] == "fig3":
-        field = _fig3_field(cfg["n"], cfg["p"], seed)
+        field, result, member = _fig3_flow(cfg, fcfg, out)
+        extra = {"in_I_lp": member}
     elif cfg["preset"] == "constant":
         phi = cfg["phi"]
         if phi is None:
-            phi = datagen._rng(seed).standard_normal(cfg["n"])
+            phi = datagen._rng(cfg["seed"]).standard_normal(cfg["n"])
         field = ConstantField(phi)
+        w0 = SimplexWeights.uniform(field.phi.size)
+        trace = integrate_mirror_flow(field, w0, fcfg)
+        trace.to_jsonl(out / "trace.jsonl")
+        result = omega_from_trace(trace, w0, fcfg)
+        closed = constant_field_solution(w0, field.phi, fcfg.t_max)
+        err = float(np.max(np.abs(trace.final.w.values - closed.values)))
+        extra = {"closed_form_error": err}
+        print(f"closed-form comparison error: {err:.3e}")
     else:
         raise ConfigError(f"unknown flow preset {cfg['preset']!r}")
-    n = field.phi.size if isinstance(field, ConstantField) else field.n
-    w0 = SimplexWeights.uniform(n)
-    trace = integrate_mirror_flow(field, w0, fcfg)
-    trace.to_jsonl(out / "trace.jsonl")
-    result = omega_from_trace(trace, w0, fcfg)
     tol = max(10 * fcfg.stationarity_tol, 1e-6)
     report = is_stationary(result.w, field, tol=tol)
     if report.is_stationary:
         report = stability_check(result.w, field, tol=tol)
-    rep_dict = report.to_json_dict()
-    rep_dict["converged"] = result.converged
-    rep_dict["oscillating"] = result.oscillating
-    if isinstance(field, ConstantField):
-        closed = constant_field_solution(w0, field.phi, fcfg.t_max)
-        err = float(np.max(np.abs(trace.final.w.values - closed.values)))
-        rep_dict["closed_form_error"] = err
-        print(f"closed-form comparison error: {err:.3e}")
-    else:
-        member, _ = sparsity_certificate(result.w, field.gamma, tol=1e-6,
-                                         support_tol=1e-6)
-        rep_dict["in_I_lp"] = member
-    _write_json(out / "stationary_report.json", rep_dict)
+    _write_json(out / "stationary_report.json", {
+        **report.to_json_dict(), "converged": result.converged,
+        "oscillating": result.oscillating, **extra})
     if result.oscillating:
         log.info("flow did not converge (oscillation detected)")
 
@@ -337,8 +345,6 @@ def cmd_run(args) -> int:
 # -------------------------------------------------------------- experiment
 
 def _write_table(path, rows):
-    if not rows:
-        return
     keys = list(dict.fromkeys(k for row in rows for k in row))
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=keys, restval="")
@@ -450,23 +456,13 @@ def _exp_softmax_toy(cfg: dict, out: Path, jobs: int) -> list:
 
 
 def _exp_frozen_flow(cfg: dict, out: Path, jobs: int) -> list:
-    n, p, seed = cfg["n"], cfg["p"], cfg["seed"]
-    fcfg = _build(FlowConfig, cfg["flow"])
-    field = _fig3_field(n, p, seed)
-    w0 = SimplexWeights.uniform(n)
-    trace = integrate_mirror_flow(field, w0, fcfg)
-    trace.to_jsonl(out / "trace.jsonl")
-    result = omega_from_trace(trace, w0, fcfg)
-    member = None
-    if result.converged:
-        member, _ = sparsity_certificate(result.w, field.gamma, tol=1e-6,
-                                         support_tol=1e-6)
+    _, result, member = _fig3_flow(cfg, _build(FlowConfig, cfg["flow"]), out)
+    size = int(support(result.w, 1e-6).size)
     return [{
-        "seed": seed, "converged": result.converged,
-        "oscillating": result.oscillating,
-        "support_size": int(support(result.w, 1e-6).size),
-        "support_leq_p": int(support(result.w, 1e-6).size) <= p,
-        "in_I_lp": member,
+        "seed": cfg["seed"], "converged": result.converged,
+        "oscillating": result.oscillating, "support_size": size,
+        "support_leq_p": size <= cfg["p"],
+        "in_I_lp": member if result.converged else None,
     }]
 
 
@@ -527,10 +523,6 @@ EXPERIMENTS = {
 
 
 def cmd_experiment(args) -> int:
-    if args.name not in EXPERIMENTS:
-        print(f"unknown experiment {args.name!r}; choose from "
-              f"{sorted(EXPERIMENTS)}", file=sys.stderr)
-        return 2
     run, defaults, seed_key = EXPERIMENTS[args.name]
     cfg, out = _resolve(args, defaults, seed_key, args.name)
     start = time.monotonic()
@@ -573,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("solve", "run one solver")
     command("flow", "integrate a mirror flow and certify it")
     e = command("experiment", "run a named experiment preset", cmd_experiment)
-    e.add_argument("name", help="|".join(sorted(EXPERIMENTS)))
+    e.add_argument("name", choices=sorted(EXPERIMENTS))
     e.add_argument("--profile", action="store_true",
                    help="write cProfile stats to profile.pstats in --out")
     e.add_argument("--jobs", type=int, default=1,

@@ -5,6 +5,8 @@ single PASS line (visible with -s) once its assertions hold. The whole suite
 is deterministic.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,21 +14,17 @@ from bilevel_reweight import (
     ConstantField,
     CorruptionSpec,
     Dataset,
-    ExactHypergradField,
     FlowConfig,
     FrozenField,
     MixtureSpec,
     ModelParams,
-    RegularizedMultinomialLogistic,
     RidgeLeastSquares,
     SimplexWeights,
     SolverConfig,
-    accuracy,
+    cli,
     closed_form_inner_quadratic,
     constant_field_solution,
-    entropy,
     exact_bilevel,
-    gen_corrupted,
     gen_mixture,
     hypergrad,
     importance_weights,
@@ -40,7 +38,6 @@ from bilevel_reweight import (
     project_tangent,
     soba,
     softmax_reparam,
-    solve_inner,
     value_function_fd,
     warm_started,
 )
@@ -49,6 +46,14 @@ from bilevel_reweight.solvers import lambda_gradient, softmax_weights
 
 def _report(num, text):
     print(f"[criterion {num:02d}] PASS: {text}")
+
+
+def _run_preset(name, out):
+    """experiment `name` at its defaults, as the CLI runs it: the resolved
+    config and the rows of summary.json."""
+    assert cli.main(["experiment", name, "--out", str(out)]) == 0
+    read = lambda f: json.loads((out / f).read_text())
+    return read("resolved-config.json"), read("summary.json")["rows"]
 
 
 def test_criterion_01_hypergradient_matches_fd_oracle():
@@ -132,27 +137,12 @@ def test_criterion_04_sparse_stationary_supports():
     _report(4, f"{converged}/20 instances converged, all with support <= {p}")
 
 
-def test_criterion_05_fast_theta_regime():
-    spec = MixtureSpec(n=60, m=30, sigma=0.1, seed=0)
-    train, test, _, _ = gen_mixture(spec)
-    model = RidgeLeastSquares(1e-4)
-    T = 1.0
-    w0 = SimplexWeights.uniform(train.n)
-    t_grid = np.linspace(0.0, T, 21)
-    oracle = ExactHypergradField(model, train, test)
-    ref = integrate_mirror_flow(oracle, w0,
-                                FlowConfig(dt=1e-3, t_max=T, rtol=1e-10),
-                                record_times=t_grid)
-    ref_w = np.stack([r.w.values for r in ref.records])
-    theta_star = closed_form_inner_quadratic(train, w0, model.mu)
-    gaps = []
-    for beta in (1e-1, 1e-2, 1e-3):
-        fcfg = FlowConfig(alpha=1.0, beta=beta, dt=1e-2, t_max=T / beta,
-                          rtol=1e-10)
-        tr = integrate_joint_flow(model, train, test, theta_star, w0, fcfg,
-                                  record_times=t_grid / beta)
-        ws = np.stack([r.w.values for r in tr.records])
-        gaps.append(float(np.max(np.linalg.norm(ws - ref_w, axis=1))))
+def test_criterion_05_fast_theta_regime(tmp_path):
+    # n = 60, m = 30: the joint flow from theta*(w0) against the exact
+    # hypergradient flow on t in [0, 1], at 21 checkpoints
+    _, rows = _run_preset("regime-check", tmp_path)
+    assert [r["beta"] for r in rows] == [1e-1, 1e-2, 1e-3]
+    gaps = [r["trajectory_gap"] for r in rows]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 1e-2
     _report(5, "sup-gaps " + ", ".join(f"{g:.2e}" for g in gaps)
@@ -192,68 +182,38 @@ def test_criterion_06_fast_w_regime():
                + f"; limiting support {final_supports[-1]} <= {train.d}")
 
 
-def test_criterion_07_exact_vs_warm_on_toy_mixture():
-    spec = MixtureSpec(seed=0)  # n = 500, m = 100, sigma = 0.1
-    train, test, theta_hat, z = gen_mixture(spec)
-    model = RidgeLeastSquares(1e-4)
-    w0 = SimplexWeights.uniform(train.n)
+def test_criterion_07_exact_vs_warm_on_toy_mixture(tmp_path):
+    # n = 500, m = 100, sigma = 0.1; the "optimal" row fits the clean
+    # cluster alone, and warm runs at step-size ratio eta / rho = 10^3
+    cfg, rows = _run_preset("toy-mixture", tmp_path)
+    by_run = {r["run"]: r for r in rows}
+    oracle_err = by_run["optimal"]["theta_err"]
+    ex, wm = by_run["exact"], by_run["warm"]
+    assert ex["wrong_cluster_mass"] <= 0.05
+    assert ex["theta_err"] <= 3.0 * oracle_err
 
-    w_clean = SimplexWeights.from_unnormalized((z == 1).astype(float))
-    theta_clean = closed_form_inner_quadratic(train, w_clean, model.mu)
-    oracle_err = float(np.linalg.norm(theta_clean.theta - theta_hat.theta))
-
-    ex = exact_bilevel(model, train, test, w0,
-                       SolverConfig(eta=0.12, iterations=2000,
-                                    record_every=500))
-    ex_err = float(np.linalg.norm(ex.final.theta - theta_hat.theta))
-    wrong_mass = float(ex.final.w.values[z == 2].sum())
-    assert wrong_mass <= 0.05
-    assert ex_err <= 3.0 * oracle_err
-
-    # step-size ratio eta / rho = 10^3
-    wm = warm_started(model, train, test, ModelParams(np.zeros(2)), w0,
-                      SolverConfig(eta=0.05, rho=5e-5, iterations=1000,
-                                   record_every=500))
-    wm_err = float(np.linalg.norm(wm.final.theta - theta_hat.theta))
-    assert wm.final.entropy < 0.2 * np.log(train.n)
-    assert wm_err >= 2.0 * ex_err
-    _report(7, f"exact: wrong-cluster mass {wrong_mass:.3f}, theta error "
-               f"{ex_err / oracle_err:.2f}x oracle; warm: entropy "
-               f"{wm.final.entropy:.2f} < {0.2 * np.log(train.n):.2f}, theta "
-               f"error {wm_err / ex_err:.1f}x exact")
+    max_entropy = 0.2 * np.log(MixtureSpec(**cfg["spec"]).n)
+    assert wm["final_entropy"] < max_entropy
+    assert wm["theta_err"] >= 2.0 * ex["theta_err"]
+    _report(7, f"exact: wrong-cluster mass {ex['wrong_cluster_mass']:.3f}, "
+               f"theta error {ex['theta_err'] / oracle_err:.2f}x oracle; "
+               f"warm: entropy {wm['final_entropy']:.2f} < {max_entropy:.2f}, "
+               f"theta error {wm['theta_err'] / ex['theta_err']:.1f}x exact")
 
 
-def test_criterion_08_step_size_ratio_sweep():
-    spec = CorruptionSpec()  # n = 800, C = 10, p_c = 0.9
-    train, clean_mask, test, val = gen_corrupted(spec)
-    model = RegularizedMultinomialLogistic(1e-2)
-    p = model.n_params(train)
-    n = train.n
-
-    w_clean = SimplexWeights.from_unnormalized(clean_mask.astype(float))
-    theta_clean = solve_inner(model, train, w_clean, ModelParams(np.zeros(p)),
-                              tol=1e-8)
-    oracle_acc = accuracy(model, val, theta_clean)
-
-    ratios = [1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5]
-    eta_max, rho_max = 1.0, 1e-2
-
-    def run_one(r):
-        eta = min(r * rho_max, eta_max)
-        scfg = SolverConfig(eta=eta, rho=eta / r, iterations=4000,
-                            record_every=4000)
-        trace = soba(model, train, val, ModelParams(np.zeros(p)),
-                     SimplexWeights.uniform(n), np.zeros(p), scfg)
-        rec = trace.final
-        return accuracy(model, val, ModelParams(rec.theta)), rec.entropy
-
-    results = [run_one(r) for r in ratios]
-    accs = [a for a, _ in results]
-    ents = [e for _, e in results]
+def test_criterion_08_step_size_ratio_sweep(tmp_path):
+    # n = 800, C = 10, p_c = 0.9: SOBA at eta / rho from 1e-2 to 1e5
+    cfg, rows = _run_preset("ratio-sweep", tmp_path)
+    spec = CorruptionSpec(**cfg["spec"])
+    n = spec.n
+    oracle_acc = rows[0]["oracle_accuracy"]
+    ratios = [r["ratio"] for r in rows]
+    accs = [r["val_accuracy"] for r in rows]
+    ents = [r["final_entropy"] for r in rows]
 
     in_band = [a >= 0.9 * oracle_acc
                and e >= 0.5 * (1 - spec.p_c) * np.log(n)
-               for a, e in results]
+               for a, e in zip(accs, ents)]
     band_idx = [i for i, b in enumerate(in_band) if b]
     assert band_idx, "no ratio reaches the oracle band"
     assert band_idx == list(range(band_idx[0], band_idx[-1] + 1))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bilevel_reweight
-from bilevel_reweight import cli, load_dataset
+from bilevel_reweight import FrozenField, cli, datagen, load_dataset
 from bilevel_reweight.cli import main
 
 # the benchmark's workload definitions; the module imports only the stdlib
@@ -296,9 +296,14 @@ class TestFlow:
 
 
 class TestExperiment:
-    def test_unknown_name_exits_nonzero(self, tmp_path):
-        rc = main(["experiment", "nope", "--out", str(tmp_path / "e")])
-        assert rc == 2
+    def test_unknown_name_exits_nonzero(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "nope", "--out", str(tmp_path / "e")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nope'" in err
+        assert all(f"'{name}'" in err for name in cli.EXPERIMENTS)
+        assert not (tmp_path / "e").exists()
 
     def test_rejected_config_exits_2_naming_the_field(self, tmp_path, capsys):
         rc = main(["experiment", "toy-mixture", "--out", str(tmp_path / "e"),
@@ -392,10 +397,31 @@ class TestExperiment:
             assert main(["experiment", "frozen-flow", "--out",
                          str(tmp_path / str(seed)), "--set",
                          f"seed={seed}"]) == 0
-            want = dynamics.omega_limit(cli._fig3_field(5, 3, seed),
+            field = FrozenField.ridge_like(datagen._rng(seed), 5, 3, 0.1)
+            want = dynamics.omega_limit(field,
                                         dynamics.SimplexWeights.uniform(5),
                                         cfg)
             assert pickle.dumps(got[-1]) == pickle.dumps(want)
+
+    @pytest.mark.parametrize("seed, t_max, converged", [
+        (0, 300.0, True), (3, 5.0, False)])
+    def test_frozen_flow_is_flows_fig3_run(self, tmp_path, seed, t_max,
+                                           converged):
+        # the same n, p, seed and flow config give the same trace and limit
+        sets = ["--set", f"seed={seed}", "--set",
+                f'flow={{"dt":0.01,"t_max":{t_max},"stationarity_tol":1e-9}}']
+        flow, exp = tmp_path / "flow", tmp_path / "exp"
+        assert main(["flow", "--out", str(flow), *sets]) == 0
+        assert main(["experiment", "frozen-flow", "--out", str(exp),
+                     *sets]) == 0
+        assert ((flow / "trace.jsonl").read_bytes()
+                == (exp / "trace.jsonl").read_bytes())
+        report = json.loads((flow / "stationary_report.json").read_text())
+        (row,) = json.loads((exp / "summary.json").read_text())["rows"]
+        assert row["converged"] is report["converged"] is converged
+        assert row["oscillating"] is report["oscillating"]
+        # frozen-flow certifies only a limit that converged
+        assert row["in_I_lp"] is (report["in_I_lp"] if converged else None)
 
 
 def _resolved(out):
@@ -549,6 +575,11 @@ REJECTED = [
      "betas must be a list, got 0.1"),
     (["experiment", "ratio-sweep"], "ratios=[0]",
      "ratios must be positive and finite"),
+    # an empty sweep
+    (["experiment", "ratio-sweep"], "ratios=[]",
+     "ratios must be a non-empty list"),
+    (["experiment", "regime-check"], "betas=[]",
+     "betas must be a non-empty list"),
     (["experiment", "toy-mixture"], "mu=NaN",
      "mu must be nonnegative and finite"),
     (["flow"], "n=abc", "n must be an integer, got 'abc'")]

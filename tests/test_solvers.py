@@ -375,10 +375,16 @@ class TestWeightCollapseHalts:
         theta0, w0 = ModelParams(np.zeros(2)), SimplexWeights.uniform(n)
         cfg = SolverConfig(eta=0.05, rho=1e3, iterations=400, record_every=10)
         if solver == "exact":
-            # one mirror step of this size puts the weights on a vertex
+            # one mirror step of this size puts the weights on a vertex: it
+            # scales the gap between the two smallest hypergradient entries
+            # to 1e3, so every weight but one underflows to 0. A fixed eta
+            # can leave two weights on a face of rank 2, where theta and so
+            # the hypergradient no longer depend on w and nothing collapses.
+            psi = np.sort(hypergrad(model, train, test,
+                                    closed_form_inner_quadratic(train, w0), w0))
             trace = exact_bilevel(model, train, test, w0,
-                                  SolverConfig(eta=50.0, iterations=400,
-                                               record_every=10))
+                                  SolverConfig(eta=1e3 / (psi[1] - psi[0]),
+                                               iterations=400, record_every=10))
         elif solver == "warm":
             trace = warm_started(model, train, test, theta0, w0, cfg)
         else:
