@@ -278,13 +278,16 @@ def _fig3_flow(cfg: dict, fcfg: FlowConfig, out: Path):
     ridge-like FrozenField drawn from cfg's n, p and seed, integrated from
     the uniform weights and written to out/trace.jsonl. Returns the field,
     the Omega result read off the trace, and whether its support is in
-    I_l^p (sparsity_certificate at tol 1e-6)."""
+    I_l^p (sparsity_certificate at tol 1e-6), or None if Omega did not
+    converge: only a limit is certified."""
     field = FrozenField.ridge_like(datagen._rng(cfg["seed"]), cfg["n"],
                                    cfg["p"], 0.1)
     w0 = SimplexWeights.uniform(field.n)
     trace = integrate_mirror_flow(field, w0, fcfg)
     trace.to_jsonl(out / "trace.jsonl")
     result = omega_from_trace(trace, w0, fcfg)
+    if not result.converged:
+        return field, result, None
     member, _ = sparsity_certificate(result.w, field.gamma, tol=1e-6,
                                      support_tol=1e-6)
     return field, result, member
@@ -462,7 +465,7 @@ def _exp_frozen_flow(cfg: dict, out: Path, jobs: int) -> list:
         "seed": cfg["seed"], "converged": result.converged,
         "oscillating": result.oscillating, "support_size": size,
         "support_leq_p": size <= cfg["p"],
-        "in_I_lp": member if result.converged else None,
+        "in_I_lp": member,
     }]
 
 
@@ -543,6 +546,14 @@ def cmd_experiment(args) -> int:
 
 # -------------------------------------------------------------------- main
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bilevel-reweight",
@@ -568,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("name", choices=sorted(EXPERIMENTS))
     e.add_argument("--profile", action="store_true",
                    help="write cProfile stats to profile.pstats in --out")
-    e.add_argument("--jobs", type=int, default=1,
+    e.add_argument("--jobs", type=_positive_int, default=1,
                    help="ratio-sweep: ratios run at a time")
     return parser
 

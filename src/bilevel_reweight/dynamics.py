@@ -32,11 +32,16 @@ from .simplex import (
     DEFAULT_SUPPORT_TOL,
     SimplexWeights,
     TangentVector,
-    entropy,
     preconditioner,
     support,
 )
-from .solvers import FlowTrace, TraceRecord, _inner_solution, _make_record
+from .solvers import (
+    _HALTS,
+    FlowTrace,
+    TraceRecord,
+    _inner_solution,
+    _make_record,
+)
 
 
 @dataclass(frozen=True)
@@ -97,18 +102,39 @@ class ExactHypergradField:
                             self.model.forward(theta, self.test_data), w, gram)
 
 
-def _softmax(u: np.ndarray) -> np.ndarray:
-    z = u - u.max()
-    e = np.exp(z)
-    return e / e.sum()
+def _softmax(u: np.ndarray) -> SimplexWeights:
+    """The weights of log-weights u. Their sum is finite and at least 1
+    unless u holds a NaN, which the validating constructor then rejects."""
+    e = np.exp(u - u.max())
+    s = e.sum()
+    if not math.isfinite(s):
+        return SimplexWeights(e / s)
+    return SimplexWeights._unchecked(e / s)
 
 
-def _dual_record(t, u) -> TraceRecord:
-    w = SimplexWeights(_softmax(u))
-    return TraceRecord(
-        k=t, theta=None, w=w,
-        inner_loss=math.nan, outer_loss=math.nan,
-        entropy=entropy(w), support_size=int(support(w).size))
+def _dual_records(times, states: np.ndarray) -> List[TraceRecord]:
+    """Mirror-flow records of log-weight states (one row per time), built
+    in one pass and bit for bit those of _softmax, entropy and support row
+    by row: a row-wise NumPy sum adds in the order a 1-d sum does. entropy
+    sums only the positive terms, which regroups NumPy's pairwise sum from
+    8 terms up, so a row that wide with an exact zero sums its own."""
+    e = np.exp(states - states.max(axis=1, keepdims=True))
+    s = e.sum(axis=1, keepdims=True)
+    for i in np.flatnonzero(~np.isfinite(s[:, 0])):
+        _softmax(states[i])  # a NaN state: raises
+    w = e / s
+    positive = w > 0
+    terms = np.log(w, out=np.zeros_like(w), where=positive)
+    terms *= w
+    h = -terms.sum(axis=1)
+    if w.shape[1] >= 8:
+        for i in np.flatnonzero(~positive.all(axis=1)):
+            h[i] = -terms[i][positive[i]].sum()
+    sizes = (w > DEFAULT_SUPPORT_TOL).sum(axis=1)
+    return [TraceRecord(k=t, theta=None, w=SimplexWeights._unchecked(row),
+                        inner_loss=math.nan, outer_loss=math.nan,
+                        entropy=float(hi), support_size=int(si))
+            for t, row, hi, si in zip(times, w, h, sizes)]
 
 
 def _theta_record(model, data, test_data, theta: np.ndarray,
@@ -135,19 +161,32 @@ _DP_D = np.array([-12715105075 / 11282082432, 0, 87487479700 / 32700410799,
                   -1453857185 / 822651844, 69997945 / 29380423])
 
 
+def _dense_output(y, y_new, k, h: float, x: np.ndarray) -> np.ndarray:
+    """The dense output of a step of size h from y to y_new with stages k,
+    one row per step fraction in the column x."""
+    d = y_new - y
+    a = h * k[0] - d
+    b = d - h * k[6] - a
+    # a stack of one vector-matrix product per row: one matrix product over
+    # the block would round differently
+    hDk = np.matmul(((1 - x) * (h * _DP_D))[:, None], k)[:, 0]
+    return y + x * (d + (1 - x) * (a + x * (b + hDk)))
+
+
 def _path(deriv, y: np.ndarray, grid, h: float, rtol: float, dual=None):
     """Integrate y' = deriv(y), deriv fixed for the whole call, by
     Dormand-Prince steps from grid[0] to grid[-1], trying h first, and
-    yield (t, y) at grid[0] and at each later grid time: one inside a step
-    is read off its dense output, and only grid[-1] ends a step (stretched
-    onto it if within 1e-9 h), so deriv is never evaluated past it. A step
-    passes if the RMS of err / (1e-2 rtol + rtol max(|y|, |y_new|)) is at
-    most 1 (NaN fails), and h is scaled by 0.9 err^(-1/5) within [0.2, 5].
-    With dual (an index into y), y[dual] holds log-weights and is shifted
-    after each step so that its maximum is 0, which keeps exp well-scaled."""
-    def recentre(y):
+    yield (t, y) at grid[0] and at each later grid time: the grid times
+    inside a step are read off its dense output as one block, and only
+    grid[-1] ends a step (stretched onto it if within 1e-9 h), so deriv is
+    never evaluated past it. A step passes if the RMS of
+    err / (1e-2 rtol + rtol max(|y|, |y_new|)) is at most 1 (NaN fails),
+    and h is scaled by 0.9 err^(-1/5) within [0.2, 5]. With dual (an index
+    into y), y[dual] holds log-weights and is shifted after each step so
+    that its maximum is 0, which keeps exp well-scaled."""
+    def recentre(y):  # a state, or a block of states as rows
         if dual is not None:
-            y[dual] -= y[dual].max()
+            y[..., dual] -= y[..., dual].max(axis=-1, keepdims=True)
         return y
 
     yield grid[0], y
@@ -169,15 +208,13 @@ def _path(deriv, y: np.ndarray, grid, h: float, rtol: float, dual=None):
         if err <= 1.0:
             t_new = t1 if last else t + step
             if grid[j] < t_new:  # grid times inside the step: dense output
-                d = y_new - y
-                a = step * k[0] - d
-                b = d - step * k[6] - a
-                hD = step * _DP_D
-                while grid[j] < t_new:
-                    x = (grid[j] - t) / step
-                    yield grid[j], recentre(y + x * (d + (1 - x) * (a + x * (
-                        b + (1 - x) * hD @ k))))
-                    j += 1
+                inside = j + 1
+                while grid[inside] < t_new:
+                    inside += 1
+                x = ((grid[j:inside] - t) / step)[:, None]
+                yield from zip(grid[j:inside], recentre(
+                    _dense_output(y, y_new, k, step, x)))
+                j = inside
             t, y, k[0] = t_new, recentre(y_new), k[6]
             if last:
                 yield t, y
@@ -197,19 +234,29 @@ def _record_grid(t_max: float, record_times):
 
 def _mirror_path(field, w0: SimplexWeights, grid, cfg: FlowConfig):
     """The mirror flow of field from w0 in dual coordinates, via _path."""
-    deriv = lambda u: -field(SimplexWeights(_softmax(u)))
+    deriv = lambda u: -field(_softmax(u))
     return _path(deriv, np.log(w0.values), grid, cfg.dt, cfg.rtol, slice(None))
 
 
 def integrate_mirror_flow(field, w0: SimplexWeights, cfg: FlowConfig,
                           record_times=None) -> FlowTrace:
-    """The mirror flow on the dual variable; hits record times exactly."""
+    """The mirror flow on the dual variable; hits record times exactly. A
+    step that fails with one of solvers._HALTS, the step size underflowing
+    included, ends the flow at the last record time reached, with the
+    reason in trace.halted."""
     if np.any(w0.values <= 0):
         raise ValueError("w0 must lie in the simplex interior")
     trace = FlowTrace()
-    grid = _record_grid(cfg.t_max, record_times)
-    for t, u in _mirror_path(field, w0, grid, cfg):
-        trace.append(_dual_record(t, u))
+    times, states = [], []
+    try:
+        for t, u in _mirror_path(field, w0, _record_grid(cfg.t_max,
+                                                          record_times), cfg):
+            times.append(t)
+            states.append(u)
+    except _HALTS as exc:
+        trace.halted = str(exc)
+    for record in _dual_records(times, np.array(states)):
+        trace.append(record)
     return trace
 
 
@@ -224,7 +271,8 @@ def constant_field_solution(w0: SimplexWeights, phi, t: float) -> SimplexWeights
 def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
                          w0: SimplexWeights, cfg: FlowConfig,
                          record_times=None) -> FlowTrace:
-    """Joint flow theta' = -alpha grad G(theta, w), w' = -beta P(w) psi."""
+    """Joint flow theta' = -alpha grad G(theta, w), w' = -beta P(w) psi.
+    A failed step halts it as it halts integrate_mirror_flow."""
     if cfg.alpha == 0 and cfg.beta == 0:
         raise ValueError("alpha and beta cannot both be zero")
     if np.any(w0.values <= 0):
@@ -233,7 +281,7 @@ def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
 
     def deriv(s):
         th = ModelParams(s[:p]).theta
-        w = SimplexWeights(_softmax(s[p:]))
+        w = _softmax(s[p:])
         train = model.forward(th, data)
         dth = -cfg.alpha * train.gamma_T_apply(w.values)
         du = -cfg.beta * hypergrad_at(train, model.forward(th, test_data), w)
@@ -242,9 +290,13 @@ def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
     trace = FlowTrace()
     state = np.concatenate([theta0.theta, np.log(w0.values)])
     grid = _record_grid(cfg.t_max, record_times)
-    for t, y in _path(deriv, state, grid, cfg.dt, cfg.rtol, slice(p, None)):
-        w = SimplexWeights(_softmax(y[p:]))
-        trace.append(_theta_record(model, data, test_data, y[:p], w, t))
+    try:
+        for t, y in _path(deriv, state, grid, cfg.dt, cfg.rtol,
+                          slice(p, None)):
+            trace.append(_theta_record(model, data, test_data, y[:p],
+                                       _softmax(y[p:]), t))
+    except _HALTS as exc:
+        trace.halted = str(exc)
     return trace
 
 
@@ -436,8 +488,8 @@ def omega_limit(field, w0: SimplexWeights, cfg: FlowConfig,
     grid = np.linspace(0.0, cfg.t_max, n_checkpoints + 1)
     path = _mirror_path(field, w0, grid, cfg)
     next(path)
-    return _omega_stop(w0, ((t, _softmax(u)) for t, u in path), grid.size,
-                       cfg)
+    return _omega_stop(w0, ((t, _softmax(u).values) for t, u in path),
+                       grid.size, cfg)
 
 
 def omega_from_trace(trace: FlowTrace, w0: SimplexWeights,

@@ -2,7 +2,8 @@
 
 Entropic mirror-descent updates, the Riemannian preconditioner
 P(w) = diag(w) - w w^T, entropy, and support bookkeeping. Everything here
-is a pure function; weights are validated on construction.
+is a pure function; weights are validated on construction, except where
+they are on the simplex by construction (SimplexWeights._unchecked).
 """
 
 from __future__ import annotations
@@ -76,6 +77,16 @@ class SimplexWeights:
         v[i] = 1.0
         return SimplexWeights(v)
 
+    @staticmethod
+    def _unchecked(v: np.ndarray) -> "SimplexWeights":
+        """v without the checks, for a float vector on the simplex by
+        construction: nonnegative entries divided by their finite, positive
+        sum. interior is read off the minimum, as __post_init__ reads it."""
+        w = object.__new__(SimplexWeights)
+        object.__setattr__(w, "values", v)
+        object.__setattr__(w, "interior", bool(v.min() > 0))
+        return w
+
 
 @dataclass(frozen=True)
 class TangentVector:
@@ -114,11 +125,14 @@ def mirror_step(w: SimplexWeights, phi, eta: float) -> SimplexWeights:
     with np.errstate(over="ignore", invalid="ignore"):
         # one buffer: z becomes exp(min(zmin - z, 0)), then the new weights;
         # zmin - z <= 0 on the support, so the clamp only acts off it,
-        # where it keeps 0 * exp(...) an exact 0 however large eta * phi is
+        # where it keeps 0 * exp(...) an exact 0 however large eta * phi is.
+        # Interior weights have no such entry, and the clamp is skipped.
         z = eta * phi
-        zmin = z.min() if w.interior else z.min(where=v > 0, initial=np.inf)
-        np.subtract(zmin, z, out=z)
-        np.minimum(z, 0.0, out=z)
+        if w.interior:
+            np.subtract(z.min(), z, out=z)
+        else:
+            np.subtract(z.min(where=v > 0, initial=np.inf), z, out=z)
+            np.minimum(z, 0.0, out=z)
         np.exp(z, out=z)
         z *= v
     s = z.sum()
@@ -127,7 +141,7 @@ def mirror_step(w: SimplexWeights, phi, eta: float) -> SimplexWeights:
             "mirror step produced a degenerate update; rescale eta"
         )
     z /= s
-    return SimplexWeights(z)
+    return SimplexWeights._unchecked(z)
 
 
 def preconditioner(w: SimplexWeights) -> np.ndarray:

@@ -297,35 +297,43 @@ def softmax_weights(lam: np.ndarray) -> SimplexWeights:
     return SimplexWeights.from_unnormalized(_sigmoid(lam))
 
 
-def _sigmoid_chain(s: np.ndarray, w: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """lambda_gradient from s = sigmoid(lam) and w = s / sum(s)."""
-    return (s * (1.0 - s) / s.sum()) * (psi - w @ psi)
+def _sigmoid_chain(s: np.ndarray, total: float, w: np.ndarray,
+                   psi: np.ndarray) -> np.ndarray:
+    """lambda_gradient from s = sigmoid(lam), total = sum(s) and
+    w = s / total."""
+    return (s * (1.0 - s) / total) * (psi - w @ psi)
 
 
 def lambda_gradient(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Chain rule through the normalized-sigmoid reparameterization:
     dh/dlam_j = sigmoid'(lam_j)/S * (Psi_j - <w, Psi>)."""
     s = _sigmoid(lam)
-    return _sigmoid_chain(s, s / s.sum(), psi)
+    total = s.sum()
+    return _sigmoid_chain(s, total, s / total, psi)
 
 
 def softmax_reparam(model, data, test_data, theta0: ModelParams,
                     lambda0: np.ndarray, cfg: SolverConfig) -> FlowTrace:
     """Joint descent on (theta, lambda) with weights w(lambda); the lambda
-    update is unconstrained so no mirror step is needed. sigmoid(lambda) is
-    kept from the step that made w, so each step evaluates it once."""
+    update is unconstrained so no mirror step is needed. sigmoid(lambda)
+    and its sum are kept from the step that made w, so each step evaluates
+    them once."""
     lam = np.asarray(lambda0, dtype=float).copy()
     s = _sigmoid(lam)
+    total = s.sum()
 
     def step(train, test, w):
-        nonlocal lam, s
+        nonlocal lam, s, total
         psi = hypergrad_at(train, test, w)
         _finite("hypergradient", psi)
         theta = train.theta - cfg.rho * train.gamma_T_apply(w.values)
-        lam = lam - cfg.eta * _sigmoid_chain(s, w.values, psi)
+        lam = lam - cfg.eta * _sigmoid_chain(s, total, w.values, psi)
         _finite("iterates", theta, lam)
         s = _sigmoid(lam)
-        return theta, SimplexWeights.from_unnormalized(s)
+        total = s.sum()
+        if not 0 < total < math.inf:  # every sigmoid underflowed: raise
+            return theta, SimplexWeights.from_unnormalized(s)
+        return theta, SimplexWeights._unchecked(s / total)
 
     return _run(model, data, test_data, theta0.theta.copy(),
                 SimplexWeights.from_unnormalized(s), cfg, step)

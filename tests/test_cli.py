@@ -420,8 +420,23 @@ class TestExperiment:
         (row,) = json.loads((exp / "summary.json").read_text())["rows"]
         assert row["converged"] is report["converged"] is converged
         assert row["oscillating"] is report["oscillating"]
-        # frozen-flow certifies only a limit that converged
-        assert row["in_I_lp"] is (report["in_I_lp"] if converged else None)
+        # both certify only a limit that converged
+        assert row["in_I_lp"] is report["in_I_lp"]
+        assert (report["in_I_lp"] is None) is not converged
+
+    def test_flow_withholds_the_certificate_of_an_unconverged_limit(
+            self, tmp_path):
+        # at stationarity_tol 1e-9 this limit passes is_stationary at the
+        # report's tol 1e-6, and its support [0, 3] is in I_l^p; but it did
+        # not converge, so it is not certified
+        out = tmp_path / "flow"
+        assert main(["flow", "--seed", "3", "--set", "flow.t_max=5.0",
+                     "--set", "flow.dt=0.01", "--set",
+                     "flow.stationarity_tol=1e-9", "--out", str(out)]) == 0
+        report = json.loads((out / "stationary_report.json").read_text())
+        assert report["converged"] is False
+        assert report["is_stationary"] is True
+        assert report["in_I_lp"] is None
 
 
 def _resolved(out):
@@ -668,6 +683,16 @@ class TestJobs:
         assert main(TestProfile.ARGS + ["--jobs", "2",
                                         "--out", str(tmp_path / "e")]) == 0
         assert len(list((tmp_path / "e").glob("trace-ratio-*.jsonl"))) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_rejects_a_count_below_one(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(TestProfile.ARGS + ["--jobs", jobs,
+                                     "--out", str(tmp_path / "e")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--jobs" in err and "at least 1" in err
+        assert not (tmp_path / "e").exists()
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():

@@ -1,8 +1,11 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bilevel_reweight import (
     ConfigError,
@@ -384,6 +387,127 @@ class TestJointFlow:
         norms = [np.linalg.norm(r.theta) for r in trace.records]
         assert all(np.isfinite(norms))
         assert max(norms) <= 100.0
+
+
+def ridge_instance(seed, n, scale, integer_features=False):
+    """A ridge problem with mu = 0: n training samples with p = 2 features
+    and 4 test samples, targets of size scale."""
+    rng = np.random.default_rng(seed)
+    X = (rng.integers(-3, 4, (n, 2)).astype(float) if integer_features
+         else rng.standard_normal((n, 2)))
+    train = Dataset(X, scale * rng.standard_normal(n))
+    test = Dataset(rng.standard_normal((4, 2)), scale * rng.standard_normal(4))
+    return RidgeLeastSquares(0.0), train, test
+
+
+def assert_partial_trace(trace, grid):
+    """A halted trace: a reason, and finite records on the simplex at the
+    first grid times."""
+    assert trace.halted
+    assert 1 <= len(trace.records) < len(grid)
+    assert [r.k for r in trace.records] == list(grid[:len(trace.records)])
+    for r in trace.records:
+        assert r.theta is None or np.all(np.isfinite(r.theta))
+        assert np.all(r.w.values >= 0)
+        assert abs(r.w.values.sum() - 1.0) <= 1e-12
+
+
+class TestFlowsHalt:
+    """With mu = 0 the inner Hessian is singular once the weights collapse
+    below the design's rank. Both flows then stop, as the solvers do, with
+    the records up to the last grid time reached and the reason, instead of
+    raising; so does a flow whose step size underflows."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 12),
+           flow=st.sampled_from(["joint", "mirror"]))
+    def test_collapse_halts_with_partial_trace(self, seed, n, flow):
+        # beta (joint) or the first trial step (mirror) is scaled so that
+        # the first step's second stage moves the log-weights apart by 2e3
+        # times the gap between the two smallest hypergradient entries, and
+        # every weight but one underflows to 0. The features are integers,
+        # so the one-hot Gram x x^T is exact and its Cholesky factorization
+        # meets an exact zero pivot: the halt is certain. A flow left to
+        # itself can settle on a face of rank 2 and never collapse.
+        model, train, test = ridge_instance(seed, n, 100.0, True)
+        assume(np.linalg.matrix_rank(train.features) == 2)
+        theta0, w0 = ModelParams(np.zeros(2)), SimplexWeights.uniform(n)
+        psi = np.sort(hypergrad(model, train, test, theta0, w0))
+        assume(psi[1] > psi[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if flow == "joint":
+                cfg = FlowConfig(beta=1e4 / (1e-2 * (psi[1] - psi[0])),
+                                 dt=1e-2, t_max=1.0)
+                trace = integrate_joint_flow(model, train, test, theta0, w0,
+                                             cfg)
+            else:
+                field = frozen_field(model, train, test, theta0)
+                phi = np.sort(field(w0))
+                assume(phi[1] > phi[0])
+                dt = 1e4 / (phi[1] - phi[0])
+                cfg = FlowConfig(dt=dt, t_max=10 * dt)
+                trace = integrate_mirror_flow(field, w0, cfg)
+        assert_partial_trace(trace, np.linspace(0.0, cfg.t_max, 501))
+        assert "not positive definite" in trace.halted
+
+    @pytest.mark.parametrize("seed, scale, beta, dt, rtol, reason, size", [
+        # six samples with targets of size 100 and beta = 50: the first
+        # step's stages collapse the weights
+        (0, 100.0, 50.0, 1e-2, 1e-10, "not positive definite", 1),
+        # from the uniform weights the flow collapses later, or stiffens
+        # until the step size underflows
+        (33, 1.0, 200.0, 1e-3, 1e-6, "not positive definite", 173),
+        (3, 1.0, 200.0, 1e-3, 1e-6, "adaptive step size fell", 25)])
+    def test_joint_flow_halts_on_six_samples(self, seed, scale, beta, dt, rtol,
+                                             reason, size):
+        model, train, test = ridge_instance(seed, 6, scale)
+        cfg = FlowConfig(beta=beta, dt=dt, t_max=2.0, rtol=rtol)
+        trace = integrate_joint_flow(model, train, test,
+                                     ModelParams(np.zeros(2)),
+                                     SimplexWeights.uniform(6), cfg)
+        assert_partial_trace(trace, np.linspace(0.0, 2.0, 501))
+        assert reason in trace.halted and len(trace.records) == size
+
+    def test_mirror_flow_halts_on_six_samples(self):
+        # the frozen field of the same six samples at theta*(w0)
+        model, train, test = ridge_instance(0, 6, 100.0)
+        w0 = SimplexWeights.uniform(6)
+        field = frozen_field(model, train, test,
+                             closed_form_inner_quadratic(train, w0))
+        trace = integrate_mirror_flow(field, w0,
+                                      FlowConfig(dt=1e-2, t_max=10.0))
+        assert_partial_trace(trace, np.linspace(0.0, 10.0, 501))
+        assert "not positive definite" in trace.halted
+
+    def test_mirror_flow_halts_when_the_step_size_underflows(self):
+        # stiffness 1e14: an explicit step must be shorter than 1e-12
+        class Stiff:
+            def __call__(self, w):
+                return 1e14 * (w.values - 1.0 / w.n)
+
+        trace = integrate_mirror_flow(Stiff(),
+                                      SimplexWeights(np.array([0.2, 0.3, 0.5])),
+                                      FlowConfig(dt=1e-2, t_max=1.0))
+        assert_partial_trace(trace, np.linspace(0.0, 1.0, 501))
+        assert "adaptive step size fell" in trace.halted
+
+    @pytest.mark.parametrize("flow", ["joint", "mirror"])
+    def test_nan_log_weights_raise(self, flow, joint_toy, monkeypatch):
+        # a NaN hypergradient is not a halt: the next stage's NaN
+        # log-weights fail the weights' check
+        model, train, test, _ = joint_toy
+        w0 = SimplexWeights.uniform(train.n)
+        cfg = FlowConfig(dt=1e-2, t_max=1.0)
+        nan = np.full(train.n, np.nan)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            if flow == "mirror":
+                integrate_mirror_flow(ConstantField(nan), w0, cfg)
+            else:
+                monkeypatch.setattr(dynamics, "hypergrad_at",
+                                    lambda *args: nan)
+                integrate_joint_flow(model, train, test,
+                                     ModelParams(np.zeros(2)), w0, cfg)
 
 
 class TestStationarity:

@@ -1,7 +1,11 @@
 """Property tests: the direct LAPACK solve, the closed-form inner minimizer,
 the weighted Gram, the logistic residual, the mirror step, the one-pass
-simplex check and the finite guard give the same bytes and raise the same
-errors as the reference formulas they replace."""
+simplex check, the finite guard, the block dense output and the bulk
+mirror-flow records give the same bytes and raise the same errors as the
+reference formulas they replace; weights built without the simplex check
+pass it."""
+
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from bilevel_reweight import (
     AssumptionViolationError,
     Dataset,
+    ModelParams,
     NumericOverflowError,
     RegularizedMultinomialLogistic,
     RidgeLeastSquares,
@@ -19,8 +24,17 @@ from bilevel_reweight import (
     SingularDesignError,
     SolverConfig,
     closed_form_inner_quadratic,
+    entropy,
     exact_bilevel,
     mirror_step,
+    softmax_reparam,
+    support,
+)
+from bilevel_reweight.dynamics import (
+    _DP_D,
+    _dense_output,
+    _dual_records,
+    _softmax,
 )
 from bilevel_reweight.hypergrad import _solve_direct
 from bilevel_reweight.losses import _weighted_gram
@@ -251,6 +265,22 @@ class TestMirrorStepReference:
 
         assert outcome(step, *args) == outcome(reference_mirror_step, *args)
 
+    @settings(max_examples=500, deadline=None)
+    @given(args=mirror_inputs())
+    def test_output_passes_the_simplex_check(self, args):
+        try:
+            w = mirror_step(*args)
+        except (ValueError, NumericOverflowError):
+            return
+        assert_is_checked(w)
+
+
+def assert_is_checked(w):
+    """w, built without the simplex check, is what the check builds."""
+    checked = SimplexWeights(w.values)
+    assert checked.values.tobytes() == w.values.tobytes()
+    assert w.interior is checked.interior
+
 
 def reference_simplex_check(v):
     """The four checks of SimplexWeights, in order, without a fast path."""
@@ -373,3 +403,114 @@ def test_closed_form_of_an_overflowing_gram_raises_numeric_overflow():
         with pytest.raises(NumericOverflowError, match="weighted Gram"):
             exact_bilevel(RidgeLeastSquares(0.0), data, data, w,
                           SolverConfig(iterations=2))
+
+
+def reference_dense_output(y, y_new, k, h, x):
+    """The dense output at one step fraction x, as the integrator read it
+    off one grid time at a time."""
+    d = y_new - y
+    a = h * k[0] - d
+    b = d - h * k[6] - a
+    hD = h * _DP_D
+    return y + x * (d + (1 - x) * (a + x * (b + (1 - x) * hD @ k)))
+
+
+class TestDenseOutput:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=SEEDS, n=st.integers(1, 80), m=st.integers(1, 40),
+           scale=st.sampled_from([1e-8, 1.0, 1e8]))
+    def test_block_equals_the_per_time_formula(self, seed, n, m, scale):
+        rng = np.random.default_rng(seed)
+        y, y_new = scale * rng.standard_normal((2, n))
+        k = scale * rng.standard_normal((7, n))
+        h = 10.0 ** rng.uniform(-6, 1)
+        # step fractions as the integrator makes them: grid times less t,
+        # over h
+        t = rng.uniform(0, 10)
+        x = (np.sort(t + h * rng.random(m)) - t) / h
+        got = _dense_output(y, y_new, k, h, x[:, None])
+        assert got.shape == (m, n)
+        for row, xi in zip(got, x):
+            want = reference_dense_output(y, y_new, k, h, xi)
+            assert row.tobytes() == want.tobytes()
+
+
+def reference_softmax(u):
+    e = np.exp(u - u.max())
+    return e / e.sum()
+
+
+@st.composite
+def log_weight_rows(draw):
+    """Log-weight states, one row per time, whose softmax holds exact zeros
+    where an entry lies far enough below the row's maximum."""
+    rng = np.random.default_rng(draw(SEEDS))
+    n = draw(st.integers(1, 80))
+    m = draw(st.integers(1, 30))
+    u = draw(st.sampled_from([1.0, 30.0, 300.0])) * rng.standard_normal((m, n))
+    far = rng.random((m, n)) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    u[far] = -1e4 + rng.standard_normal(far.sum())
+    return u
+
+
+class TestDualRecords:
+    @settings(max_examples=400, deadline=None)
+    @given(u=log_weight_rows())
+    def test_equal_softmax_entropy_and_support_row_by_row(self, u):
+        times = np.arange(u.shape[0], dtype=float)
+        records = _dual_records(times, u)
+        assert [r.k for r in records] == list(times)
+        for r, row in zip(records, u):
+            want = SimplexWeights(reference_softmax(row))
+            assert r.w.values.tobytes() == want.values.tobytes()
+            assert r.w.values.tobytes() == _softmax(row).values.tobytes()
+            assert_is_checked(r.w)
+            h = entropy(want)
+            # the same float, the sign of a zero included
+            assert (r.entropy, math.copysign(1, r.entropy)) == (
+                h, math.copysign(1, h))
+            assert r.support_size == support(want).size
+            assert r.theta is None
+            assert math.isnan(r.inner_loss) and math.isnan(r.outer_loss)
+
+    def test_draws_rows_with_exact_zeros_from_width_8(self):
+        u = find(log_weight_rows(), lambda u: u.shape[1] >= 8 and np.any(
+            np.exp(u - u.max(axis=1, keepdims=True)) == 0))
+        assert u.shape[1] >= 8
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 9, 40])
+    def test_one_hot_rows(self, n):
+        u = np.full((2, n), -1e4)
+        u[:, 0] = 0.0
+        for r in _dual_records([0.0, 1.0], u):
+            assert r.w.values.tobytes() == np.eye(n)[0].tobytes()
+            assert r.w.interior is (n == 1)
+            assert r.support_size == 1
+            h = entropy(SimplexWeights(np.eye(n)[0]))
+            assert r.entropy == h and math.copysign(1, r.entropy) == \
+                math.copysign(1, h)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_nan_state_raises_as_the_checked_softmax(self, bad):
+        u = np.zeros((3, 4))
+        u[1, 2] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                _dual_records([0.0, 1.0, 2.0], u)
+            with pytest.raises(ValueError, match="weights must be finite"):
+                _softmax(u[1])
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 30),
+       scale=st.sampled_from([1.0, 10.0, 100.0]))
+def test_softmax_reparam_weights_pass_the_simplex_check(seed, n, scale):
+    rng = np.random.default_rng(seed)
+    train = Dataset(rng.standard_normal((n, 2)), rng.standard_normal(n))
+    test = Dataset(rng.standard_normal((4, 2)), rng.standard_normal(4))
+    trace = softmax_reparam(RidgeLeastSquares(1e-2), train, test,
+                            ModelParams(np.zeros(2)),
+                            scale * rng.standard_normal(n),
+                            SolverConfig(eta=10.0, rho=1e-2, iterations=20))
+    for r in trace.records:
+        assert_is_checked(r.w)
