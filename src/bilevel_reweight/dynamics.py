@@ -104,7 +104,8 @@ class ExactHypergradField:
 
 def _softmax(u: np.ndarray) -> SimplexWeights:
     """The weights of log-weights u. Their sum is finite and at least 1
-    unless u holds a NaN, which the validating constructor then rejects."""
+    unless exp meets a NaN (a NaN in u, or inf - inf), and then the
+    checked constructor rejects them."""
     e = np.exp(u - u.max())
     s = e.sum()
     if not math.isfinite(s):
