@@ -59,10 +59,23 @@ def _singular(err, flag):
 
 def _solve_direct(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """H^{-1} rhs by Cholesky, as scipy.linalg.cho_factor and cho_solve
-    compute it, bit for bit."""
+    compute it, bit for bit, where H is positive definite to working
+    precision. Rounding can leave a singular H a factor with positive
+    pivots, so H is also refused where the smallest squared pivot is at most
+    1e-12 times the largest diagonal entry of H. Each squared pivot is at
+    least lambda_min and each diagonal entry at most lambda_max, so no H
+    that _closed_form accepts is refused. It refuses a rank-1 H (a Gram of
+    one sample), whose later pivots are rounding residues, but a singular H
+    of rank 2 or more whose null vector is nearly orthogonal to the last
+    coordinate can keep its pivots and pass."""
     if not (_all_finite(H) and _all_finite(rhs)):
         raise ValueError("array must not contain infs or NaNs")
     c, info = _potrf(H, lower=False, clean=False, overwrite_a=False)
+    if info == 0:
+        # Python's min and max over lists cost a third of NumPy's here
+        lo = min(c.diagonal().tolist())
+        if lo * lo <= 1e-12 * max(H.diagonal().tolist()):
+            info = 1
     if info > 0:
         raise AssumptionViolationError("inner Hessian is not positive definite")
     if info == 0:

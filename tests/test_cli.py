@@ -696,13 +696,13 @@ class TestJobs:
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.optimize and scipy.sparse add start-up time and memory to every
-    # run; the package needs neither
+    # scipy.optimize, scipy.sparse and scipy.integrate add start-up time and
+    # memory to every run; the package needs none of them
     src = str(Path(bilevel_reweight.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, bilevel_reweight.cli; "
-            "print(sorted({'scipy.optimize', 'scipy.sparse'} & set(sys.modules)))")
+    code = ("import sys, bilevel_reweight.cli; print(sorted({'scipy.optimize', "
+            "'scipy.sparse', 'scipy.integrate'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bilevel_reweight import (
+    AssumptionViolationError,
     ConfigError,
     ConstantField,
     CorruptionSpec,
@@ -174,7 +175,7 @@ class TestExactHypergradField:
 
 
 class TestAdaptiveSteps:
-    """Dormand-Prince 5(4) steps under the tolerance FlowConfig.rtol."""
+    """DOP853 steps under the tolerance FlowConfig.rtol."""
 
     def test_matches_constant_field_closed_form(self):
         rng = np.random.default_rng(0)
@@ -224,22 +225,39 @@ class TestAdaptiveSteps:
                               FlowConfig(dt=0.05, t_max=100.0, rtol=1e-10))
         assert len(calls) < 8000
 
-    def test_interior_grid_times_add_no_derivative_calls(self):
-        # the steps are the controller's alone; grid times inside a step are
-        # read off its dense output
-        counts, values = [], []
+    def test_interior_grid_times_add_three_calls_per_step(self, monkeypatch):
+        # the steps are the controller's alone; the grid times inside an
+        # accepted step are read off its dense output, whose 3 extra stages
+        # are all they cost
+        blocks = []
+        dense_output = dynamics._dense_output
+
+        def counting(*args):
+            blocks.append(1)
+            return dense_output(*args)
+
+        monkeypatch.setattr(dynamics, "_dense_output", counting)
+        runs = []
         for n_times in (2, 1001):
-            calls = []
+            states = []
 
             def deriv(y):
-                calls.append(1)
+                states.append(y.tobytes())
                 return -y
 
             grid = np.linspace(0.0, 10.0, n_times)
+            blocks.clear()
             values = list(dynamics._path(deriv, np.ones(1), grid, 0.1,
                                          rtol=1e-11))
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
+            runs.append((states, len(blocks), values))
+        (few, no_blocks, ends), (many, n_blocks, values) = runs
+        assert no_blocks == 0 and n_blocks > 0
+        assert len(many) == len(few) + 3 * n_blocks
+        # every state the two-time run evaluated, each step's end included,
+        # comes in the same order and bits in the 1,001-time run
+        rest = iter(many)
+        assert all(state in rest for state in few)
+        assert ends[-1][1].tobytes() == values[-1][1].tobytes()
         assert [t for t, _ in values] == list(grid)
         for t, y in values:
             assert abs(y[0] - np.exp(-t)) <= 1e-9 * np.exp(-t)
@@ -352,7 +370,7 @@ class TestJointFlow:
                              ModelParams(np.zeros(2)),
                              SimplexWeights.uniform(train.n),
                              FlowConfig(dt=0.1, t_max=1.0), record_times=[1.0])
-        assert len(derivs) >= 7  # at least one Dormand-Prince step
+        assert len(derivs) >= 13  # at least one DOP853 step
         assert len(calls) == 2 * len(derivs) + 4
 
     def test_adaptive_matches_fine_rk4(self, joint_toy):
@@ -458,7 +476,7 @@ class TestFlowsHalt:
         # from the uniform weights the flow collapses later, or stiffens
         # until the step size underflows
         (33, 1.0, 200.0, 1e-3, 1e-6, "not positive definite", 173),
-        (3, 1.0, 200.0, 1e-3, 1e-6, "adaptive step size fell", 25)])
+        (59, 1.0, 200.0, 1e-3, 1e-6, "adaptive step size fell", 103)])
     def test_joint_flow_halts_on_six_samples(self, seed, scale, beta, dt, rtol,
                                              reason, size):
         model, train, test = ridge_instance(seed, 6, scale)
@@ -796,6 +814,34 @@ class TestSparseReference:
         assert [r.k for r in trace.records] == [0.0, 0.05, 0.1]
         # at t = 0, 0.02, 0.04, 0.06 and 0.08; not at the end
         assert len(refreshed) == 5
+
+    def test_a_failed_refresh_halts_with_the_records_so_far(self,
+                                                            monkeypatch):
+        train, test, _, _ = gen_mixture(MixtureSpec(n=10, m=5, sigma=0.1,
+                                                    seed=2))
+        refreshed = []
+
+        def failing_second_omega_limit(*args, **kwargs):
+            refreshed.append(1)
+            if len(refreshed) == 2:
+                raise AssumptionViolationError(
+                    "inner Hessian is not positive definite")
+            return omega_limit(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "omega_limit",
+                            failing_second_omega_limit)
+        trace = integrate_sparse_reference(
+            RidgeLeastSquares(1e-3), train, test, ModelParams(np.zeros(2)),
+            SimplexWeights.uniform(train.n), FlowConfig(dt=1e-2, t_max=0.1),
+            record_times=[0.05, 0.1], refresh_dt=0.06,
+            omega_cfg=FlowConfig(dt=5e-2, t_max=5.0, stationarity_tol=1e-2))
+        # the second refresh, at t = 0.06, ends the flow
+        assert len(refreshed) == 2
+        assert trace.halted == "inner Hessian is not positive definite"
+        assert [r.k for r in trace.records] == [0.0, 0.05]
+        for r in trace.records:
+            assert np.all(np.isfinite(r.theta))
+            assert r.extra["omega_converged"]
 
     def test_refresh_acts_exactly_from_its_time(self, monkeypatch):
         # Omega_A on [0, 0.1), Omega_B after it: theta follows the closed-form

@@ -128,6 +128,19 @@ class TestSolveInnerSystem:
             _solve_hessian(model.forward(np.zeros(2), train), w.values,
                            np.ones(2))
 
+    def test_one_hot_weights_with_two_features_always_signal(self):
+        # the Gram of one sample has rank 1; rounding left Cholesky's last
+        # pivot a tiny positive number on 22 of these 200 draws, and the
+        # hypergradient came back near 1e16 instead of raising
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            train = Dataset(rng.standard_normal((5, 2)), rng.standard_normal(5))
+            test = Dataset(rng.standard_normal((5, 2)), rng.standard_normal(5))
+            with pytest.raises(AssumptionViolationError,
+                               match="not positive definite"):
+                hypergrad(RidgeLeastSquares(0.0), train, test,
+                          ModelParams(np.zeros(2)), SimplexWeights.one_hot(5, 0))
+
 
 class TestHypergrad:
     def test_zero_when_theta_minimizes_outer(self):

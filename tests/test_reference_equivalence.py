@@ -2,8 +2,9 @@
 the weighted Gram, the logistic residual, the mirror step, the one-pass
 simplex check, the finite guard, the block dense output and the bulk
 mirror-flow records give the same bytes and raise the same errors as the
-reference formulas they replace; weights built without the simplex check
-pass it."""
+reference formulas they replace, except that the direct solve also refuses
+numerically singular Cholesky factors; the DOP853 coefficients are SciPy's;
+weights built without the simplex check pass it."""
 
 import math
 
@@ -31,7 +32,11 @@ from bilevel_reweight import (
     support,
 )
 from bilevel_reweight.dynamics import (
-    _DP_D,
+    _A,
+    _A_DENSE,
+    _B,
+    _D,
+    _E,
     _dense_output,
     _dual_records,
     _softmax,
@@ -77,7 +82,8 @@ class TestSolveDirect:
 
     @settings(max_examples=200, deadline=None)
     @given(seed=SEEDS, p=st.integers(1, 8), kind=st.sampled_from(
-        ["symmetric", "indefinite", "zero pivot", "rank deficient"]))
+        ["symmetric", "indefinite", "zero pivot", "rank deficient",
+         "rank one"]))
     def test_rejects_what_cho_factor_rejects(self, seed, p, kind):
         rng = np.random.default_rng(seed)
         if kind == "symmetric":
@@ -93,10 +99,25 @@ class TestSolveDirect:
             H = A.T @ A
             k = rng.integers(p)
             H[k, :] = H[:, k] = 0.0
-        else:
+        elif kind == "rank deficient":
             A = rng.standard_normal((max(p - 1, 1), p))
             H = A.T @ A
+        else:  # a Gram of one sample, entries of any size
+            a = rng.standard_normal(p) * 10.0 ** rng.uniform(-100, 100, p)
+            H = np.outer(a, a)
         rhs = rng.standard_normal(p)
+        if kind in ("rank deficient", "rank one") and p > 1:
+            # cho_factor accepts a singular H whose factor rounding left
+            # positive pivots. _solve_direct refuses every one of rank 1, and
+            # passes a few in a thousand of higher rank as cho_factor does
+            got = outcome(_solve_direct, H, rhs)
+            refused = (None, (AssumptionViolationError,
+                              "inner Hessian is not positive definite"))
+            if kind == "rank one" or p == 2:
+                assert got == refused
+            else:
+                assert got in (refused, outcome(reference_solve, H, rhs))
+            return
         assert outcome(_solve_direct, H, rhs) == outcome(reference_solve, H,
                                                          rhs)
         if kind in ("indefinite", "zero pivot"):
@@ -406,13 +427,15 @@ def test_closed_form_of_an_overflowing_gram_raises_numeric_overflow():
 
 
 def reference_dense_output(y, y_new, k, h, x):
-    """The dense output at one step fraction x, as the integrator read it
-    off one grid time at a time."""
+    """The dense output at one step fraction x, as DOP853's CONTD8 reads it
+    off one grid time at a time: its 7 coefficient rows, innermost first,
+    times x and 1 - x in turn."""
     d = y_new - y
-    a = h * k[0] - d
-    b = d - h * k[6] - a
-    hD = h * _DP_D
-    return y + x * (d + (1 - x) * (a + x * (b + (1 - x) * hD @ k)))
+    F = [d, h * k[0] - d, 2 * d - h * (k[12] + k[0]), *(h * (_D @ k))]
+    z = F[-1] * x
+    for i, f in enumerate(reversed(F[:-1]), 1):
+        z = (z + f) * (1 - x if i % 2 else x)
+    return y + z
 
 
 class TestDenseOutput:
@@ -422,7 +445,7 @@ class TestDenseOutput:
     def test_block_equals_the_per_time_formula(self, seed, n, m, scale):
         rng = np.random.default_rng(seed)
         y, y_new = scale * rng.standard_normal((2, n))
-        k = scale * rng.standard_normal((7, n))
+        k = scale * rng.standard_normal((16, n))
         h = 10.0 ** rng.uniform(-6, 1)
         # step fractions as the integrator makes them: grid times less t,
         # over h
@@ -433,6 +456,20 @@ class TestDenseOutput:
         for row, xi in zip(got, x):
             want = reference_dense_output(y, y_new, k, h, xi)
             assert row.tobytes() == want.tobytes()
+
+
+def test_dop853_tableau_is_scipys():
+    # SciPy's copy of Hairer's DOP853 coefficients, zeros included
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    for i, row in enumerate(_A, 1):
+        assert row.tobytes() == ref.A[i, :i].tobytes()
+    for i, row in enumerate(_A_DENSE, 13):
+        assert row.tobytes() == ref.A[i, :i].tobytes()
+    assert _B.tobytes() == ref.B.tobytes()
+    assert _E.tobytes() == np.array([ref.E5, ref.E3])[:, :12].tobytes()
+    assert not ref.E5[12] and not ref.E3[12]
+    assert _D.tobytes() == ref.D.tobytes()
 
 
 def reference_softmax(u):
