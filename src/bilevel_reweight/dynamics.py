@@ -714,8 +714,9 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
 
     trace = FlowTrace()
     theta, start = theta0.theta.copy(), 0
+    ends = [*np.flatnonzero(np.isin(times, refreshes)), times.size - 1]
     try:
-        for end in [*np.flatnonzero(np.isin(times, refreshes)), times.size - 1]:
+        for end in ends:
             f = frozen_field(model, data, test_data, ModelParams(theta))
             omega = omega_limit(f, w0, omega_cfg)
             extra = {"omega_converged": omega.converged,
