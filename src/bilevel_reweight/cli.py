@@ -489,10 +489,9 @@ def _exp_regime_check(cfg: dict, out: Path, jobs: int) -> list:
     for beta in cfg["betas"]:
         # the joint flow runs for T / beta units of fast time; dt_joint is
         # its first trial step
-        fcfg = FlowConfig(alpha=1.0, beta=beta, dt=cfg["dt_joint"],
-                          t_max=T / beta)
+        fcfg = FlowConfig(dt=cfg["dt_joint"], t_max=T / beta)
         tr = integrate_joint_flow(model, train, test, theta_star, w0, fcfg,
-                                  record_times=t_grid / beta)
+                                  record_times=t_grid / beta, beta=beta)
         ws = np.stack([r.w.values for r in tr.records])
         gap = float(np.max(np.linalg.norm(ws - ref_w, axis=1)))
         rows.append({"beta": beta, "trajectory_gap": gap})

@@ -14,6 +14,7 @@ restricted to the tangent space.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional
 
@@ -32,6 +33,7 @@ from .simplex import (
     DEFAULT_SUPPORT_TOL,
     SimplexWeights,
     TangentVector,
+    _entropies,
     preconditioner,
     support,
 )
@@ -46,26 +48,18 @@ from .solvers import (
 
 @dataclass(frozen=True)
 class FlowConfig:
-    alpha: float = 1.0
-    beta: float = 1.0
     dt: float = 1e-3
     t_max: float = 10.0
     stationarity_tol: float = 1e-8
-    oscillation_window: int = 50
     rtol: float = 1e-10  # DOP853 tolerance; dt is the first trial step
 
     def __post_init__(self):
         _check_field_types(self)
         # each test is written so that NaN fails it
-        for name in ("alpha", "beta"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be nonnegative and finite")
         if not 0 < self.dt < self.t_max < math.inf:
             raise ConfigError("need 0 < dt < t_max < inf")
         if not 0 < self.stationarity_tol < math.inf:
             raise ConfigError("stationarity_tol must be positive and finite")
-        if self.oscillation_window < 2:
-            raise ConfigError("oscillation_window must be >= 2")
         if not 0 < self.rtol < math.inf:
             raise ConfigError("rtol must be positive and finite")
 
@@ -116,21 +110,13 @@ def _softmax(u: np.ndarray) -> SimplexWeights:
 def _dual_records(times, states: np.ndarray) -> List[TraceRecord]:
     """Mirror-flow records of log-weight states (one row per time), built
     in one pass and bit for bit those of _softmax, entropy and support row
-    by row: a row-wise NumPy sum adds in the order a 1-d sum does. entropy
-    sums only the positive terms, which regroups NumPy's pairwise sum from
-    8 terms up, so a row that wide with an exact zero sums its own."""
+    by row: a row-wise NumPy sum adds in the order a 1-d sum does."""
     e = np.exp(states - states.max(axis=1, keepdims=True))
     s = e.sum(axis=1, keepdims=True)
     for i in np.flatnonzero(~np.isfinite(s[:, 0])):
         _softmax(states[i])  # a NaN state: raises
     w = e / s
-    positive = w > 0
-    terms = np.log(w, out=np.zeros_like(w), where=positive)
-    terms *= w
-    h = -terms.sum(axis=1)
-    if w.shape[1] >= 8:
-        for i in np.flatnonzero(~positive.all(axis=1)):
-            h[i] = -terms[i][positive[i]].sum()
+    h = _entropies(w)
     sizes = (w > DEFAULT_SUPPORT_TOL).sum(axis=1)
     return [TraceRecord(k=t, theta=None, w=SimplexWeights._unchecked(row),
                         inner_loss=math.nan, outer_loss=math.nan,
@@ -388,9 +374,16 @@ def _path(deriv, y: np.ndarray, grid, h: float, rtol: float, dual=None):
 
 
 def _record_grid(t_max: float, record_times):
+    """The times a flow records at: 500 equal intervals of [0, t_max] by
+    default, else record_times with 0 put first if it is missing. They must
+    be finite, strictly increasing and within [0, t_max]."""
     if record_times is None:
         return np.linspace(0.0, t_max, 501)
     grid = np.asarray(record_times, dtype=float)
+    if not (grid.ndim == 1 and grid.size and np.all(grid[1:] > grid[:-1])
+            and 0.0 <= grid[0] and grid[-1] <= t_max):  # NaN fails
+        raise ValueError("record_times must be a nonempty, strictly "
+                         f"increasing sequence within [0, {t_max}]")
     if grid[0] != 0.0:
         grid = np.concatenate([[0.0], grid])
     return grid
@@ -434,10 +427,17 @@ def constant_field_solution(w0: SimplexWeights, phi, t: float) -> SimplexWeights
 
 def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
                          w0: SimplexWeights, cfg: FlowConfig,
-                         record_times=None) -> FlowTrace:
-    """Joint flow theta' = -alpha grad G(theta, w), w' = -beta P(w) psi.
-    A failed step halts it as it halts integrate_mirror_flow."""
-    if cfg.alpha == 0 and cfg.beta == 0:
+                         record_times=None, alpha: float = 1.0,
+                         beta: float = 1.0) -> FlowTrace:
+    """Joint flow theta' = -alpha grad G(theta, w), w' = -beta P(w) psi,
+    for nonnegative finite rates alpha and beta, not both zero. A failed
+    step halts it as it halts integrate_mirror_flow."""
+    for name, rate in (("alpha", alpha), ("beta", beta)):
+        # written so that NaN fails it
+        if not (isinstance(rate, numbers.Real) and 0 <= rate < math.inf):
+            raise ConfigError(f"{name} must be nonnegative and finite, got "
+                              f"{rate!r}")
+    if alpha == 0 and beta == 0:
         raise ValueError("alpha and beta cannot both be zero")
     if np.any(w0.values <= 0):
         raise ValueError("w0 must lie in the simplex interior")
@@ -447,8 +447,8 @@ def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
         th = ModelParams(s[:p]).theta
         w = _softmax(s[p:])
         train = model.forward(th, data)
-        dth = -cfg.alpha * train.gamma_T_apply(w.values)
-        du = -cfg.beta * hypergrad_at(train, model.forward(th, test_data), w)
+        dth = -alpha * train.gamma_T_apply(w.values)
+        du = -beta * hypergrad_at(train, model.forward(th, test_data), w)
         return np.concatenate([dth, du])
 
     trace = FlowTrace()
@@ -476,7 +476,6 @@ class StationaryReport:
     tangent_eigenvalues: Optional[np.ndarray] = None
     is_stable: Optional[bool] = None
     in_I_lp: Optional[bool] = None
-    certificate: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
         eig = None
@@ -573,9 +572,7 @@ def stability_check(w: SimplexWeights, field,
     eigs_ok = bool(np.all(eigs.real > tol)) if eigs.size else True
     report.is_stable = margins_ok and eigs_ok
     if isinstance(field, FrozenField):
-        member, cert = membership_I(field.gamma[supp], tol=1e-8)
-        report.in_I_lp = member
-        report.certificate = cert
+        report.in_I_lp, _ = membership_I(field.gamma[supp], tol=1e-8)
     return report
 
 
@@ -635,25 +632,24 @@ class OmegaResult:
     checkpoint_changes: List[float] = dc_field(default_factory=list)
 
 
-def omega_limit(field, w0: SimplexWeights, cfg: FlowConfig,
-                n_checkpoints: int = 500) -> OmegaResult:
-    """Integrate the mirror flow through n_checkpoints equal checkpoints to
-    t_max. Stop at the first whose change is at most stationarity_tol, or
-    that lies within 1e-4 of one more than oscillation_window back with no
-    fall in the change over the window (oscillating). Non-convergence is an
-    ordinary value, never an error. The checkpoints carry the integrator's
-    error, about rtol, so a stationarity_tol far below it may never trip.
-    Most checkpoints lie inside steps and are read off the dense output,
-    which the stabilized step control keeps near the step ends' accuracy in
-    the stability-limited tail; without it that output sat on a floor near
-    2e-8."""
+def omega_limit(field, w0: SimplexWeights, cfg: FlowConfig) -> OmegaResult:
+    """Integrate the mirror flow through 500 equal checkpoints to t_max, the
+    flows' default record grid. Stop at the first whose change is at most
+    stationarity_tol, or that lies within 1e-4 of one more than 50 back
+    with no fall in the change over those 50 (oscillating). Non-convergence
+    is an ordinary value, never an error. The checkpoints carry the
+    integrator's error, about rtol, so a stationarity_tol far below it may
+    never trip. Most checkpoints lie inside steps and are read off the dense
+    output, which the stabilized step control keeps near the step ends'
+    accuracy in the stability-limited tail; without it that output sat on a
+    floor near 2e-8."""
     if np.any(w0.values <= 0):
         # already on a face; one-hot starts are stationary immediately
         rep = is_stationary(w0, field, max(cfg.stationarity_tol, 1e-12))
         if rep.is_stationary:
             return OmegaResult(w0, True, False, 0.0)
         raise ValueError("w0 must lie in the simplex interior")
-    grid = np.linspace(0.0, cfg.t_max, n_checkpoints + 1)
+    grid = _record_grid(cfg.t_max, None)
     path = _mirror_path(field, w0, grid, cfg)
     next(path)
     return _omega_stop(w0, ((t, _softmax(u).values) for t, u in path),
@@ -663,8 +659,8 @@ def omega_limit(field, w0: SimplexWeights, cfg: FlowConfig,
 def omega_from_trace(trace: FlowTrace, w0: SimplexWeights,
                      cfg: FlowConfig) -> OmegaResult:
     """omega_limit's stop rules with a mirror trace's later records from w0
-    as checkpoints: equal to omega_limit(field, w0, cfg, n) when
-    integrate_mirror_flow(field, w0, cfg) wrote it on n equal intervals."""
+    as checkpoints: equal to omega_limit(field, w0, cfg) when
+    integrate_mirror_flow(field, w0, cfg) wrote it on its default grid."""
     return _omega_stop(w0, ((r.k, r.w.values) for r in trace.records[1:]),
                        len(trace.records), cfg)
 
@@ -673,7 +669,7 @@ def _omega_stop(w0, checkpoints, size: int, cfg: FlowConfig) -> OmegaResult:
     history = np.empty((size, w0.n))
     history[0] = w0.values
     changes: List[float] = []
-    win, t, cur = cfg.oscillation_window, 0.0, w0.values
+    win, t, cur = 50, 0.0, w0.values
     for i, (t, cur) in enumerate(checkpoints, 1):
         change = float(np.linalg.norm(cur - history[i - 1]))
         changes.append(change)

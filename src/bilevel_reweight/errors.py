@@ -54,14 +54,12 @@ class ConfigError(BilevelError, ValueError):
 # annotation -> (accepted types, description); the modules that declare
 # configs use `from __future__ import annotations`, so annotations are strings
 _FIELD_TYPES = {"int": (numbers.Integral, "an integer"),
-                "float": (numbers.Real, "a real number"),
-                "Optional[float]": ((numbers.Real, type(None)),
-                                    "a real number or None")}
+                "float": (numbers.Real, "a real number")}
 
 
 def _check_field_types(config):
-    """Raise ConfigError unless each int, float or Optional[float] field of
-    the dataclass instance config holds a value of that type."""
+    """Raise ConfigError unless each int or float field of the dataclass
+    instance config holds a value of that type."""
     for f in dataclasses.fields(config):
         types, what = _FIELD_TYPES.get(f.type, (object, None))
         value = getattr(config, f.name)

@@ -150,10 +150,16 @@ def preconditioner(w: SimplexWeights) -> np.ndarray:
     return np.diag(v) - np.outer(v, v)
 
 
+def _entropies(w: np.ndarray) -> np.ndarray:
+    """entropy of each weight vector along the last axis of w."""
+    terms = np.log(w, out=np.zeros_like(w), where=w > 0)
+    terms *= w
+    return -terms.sum(axis=-1)
+
+
 def entropy(w: SimplexWeights) -> float:
     """Shannon entropy -sum w_i log w_i, with 0 log 0 = 0."""
-    v = w.values[w.values > 0]
-    return float(-(v * np.log(v)).sum())
+    return float(_entropies(w.values))
 
 
 def support(w: SimplexWeights, tol: float = DEFAULT_SUPPORT_TOL) -> np.ndarray:

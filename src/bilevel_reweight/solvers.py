@@ -52,20 +52,15 @@ class SolverConfig:
     eta: float = 1.0
     rho: float = 1e-2
     iterations: int = 100
-    inner_tol: float = 1e-10
     record_every: int = 1
-    rho_v: Optional[float] = None  # soba only; defaults to rho
 
     def __post_init__(self):
         _check_field_types(self)
-        for name in ("eta", "rho", "rho_v"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
+        for name in ("eta", "rho"):
+            if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be nonnegative and finite")
         if self.iterations < 1 or self.record_every < 1:
             raise ConfigError("iterations and record_every must be >= 1")
-        if not 0 < self.inner_tol < math.inf:
-            raise ConfigError("inner_tol must be positive and finite")
 
 
 @dataclass
@@ -227,16 +222,17 @@ def _inner_solution(model, data, w: SimplexWeights, theta0: ModelParams,
 
 def exact_bilevel(model, data, test_data, w0: SimplexWeights,
                   cfg: SolverConfig) -> FlowTrace:
-    """Exact bilevel: inner solve, hypergradient, mirror step, repeated.
-    A failed inner solve at w0 raises; a later one halts the run. For a
-    quadratic model the closed-form solve's weighted Gram is kept and
-    serves the next step's hypergradient, which is at the same w."""
+    """Exact bilevel: inner solve to |grad G| <= 1e-10, hypergradient,
+    mirror step, repeated. A failed inner solve at w0 raises; a later one
+    halts the run. For a quadratic model the closed-form solve's weighted
+    Gram is kept and serves the next step's hypergradient, which is at the
+    same w."""
     theta0 = ModelParams(np.zeros(model.n_params(data)))
     gram = None
 
     def solve(w):
         nonlocal gram
-        theta, gram = _inner_solution(model, data, w, theta0, cfg.inner_tol)
+        theta, gram = _inner_solution(model, data, w, theta0, 1e-10)
         return theta
 
     def step(train, test, w):
@@ -267,18 +263,18 @@ def warm_started(model, data, test_data, theta0: ModelParams, w0: SimplexWeights
 def soba(model, data, test_data, theta0: ModelParams, w0: SimplexWeights,
          v0: np.ndarray, cfg: SolverConfig) -> FlowTrace:
     """Deterministic full-batch SOBA: an auxiliary v tracks H^{-1} grad F via
-    Hessian-vector products; neither the Hessian nor Gamma is formed, and
-    one forward pass per data set serves the whole step, whose Gamma v and
-    H(w) v share one product of v with X^T."""
+    Hessian-vector products, stepped by rho as theta is (Dagreou et al.,
+    NeurIPS 2022). Neither the Hessian nor Gamma is formed, and one forward
+    pass per data set serves the whole step, whose Gamma v and H(w) v share
+    one product of v with X^T."""
     v = np.asarray(v0, dtype=float).copy()
-    rho_v = cfg.rho_v if cfg.rho_v is not None else cfg.rho
 
     def step(train, test, w):
         nonlocal v
         gv, hv = train.gamma_hess_apply(w.values, v)
         psi_hat = -gv
         _finite("hypergradient estimate", psi_hat)
-        v = v - rho_v * (hv - test.mean_fit_grad())
+        v = v - cfg.rho * (hv - test.mean_fit_grad())
         theta = train.theta - cfg.rho * train.gamma_T_apply(w.values)
         _finite("iterates", theta, v)
         if cfg.eta > 0:

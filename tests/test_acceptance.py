@@ -168,10 +168,9 @@ def test_criterion_06_fast_w_regime():
     ref_theta = np.stack([r.theta for r in ref.records])
     gaps, final_supports = [], []
     for alpha in (1e-1, 1e-2, 1e-3):
-        fcfg = FlowConfig(alpha=alpha, beta=1.0, dt=1e-2, t_max=T / alpha,
-                          rtol=1e-10)
+        fcfg = FlowConfig(dt=1e-2, t_max=T / alpha, rtol=1e-10)
         tr = integrate_joint_flow(model, train, test, theta0, w0, fcfg,
-                                  record_times=t_grid / alpha)
+                                  record_times=t_grid / alpha, alpha=alpha)
         ths = np.stack([r.theta for r in tr.records])
         gaps.append(float(np.max(np.linalg.norm(ths - ref_theta, axis=1))))
         final_supports.append(tr.final.support_size)
@@ -269,8 +268,7 @@ def test_criterion_10_discretization_order():
     theta0 = ModelParams(np.zeros(2))
     T = 0.5
     ref = integrate_joint_flow(model, train, test, theta0, w0,
-                               FlowConfig(alpha=1.0, beta=1.0, dt=1e-4,
-                                          t_max=T),
+                               FlowConfig(dt=1e-4, t_max=T),
                                record_times=[T]).final
     errs = []
     for tau in (0.01, 0.005, 0.0025, 0.00125):

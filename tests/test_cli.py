@@ -193,7 +193,7 @@ class TestSolve:
         assert rc == 2
         assert capsys.readouterr().err.strip() == (
             "unknown SolverConfig key(s) ['etaa']; known keys: ['eta', "
-            "'inner_tol', 'iterations', 'record_every', 'rho', 'rho_v']")
+            "'iterations', 'record_every', 'rho']")
 
     def test_out_of_range_mu_exits_2(self, tmp_path, capsys):
         cfg = self.solve_config(tmp_path)
@@ -624,6 +624,22 @@ def test_seed_outside_the_philox_key_range_exits_2(tmp_path, capsys, command,
     assert main(_argv(command, config, tmp_path / "out", [item])) == 2
     assert capsys.readouterr().err.strip() == (
         f"seed must lie in [0, 2**64), got {seed}")
+
+
+@pytest.mark.parametrize("command, item, config", [
+    (["flow"], "flow.alpha=7", "FlowConfig"),
+    (["experiment", "frozen-flow"], "flow.beta=2", "FlowConfig"),
+    (["flow"], "flow.oscillation_window=5", "FlowConfig"),
+    (["solve"], "solver.rho_v=0.3", "SolverConfig"),
+    (["solve"], "solver.inner_tol=1e-3", "SolverConfig")],
+    ids=["flow-alpha", "frozen-flow-beta", "flow-oscillation_window",
+         "solve-rho_v", "solve-inner_tol"])
+def test_removed_config_key_exits_2_naming_it(tmp_path, capsys, command, item,
+                                              config):
+    key = item.split("=")[0].split(".")[1]
+    assert main([*command, "--out", str(tmp_path / "out"), "--set", item]) == 2
+    assert capsys.readouterr().err.strip().startswith(
+        f"unknown {config} key(s) ['{key}']; known keys: [")
 
 
 @pytest.mark.parametrize("preset", workloads.PRESETS, ids=lambda p: p.name)

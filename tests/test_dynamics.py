@@ -114,6 +114,24 @@ class TestMirrorFlow:
             integrate_mirror_flow(ConstantField(np.zeros(2)), w0,
                                   FlowConfig(dt=1e-2, t_max=1.0))
 
+    @pytest.mark.parametrize("times", [
+        [0.1, np.nan], [], [0.5, 0.2, 1.0], [-0.5, 0.5], [0.5, 0.5],
+        [0.5, 10.5], [0.5, np.inf]],
+        ids=["nan", "empty", "decreasing", "negative", "repeated",
+             "past-t_max", "inf"])
+    def test_rejects_bad_record_times_before_integrating(self, times):
+        field = FrozenField.ridge_like(3, 5, 3, 0.5)
+        calls = []
+
+        def counting(w):
+            calls.append(1)
+            return field(w)
+
+        with pytest.raises(ValueError, match="record_times"):
+            integrate_mirror_flow(counting, SimplexWeights.uniform(5),
+                                  FlowConfig(), record_times=times)
+        assert not calls
+
     def test_exact_field_decreases_value_function(self):
         spec = MixtureSpec(n=40, m=20, sigma=0.1, seed=11)
         train, test, _, _ = gen_mixture(spec)
@@ -289,8 +307,7 @@ class TestAdaptiveSteps:
 
 
 @pytest.mark.parametrize("field,value", [
-    ("alpha", np.nan), ("beta", np.nan), ("dt", np.nan),
-    ("stationarity_tol", np.nan), ("t_max", np.inf), ("alpha", -1.0),
+    ("dt", np.nan), ("stationarity_tol", np.nan), ("t_max", np.inf),
     ("stationarity_tol", np.inf)])
 def test_flow_config_rejects_invalid_value_naming_the_field(field, value):
     with pytest.raises(ValueError, match=field):
@@ -299,10 +316,8 @@ def test_flow_config_rejects_invalid_value_naming_the_field(field, value):
 
 @pytest.mark.parametrize("field,value", [
     (field, value)
-    for field in ("alpha", "beta", "dt", "t_max", "stationarity_tol", "rtol",
-                  "oscillation_window")
-    for value in (None, "1", 2.5)
-    if value != 2.5 or field == "oscillation_window"])
+    for field in ("dt", "t_max", "stationarity_tol", "rtol")
+    for value in (None, "1")])
 def test_flow_config_rejects_wrong_type_naming_the_field(field, value):
     with pytest.raises(ConfigError, match=field):
         FlowConfig(**{field: value})
@@ -316,13 +331,24 @@ def joint_toy():
 
 
 class TestJointFlow:
+    @pytest.mark.parametrize("rate,value", [
+        (rate, value) for rate in ("alpha", "beta")
+        for value in (None, "1", -1.0, np.nan, np.inf)])
+    def test_rejects_invalid_rate_naming_it(self, joint_toy, rate, value):
+        model, train, test, _ = joint_toy
+        with pytest.raises(ConfigError, match=rate):
+            integrate_joint_flow(model, train, test, ModelParams(np.zeros(2)),
+                                 SimplexWeights.uniform(train.n),
+                                 FlowConfig(dt=1e-3, t_max=1.0),
+                                 **{rate: value})
+
     def test_beta_zero_reduces_to_inner_gradient_flow(self, joint_toy):
         model, train, test, _ = joint_toy
         w0 = SimplexWeights.uniform(train.n)
-        cfg = FlowConfig(alpha=1.0, beta=0.0, dt=1e-3, t_max=20.0)
+        cfg = FlowConfig(dt=1e-3, t_max=20.0)
         trace = integrate_joint_flow(model, train, test,
                                      ModelParams(np.zeros(2)), w0, cfg,
-                                     record_times=[20.0])
+                                     record_times=[20.0], beta=0.0)
         for r in trace.records:
             assert np.max(np.abs(r.w.values - w0.values)) <= 1e-12
         theta_star = closed_form_inner_quadratic(train, w0, model.mu)
@@ -332,9 +358,9 @@ class TestJointFlow:
         model, train, test, _ = joint_toy
         theta0 = ModelParams(np.array([0.3, -0.2]))
         w0 = SimplexWeights.uniform(train.n)
-        cfg = FlowConfig(alpha=0.0, beta=1.0, dt=1e-3, t_max=1.0)
+        cfg = FlowConfig(dt=1e-3, t_max=1.0)
         joint = integrate_joint_flow(model, train, test, theta0, w0, cfg,
-                                     record_times=[1.0])
+                                     record_times=[1.0], alpha=0.0)
         assert np.allclose(joint.final.theta, theta0.theta)
         field = frozen_field(model, train, test, theta0)
         mirror = integrate_mirror_flow(field, w0, cfg, record_times=[1.0])
@@ -346,8 +372,8 @@ class TestJointFlow:
         with pytest.raises(ValueError):
             integrate_joint_flow(model, train, test, ModelParams(np.zeros(2)),
                                  SimplexWeights.uniform(train.n),
-                                 FlowConfig(alpha=0.0, beta=0.0, dt=1e-3,
-                                            t_max=1.0))
+                                 FlowConfig(dt=1e-3, t_max=1.0), alpha=0.0,
+                                 beta=0.0)
 
     def test_derivative_makes_one_train_and_one_test_pass(self, joint_toy,
                                                           monkeypatch):
@@ -397,7 +423,7 @@ class TestJointFlow:
 
     def test_theta_stays_bounded(self, joint_toy):
         model, train, test, _ = joint_toy
-        cfg = FlowConfig(alpha=1.0, beta=1.0, dt=1e-3, t_max=5.0)
+        cfg = FlowConfig(dt=1e-3, t_max=5.0)
         trace = integrate_joint_flow(model, train, test,
                                      ModelParams(np.zeros(2)),
                                      SimplexWeights.uniform(train.n), cfg,
@@ -455,10 +481,10 @@ class TestFlowsHalt:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if flow == "joint":
-                cfg = FlowConfig(beta=1e4 / (1e-2 * (psi[1] - psi[0])),
-                                 dt=1e-2, t_max=1.0)
-                trace = integrate_joint_flow(model, train, test, theta0, w0,
-                                             cfg)
+                cfg = FlowConfig(dt=1e-2, t_max=1.0)
+                trace = integrate_joint_flow(
+                    model, train, test, theta0, w0, cfg,
+                    beta=1e4 / (1e-2 * (psi[1] - psi[0])))
             else:
                 field = frozen_field(model, train, test, theta0)
                 phi = np.sort(field(w0))
@@ -480,10 +506,11 @@ class TestFlowsHalt:
     def test_joint_flow_halts_on_six_samples(self, seed, scale, beta, dt, rtol,
                                              reason, size):
         model, train, test = ridge_instance(seed, 6, scale)
-        cfg = FlowConfig(beta=beta, dt=dt, t_max=2.0, rtol=rtol)
+        cfg = FlowConfig(dt=dt, t_max=2.0, rtol=rtol)
         trace = integrate_joint_flow(model, train, test,
                                      ModelParams(np.zeros(2)),
-                                     SimplexWeights.uniform(6), cfg)
+                                     SimplexWeights.uniform(6), cfg,
+                                     beta=beta)
         assert_partial_trace(trace, np.linspace(0.0, 2.0, 501))
         assert reason in trace.halted and len(trace.records) == size
 
@@ -743,20 +770,19 @@ class TestOmegaLimit:
         # the per-checkpoint change cannot reach an extreme tolerance in time
         field = ConstantField(np.array([0.0, 1.0, 2.0]))
         cfg = FlowConfig(dt=1e-2, t_max=2.0, stationarity_tol=1e-15)
-        res = omega_limit(field, SimplexWeights.uniform(3), cfg,
-                          n_checkpoints=20)
+        res = omega_limit(field, SimplexWeights.uniform(3), cfg)
         assert isinstance(res, OmegaResult)
         assert not res.converged and not res.oscillating
         assert res.t == pytest.approx(2.0)
-        assert len(res.checkpoint_changes) == 20
+        assert len(res.checkpoint_changes) == 500
 
     def test_time_is_the_checkpoint_grid_time(self):
         field = ConstantField(np.array([0.0, 1.0, 2.0]))
         cfg = FlowConfig(dt=1e-2, t_max=2.0, stationarity_tol=1e-15)
-        res = omega_limit(field, SimplexWeights.uniform(3), cfg,
-                          n_checkpoints=20)
+        res = omega_limit(field, SimplexWeights.uniform(3), cfg)
         assert type(res.t) is float
         assert res.t == 2.0
+        assert len(res.checkpoint_changes) == 500
 
     def test_detects_oscillation(self):
         # rotation generated in dual coordinates: w(t) is exactly periodic,
@@ -771,10 +797,10 @@ class TestOmegaLimit:
                 return S @ np.log(w.values)
 
         w0 = SimplexWeights.from_unnormalized(np.array([0.5, 0.3, 0.2]))
-        cfg = FlowConfig(dt=1e-3, t_max=20.0, stationarity_tol=1e-10,
-                         oscillation_window=5)
-        res = omega_limit(LogRotField(), w0, cfg, n_checkpoints=200)
+        cfg = FlowConfig(dt=1e-3, t_max=20.0, stationarity_tol=1e-10)
+        res = omega_limit(LogRotField(), w0, cfg)
         assert res.oscillating and not res.converged
+        assert res.t < 20.0
 
 
 class TestSparseReference:
