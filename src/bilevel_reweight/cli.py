@@ -259,6 +259,14 @@ def _run_solver(kind: str, model, train, test, scfg, theta_ref):
     }
 
 
+def _solver_config(kind: str, fields: dict) -> SolverConfig:
+    """SolverConfig of solver kind from its config; ConfigError names rho
+    under kind exact, which re-solves the inner problem and never reads it."""
+    if kind == "exact" and "rho" in fields:
+        raise ConfigError("rho is not read by solver kind exact; remove it")
+    return _build(SolverConfig, fields)
+
+
 def _solve(cfg: dict, out: Path):
     train, test, _, extras = _dataset_from_config(cfg["dataset"])
     model = _model_from_config(cfg, train)
@@ -266,7 +274,7 @@ def _solve(cfg: dict, out: Path):
     kind = solver_cfg.pop("kind")
     theta_hat = extras.get("theta_hat")
     trace, summary = _run_solver(kind, model, train, test,
-                                 _build(SolverConfig, solver_cfg), theta_hat)
+                                 _solver_config(kind, solver_cfg), theta_hat)
     trace.to_jsonl(out / "trace.jsonl", theta_ref=theta_hat)
     _write_json(out / "summary.json", {**summary, "halted": trace.halted})
 
@@ -293,12 +301,30 @@ def _fig3_flow(cfg: dict, fcfg: FlowConfig, out: Path):
     return field, result, member
 
 
+def _check_flow_keys(cfg: dict):
+    """ConfigError naming each top-level key that the preset does not read
+    but that differs from its default: fig3 draws its field from n, p and
+    seed; constant integrates phi, or one drawn from n and seed."""
+    if cfg["preset"] == "fig3":
+        unread = ["phi"]
+    elif cfg["preset"] == "constant":
+        unread = ["p"] if cfg["phi"] is None else ["n", "p", "seed"]
+    else:
+        raise ConfigError(f"unknown flow preset {cfg['preset']!r}")
+    defaults = COMMANDS["flow"][1]
+    set_keys = [key for key in unread if cfg[key] != defaults[key]]
+    if set_keys:
+        raise ConfigError(f"flow preset {cfg['preset']} does not read "
+                          f"{set_keys}; leave them at their defaults")
+
+
 def _flow(cfg: dict, out: Path):
+    _check_flow_keys(cfg)
     fcfg = _build(FlowConfig, cfg["flow"])
     if cfg["preset"] == "fig3":
         field, result, member = _fig3_flow(cfg, fcfg, out)
         extra = {"in_I_lp": member}
-    elif cfg["preset"] == "constant":
+    else:  # constant
         phi = cfg["phi"]
         if phi is None:
             phi = datagen._rng(cfg["seed"]).standard_normal(cfg["n"])
@@ -311,8 +337,6 @@ def _flow(cfg: dict, out: Path):
         err = float(np.max(np.abs(trace.final.w.values - closed.values)))
         extra = {"closed_form_error": err}
         print(f"closed-form comparison error: {err:.3e}")
-    else:
-        raise ConfigError(f"unknown flow preset {cfg['preset']!r}")
     tol = max(10 * fcfg.stationarity_tol, 1e-6)
     report = is_stationary(result.w, field, tol=tol)
     if report.is_stationary:
@@ -379,7 +403,8 @@ def _exp_toy_mixture(cfg: dict, out: Path, jobs: int) -> list:
     rows.append(static_row("uniform", w_uniform))
     rows.append(static_row("optimal", w_optimal))
 
-    scfgs = {kind: _build(SolverConfig, cfg[kind]) for kind in ("exact", "warm")}
+    scfgs = {kind: _solver_config(kind, cfg[kind])
+             for kind in ("exact", "warm")}
     for kind, scfg in scfgs.items():
         trace, summary = _run_solver(kind, model, train, test, scfg, theta_hat)
         trace.to_jsonl(out / f"trace-{kind}.jsonl", theta_ref=theta_hat)

@@ -143,7 +143,8 @@ def hypergrad_at(train: ForwardPass, test: ForwardPass, w: SimplexWeights,
     Hessian formed. fit_hess, if given, is train.fit_hess(w.values) as the
     caller already built it (see ForwardPass.hess)."""
     v = _solve_hessian(train, w.values, test.mean_fit_grad(), fit_hess)
-    return -train.gamma_apply(v)
+    psi = train.gamma_apply(v)
+    return np.negative(psi, out=psi)
 
 
 class FrozenField:

@@ -137,13 +137,20 @@ class ForwardPass:
         return self.fit_gamma_T_apply(self.data.mean_weights)
 
     # --- regularized per-sample training loss ---
+    # At mu = 0 the regularizer's terms are exact zeros and are skipped.
     def sample_losses(self) -> np.ndarray:
+        if not self.mu:
+            return self.fit_losses()
         return self.fit_losses() + 0.5 * self.mu * float(self.theta @ self.theta)
 
     def _gamma(self, v, A) -> np.ndarray:
+        if not self.mu:
+            return self.fit_gamma_from(A)
         return self.fit_gamma_from(A) + self.mu * float(self.theta @ v)
 
     def _hess(self, w, v, A) -> np.ndarray:
+        if not self.mu:
+            return self.fit_hess_from(w, A)
         return self.fit_hess_from(w, A) + (self.mu * w.sum()) * v
 
     def gamma_apply(self, v) -> np.ndarray:
@@ -159,13 +166,16 @@ class ForwardPass:
         return self._gamma(v, A), self._hess(w, v, A)
 
     def gamma_T_apply(self, w) -> np.ndarray:
+        if not self.mu:
+            return self.fit_gamma_T_apply(w)
         return self.fit_gamma_T_apply(w) + (self.mu * w.sum()) * self.theta
 
     def hess(self, w, fit_hess=None) -> np.ndarray:
         """H(w), p x p. fit_hess, if given, is fit_hess(w) as the caller
         already built it; it is copied, not changed."""
         H = self.fit_hess(w) if fit_hess is None else fit_hess.copy()
-        H.flat[::H.shape[0] + 1] += self.mu * w.sum()
+        if self.mu:
+            H.flat[::H.shape[0] + 1] += self.mu * w.sum()
         return H
 
     def sample_grads(self) -> np.ndarray:

@@ -284,48 +284,74 @@ def soba(model, data, test_data, theta0: ModelParams, w0: SimplexWeights,
     return _run(model, data, test_data, theta0.theta.copy(), w0, cfg, step)
 
 
-def _sigmoid(lam) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.asarray(lam, dtype=float)))
+def _sigmoid_into(lam: np.ndarray, e: np.ndarray, s: np.ndarray):
+    """s = sigmoid(lam) = 1 / (1 + e) with e = exp(-lam), both written into
+    the given buffers; e is kept for the derivative. Where lam < -709, e
+    overflows to inf and s is an exact 0: NumPy's overflow warning there
+    says nothing of the result, and callers outside _run silence it."""
+    np.exp(np.negative(lam, out=e), out=e)
+    np.divide(1.0, np.add(e, 1.0, out=s), out=s)
+
+
+def _sigmoid(lam):
+    """(exp(-lam), sigmoid(lam)) as _sigmoid_into computes them, in new
+    arrays and without the overflow warning."""
+    lam = np.asarray(lam, dtype=float)
+    e, s = np.empty_like(lam), np.empty_like(lam)
+    with np.errstate(over="ignore"):
+        _sigmoid_into(lam, e, s)
+    return e, s
 
 
 def softmax_weights(lam: np.ndarray) -> SimplexWeights:
     """w_i = sigmoid(lam_i) / sum_j sigmoid(lam_j)."""
-    return SimplexWeights.from_unnormalized(_sigmoid(lam))
+    return SimplexWeights.from_unnormalized(_sigmoid(lam)[1])
 
 
-def _sigmoid_chain(s: np.ndarray, total: float, w: np.ndarray,
-                   psi: np.ndarray) -> np.ndarray:
-    """lambda_gradient from s = sigmoid(lam), total = sum(s) and
-    w = s / total."""
-    return (s * (1.0 - s) / total) * (psi - w @ psi)
+def _lambda_gradient(e: np.ndarray, s: np.ndarray, w: SimplexWeights,
+                     psi: np.ndarray) -> np.ndarray:
+    """lambda_gradient from e = exp(-lam), s = sigmoid(lam) and
+    w = s / sum(s), in e's buffer; psi's buffer is overwritten too.
+    sigmoid'(lam)/S = s (1 - s)/S is formed as e s w, which never rounds
+    1 - s to 0, so it stays nonzero for lam >= 37. Where s underflowed to 0,
+    e is inf and the factor is set to exactly 0; only weights that are not
+    interior can hold such an entry."""
+    v = w.values
+    if not w.interior:
+        e[s == 0] = 0.0
+    psi -= v @ psi
+    e *= s
+    e *= v
+    e *= psi
+    return e
 
 
 def lambda_gradient(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Chain rule through the normalized-sigmoid reparameterization:
     dh/dlam_j = sigmoid'(lam_j)/S * (Psi_j - <w, Psi>)."""
-    s = _sigmoid(lam)
-    total = s.sum()
-    return _sigmoid_chain(s, total, s / total, psi)
+    e, s = _sigmoid(lam)
+    return _lambda_gradient(e, s, SimplexWeights.from_unnormalized(s),
+                            np.array(psi, dtype=float))
 
 
 def softmax_reparam(model, data, test_data, theta0: ModelParams,
                     lambda0: np.ndarray, cfg: SolverConfig) -> FlowTrace:
     """Joint descent on (theta, lambda) with weights w(lambda); the lambda
     update is unconstrained so no mirror step is needed. sigmoid(lambda)
-    and its sum are kept from the step that made w, so each step evaluates
-    them once."""
-    lam = np.asarray(lambda0, dtype=float).copy()
-    s = _sigmoid(lam)
-    total = s.sum()
+    and exp(-lambda) are kept from the step that made w, so each step
+    evaluates them once, into the same two buffers."""
+    lam = np.array(lambda0, dtype=float)
+    e, s = _sigmoid(lam)
 
     def step(train, test, w):
-        nonlocal lam, s, total
         psi = hypergrad_at(train, test, w)
         _finite("hypergradient", psi)
         theta = train.theta - cfg.rho * train.gamma_T_apply(w.values)
-        lam = lam - cfg.eta * _sigmoid_chain(s, total, w.values, psi)
+        g = _lambda_gradient(e, s, w, psi)
+        g *= cfg.eta
+        np.subtract(lam, g, out=lam)
         _finite("iterates", theta, lam)
-        s = _sigmoid(lam)
+        _sigmoid_into(lam, e, s)
         total = s.sum()
         if not 0 < total < math.inf:  # every sigmoid underflowed: raise
             return theta, SimplexWeights.from_unnormalized(s)

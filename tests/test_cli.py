@@ -642,6 +642,40 @@ def test_removed_config_key_exits_2_naming_it(tmp_path, capsys, command, item,
         f"unknown {config} key(s) ['{key}']; known keys: [")
 
 
+UNREAD_BY_EXACT = "rho is not read by solver kind exact; remove it"
+
+
+@pytest.mark.parametrize("command, sets, message", [
+    (["solve"], ["solver.rho=5"], UNREAD_BY_EXACT),
+    (["experiment", "toy-mixture"], ["exact.rho=0.01"], UNREAD_BY_EXACT),
+    (["flow"], ["phi=[1.0,2.0]"], "flow preset fig3 does not read ['phi']"),
+    (["flow"], ["preset=constant", "p=4"],
+     "flow preset constant does not read ['p']"),
+    (["flow"], ["preset=constant", "phi=[1.0,2.0]", "n=7"],
+     "flow preset constant does not read ['n']")],
+    ids=["solve-exact-rho", "toy-mixture-exact-rho", "fig3-phi", "constant-p",
+         "constant-phi-n"])
+def test_key_the_run_does_not_read_exits_2_naming_it(tmp_path, capsys,
+                                                     command, sets, message):
+    argv = [*command, "--out", str(tmp_path / "out")]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip().startswith(message)
+
+
+@pytest.mark.parametrize("sets", [
+    ["phi=null", "flow.t_max=1.0"],
+    ["preset=constant", "n=4", "seed=3", "flow.t_max=1.0"],
+    ["preset=constant", "phi=[1.0,2.0]", "n=5", "p=3", "seed=0",
+     "flow.t_max=1.0"]], ids=["fig3", "constant-drawn", "constant-phi"])
+def test_unread_flow_key_at_its_default_runs(tmp_path, sets):
+    argv = ["flow", "--out", str(tmp_path / "out")]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 0
+
+
 @pytest.mark.parametrize("preset", workloads.PRESETS, ids=lambda p: p.name)
 def test_benchmark_configs_resolve_to_themselves(tmp_path, preset):
     # the check perfbench's check_call makes of every benchmark call, here

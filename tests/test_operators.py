@@ -25,13 +25,13 @@ def assert_rel_close(got, want, terms):
 
 
 @st.composite
-def instances(draw):
+def instances(draw, mus=(0.0, 1e-3, 0.5)):
     """A random small model, dataset, theta, weights w and direction v."""
     kind = draw(st.sampled_from(["ridge", "logistic"]))
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(1, 25))
     d = draw(st.integers(1, 5))
-    mu = draw(st.sampled_from([0.0, 1e-3, 0.5]))
+    mu = draw(st.sampled_from(mus))
     scale = draw(st.sampled_from([0.1, 1.0, 5.0]))
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
@@ -112,3 +112,27 @@ def test_v_changed_in_place_gets_a_fresh_product(inst):
     assert gv.tobytes() == model.forward(theta, data).gamma_apply(v).tobytes()
     assert hv.tobytes() == model.forward(theta, data).hess_apply(
         w.values, v).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(mus=(0.0,)))
+def test_mu_0_skips_only_exact_zeros(inst):
+    # each operator against its regularized formula with mu = 0.0, whose
+    # terms the operators skip at mu = 0
+    model, data, theta, w, v = inst
+    fp = model.forward(theta, data)
+    mu, wv = model.mu, w.values
+    A = fp.fit_product(v)
+    H = fp.fit_hess(wv)
+    H.flat[::H.shape[0] + 1] += mu * wv.sum()
+    for got, want in [
+            (fp.sample_losses(),
+             fp.fit_losses() + 0.5 * mu * float(theta @ theta)),
+            (fp.gamma_apply(v), fp.fit_gamma_from(A) + mu * float(theta @ v)),
+            (fp.hess_apply(wv, v),
+             fp.fit_hess_from(wv, A) + (mu * wv.sum()) * v),
+            (fp.gamma_T_apply(wv),
+             fp.fit_gamma_T_apply(wv) + (mu * wv.sum()) * theta),
+            (fp.hess(wv), H),
+            (fp.hess(wv, fp.fit_hess(wv)), H)]:
+        assert got.tobytes() == want.tobytes()

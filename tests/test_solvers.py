@@ -451,6 +451,111 @@ class TestSoftmaxReparam:
         assert trace.final.entropy < trace.records[0].entropy
 
 
+def _sigmoid_ld(lam):
+    """sigmoid(lam) and exp(-lam) in long double."""
+    e = np.exp(-np.asarray(lam, dtype=np.longdouble))
+    return e, 1 / (1 + e)
+
+
+def _centered(lam, psi):
+    """psi - <w, psi> at w = softmax_weights(lam), as lambda_gradient forms
+    it."""
+    w = softmax_weights(lam).values
+    return psi - w @ psi
+
+
+@st.composite
+def lambdas(draw, lo, hi, size=st.integers(1, 20)):
+    return np.array(draw(st.lists(st.floats(lo, hi), min_size=1,
+                                  max_size=draw(size))))
+
+
+class TestLambdaGradient:
+    """lambda_gradient forms sigmoid'(lam)/S as exp(-lam) s w, without the
+    1 - s that rounds to 0 for lam >= 37."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=lambdas(-50.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_agrees_with_s_one_minus_s_where_that_does_not_cancel(self, lam,
+                                                                  seed):
+        # 1 - s >= 0.26 here, so the old formula is accurate too
+        psi = np.random.default_rng(seed).standard_normal(lam.size)
+        s = 1 / (1 + np.exp(-lam))
+        want = s * (1 - s) / s.sum() * _centered(lam, psi)
+        np.testing.assert_allclose(lambda_gradient(lam, psi), want,
+                                   rtol=1e-14, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=lambdas(-1e308, 1e308),
+           psi_scale=st.floats(0.0, 1e6), seed=st.integers(0, 2**32 - 1))
+    def test_is_finite_and_exactly_0_where_sigmoid_underflows(
+            self, lam, psi_scale, seed):
+        lam = np.append(lam, 0.0)  # keeps the sigmoids' sum positive
+        psi = psi_scale * np.random.default_rng(seed).standard_normal(lam.size)
+        with np.errstate(over="ignore"):
+            s = 1 / (1 + np.exp(-lam))
+        g = lambda_gradient(lam, psi)
+        assert np.all(np.isfinite(g))
+        assert np.all(g[s == 0] == 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=lambdas(37.0, 600.0), mixed=lambdas(-30.0, 30.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stays_nonzero_and_accurate_at_large_lambda(self, lam, mixed,
+                                                        seed):
+        lam = np.concatenate([lam, mixed])
+        psi = np.random.default_rng(seed).integers(-5, 6, lam.size) * 1.0
+        d = _centered(lam, psi)
+        e, s = _sigmoid_ld(lam)
+        want = e * s * s / s.sum() * d
+        g = lambda_gradient(lam, psi)
+        assert np.array_equal(g != 0, d != 0)
+        assert np.all(np.abs(g - want) <= 1e-13 * np.abs(want))
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), eta=st.sampled_from([1.0, 100.0]),
+           n_dead=st.integers(0, 20))
+    def test_first_step_is_lambda0_minus_eta_lambda_gradient(self, toy, seed,
+                                                             eta, n_dead):
+        model, train, test, _, _ = toy
+        rng = np.random.default_rng(seed)
+        lam0 = 3 * rng.standard_normal(train.n)
+        lam0[:n_dead] = -720.0  # weights exactly 0
+        lam0[n_dead:n_dead + 3] = 40.0 + rng.random(3)
+        theta0 = ModelParams(rng.standard_normal(train.d))
+        cfg = SolverConfig(eta=eta, rho=1e-3, iterations=1)
+        trace = softmax_reparam(model, train, test, theta0, lam0, cfg)
+        psi0 = hypergrad(model, train, test, theta0, softmax_weights(lam0))
+        lam1 = lam0 - eta * lambda_gradient(lam0, psi0)
+        assert trace.halted is None
+        assert trace.final.w.values.tobytes() == \
+            softmax_weights(lam1).values.tobytes()
+
+    def test_run_with_underflowed_sigmoids_keeps_those_weights_at_0(self,
+                                                                    toy):
+        # e s w would be inf * 0 = NaN there and halt the run as overflowed
+        model, train, test, _, _ = toy
+        lam0 = np.zeros(train.n)
+        lam0[::4] = -720.0
+        cfg = SolverConfig(eta=100.0, rho=1e-3, iterations=200,
+                           record_every=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = softmax_reparam(model, train, test,
+                                    ModelParams(np.zeros(train.d)), lam0, cfg)
+        assert trace.halted is None
+        assert [r.k for r in trace.records] == [0, 50, 100, 150, 200]
+        for r in trace.records:
+            assert np.all(r.w.values[::4] == 0)
+            assert np.all(r.w.values[1::4] > 0)
+
+    def test_weights_of_very_negative_lambda_are_0_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = softmax_weights(np.array([-720.0, -1e300, 0.0]))
+        assert w.values.tolist() == [0.0, 0.0, 1.0]
+
+
 @pytest.mark.parametrize("field,value", [("eta", np.nan), ("rho", -1.0)])
 def test_solver_config_rejects_invalid_value_naming_the_field(field, value):
     with pytest.raises(ValueError, match=field):
