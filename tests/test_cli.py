@@ -439,6 +439,85 @@ class TestExperiment:
         assert report["in_I_lp"] is None
 
 
+class TestRegimeCheckFlows:
+    """regime-check integrates its joint legs at cli._JOINT_GAP_RTOL, which
+    its gaps need, keeps the oracle flow at FlowConfig's rtol, and measures
+    a gap between whole flows only."""
+
+    SMALL = ["--set", "spec.m=10", "--set", "horizon=0.01",
+             "--set", "betas=[0.1,0.01]", "--set", "checkpoints=4"]
+
+    @pytest.mark.parametrize("flow, name", [
+        ("integrate_mirror_flow", "the oracle flow"),
+        ("integrate_joint_flow", "the joint leg at beta = 0.01")])
+    @pytest.mark.parametrize("kept", [1, 3])
+    def test_halted_flow_exits_naming_it(self, tmp_path, monkeypatch, flow,
+                                         name, kept):
+        # a partial trace with a halt reason, as a failed step leaves it;
+        # the joint leg at beta = 0.1 runs whole
+        run = getattr(cli, flow)
+        reason = "adaptive step size fell to 1e-15 at t = 0"
+
+        def halted(*args, **kwargs):
+            trace = run(*args, **kwargs)
+            if kwargs.get("beta", 0.01) == 0.01:  # the oracle, or that leg
+                del trace.records[kept:]
+                trace.halted = reason
+            return trace
+
+        monkeypatch.setattr(cli, flow, halted)
+        out = tmp_path / "exp"
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "regime-check", "--out", str(out),
+                  *self.SMALL])
+        assert exc.value.code == f"regime-check: {name} halted: {reason}"
+        assert not (out / "table.csv").exists()
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("seed", [0, 5, None])
+    def test_gaps_hold_at_a_hundredth_of_the_joint_rtol(self, tmp_path,
+                                                        monkeypatch, seed):
+        # the benchmark's config on two data seeds, and the defaults' two
+        # faster legs (seed None), whose gap at beta = 0.1 rtol 1e-3 would
+        # move by 1.6e-2 relative
+        (preset,) = [p for p in workloads.PRESETS if p.name == "regime-check"]
+
+        def gaps(out):
+            argv = ["experiment", "regime-check", "--set", "betas=[0.1,0.01]",
+                    "--out", str(out)]
+            if seed is not None:
+                argv = preset.argv(preset.config(seed), out)
+            assert main(argv) == 0
+            rows = json.loads((out / "summary.json").read_text())["rows"]
+            return np.array([r["trajectory_gap"] for r in rows])
+
+        budget = gaps(tmp_path / "budget")
+        monkeypatch.setattr(cli, "_JOINT_GAP_RTOL", cli._JOINT_GAP_RTOL / 100)
+        np.testing.assert_allclose(budget, gaps(tmp_path / "finer"),
+                                   rtol=1e-6, atol=0)
+
+    def test_only_the_joint_legs_loosen_their_rtol(self, tmp_path,
+                                                   monkeypatch):
+        # the oracle flow and frozen-flow's Omega keep FlowConfig's rtol,
+        # which Omega's stop rule needs
+        seen = {"integrate_mirror_flow": [], "integrate_joint_flow": []}
+        for name, got in seen.items():
+            def spy(*args, _run=getattr(cli, name), _got=got, **kwargs):
+                _got.append(args[-1])
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        assert main(["experiment", "regime-check", *self.SMALL,
+                     "--out", str(tmp_path / "regime")]) == 0
+        assert main(["experiment", "frozen-flow", "--set", "flow.t_max=5.0",
+                     "--out", str(tmp_path / "frozen")]) == 0
+        default = cli.FlowConfig().rtol
+        assert [c.rtol for c in seen["integrate_mirror_flow"]] == [default] * 2
+        assert [c.rtol for c in seen["integrate_joint_flow"]] == [
+            cli._JOINT_GAP_RTOL] * 2
+        assert cli._JOINT_GAP_RTOL > default
+
+
 def _resolved(out):
     return json.loads((out / "resolved-config.json").read_text())
 
