@@ -26,7 +26,6 @@ from .dynamics import (
     integrate_mirror_flow,
     integrate_sparse_reference,
     is_stationary,
-    jacobian_field,
     linearized_trajectory,
     membership_I,
     omega_from_trace,

@@ -335,7 +335,8 @@ def _flow(cfg: dict, out: Path):
         result = omega_from_trace(trace, w0, fcfg)
         closed = constant_field_solution(w0, field.phi, fcfg.t_max)
         err = float(np.max(np.abs(trace.final.w.values - closed.values)))
-        extra = {"closed_form_error": err}
+        # a constant field has no Gamma whose support could be certified
+        extra = {"closed_form_error": err, "in_I_lp": None}
         print(f"closed-form comparison error: {err:.3e}")
     tol = max(10 * fcfg.stationarity_tol, 1e-6)
     report = is_stationary(result.w, field, tol=tol)

@@ -27,7 +27,7 @@ from .errors import (
     PreconditionError,
     _check_field_types,
 )
-from .hypergrad import FrozenField, frozen_field, hypergrad_at
+from .hypergrad import frozen_field, hypergrad_at
 from .losses import ModelParams
 from .simplex import (
     DEFAULT_SUPPORT_TOL,
@@ -65,16 +65,24 @@ class FlowConfig:
 
 
 class ConstantField:
-    """A field that ignores the weights."""
+    """A field that ignores the weights; its Jacobian is zero."""
 
     def __init__(self, phi):
-        self.phi = np.asarray(phi, dtype=float)
+        try:
+            values = np.asarray(phi)
+        except ValueError:  # a ragged nesting
+            values = np.asarray(None)
+        if not (values.dtype.kind in "iuf" and values.ndim == 1
+                and values.size and np.isfinite(values).all()):
+            raise ConfigError("phi must be a nonempty, finite, 1-d real "
+                              f"vector, got {phi!r}")
+        self.phi = values.astype(float, copy=False)
 
     def __call__(self, w: SimplexWeights) -> np.ndarray:
         return self.phi
 
-    def eval_raw(self, values) -> np.ndarray:
-        return self.phi
+    def jacobian(self, w: SimplexWeights) -> np.ndarray:
+        return np.zeros((w.n, w.n))
 
 
 class ExactHypergradField:
@@ -401,7 +409,7 @@ def integrate_mirror_flow(field, w0: SimplexWeights, cfg: FlowConfig,
     step that fails with one of solvers._HALTS, the step size underflowing
     included, ends the flow at the last record time reached, with the
     reason in trace.halted."""
-    if np.any(w0.values <= 0):
+    if not w0.interior:
         raise ValueError("w0 must lie in the simplex interior")
     trace = FlowTrace()
     times, states = [], []
@@ -439,7 +447,7 @@ def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
                               f"{rate!r}")
     if alpha == 0 and beta == 0:
         raise ValueError("alpha and beta cannot both be zero")
-    if np.any(w0.values <= 0):
+    if not w0.interior:
         raise ValueError("w0 must lie in the simplex interior")
     p = theta0.theta.size
 
@@ -466,7 +474,7 @@ def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
 
 @dataclass
 class StationaryReport:
-    """Stationarity / stability / sparsity certificate for a weight vector."""
+    """Stationarity and stability certificate for a weight vector."""
 
     w: SimplexWeights
     is_stationary: bool
@@ -475,7 +483,6 @@ class StationaryReport:
     offsupport_margin: np.ndarray
     tangent_eigenvalues: Optional[np.ndarray] = None
     is_stable: Optional[bool] = None
-    in_I_lp: Optional[bool] = None
 
     def to_json_dict(self) -> dict:
         eig = None
@@ -490,7 +497,6 @@ class StationaryReport:
             "offsupport_margin": [float(x) for x in self.offsupport_margin],
             "tangent_eigenvalues": eig,
             "is_stable": self.is_stable,
-            "in_I_lp": self.in_I_lp,
         }
 
 
@@ -511,26 +517,11 @@ def is_stationary(w: SimplexWeights, field,
         proportionality_residual=residual, offsupport_margin=margins)
 
 
-def jacobian_field(field, w: SimplexWeights) -> np.ndarray:
-    """Jacobian D phi(w): analytic for a FrozenField, where phi = -Gamma g(w)
-    and dg/dw_j = -H^{-1} H_j g give J_ij = <Gamma_i, H^{-1} H_j g>; central
-    differences for any other field with eval_raw; refused otherwise."""
-    if isinstance(field, FrozenField):
-        H = field.weighted_hessian(w.values)
-        g = scipy.linalg.solve(H, field.grad_outer, assume_a="pos")
-        Hg = field.sample_hessians @ g  # (n, p)
-        X = scipy.linalg.solve(H, Hg.T, assume_a="pos")  # (p, n)
-        return field.gamma @ X
-    if not hasattr(field, "eval_raw"):
-        raise PreconditionError("the Jacobian needs a FrozenField or eval_raw")
-    return _fd_jacobian(field, w)
-
-
-def _fd_jacobian(field, w: SimplexWeights) -> np.ndarray:
-    """Central differences of field.eval_raw at w, step 1e-6 per weight."""
-    f = field.eval_raw
-    return np.column_stack([f(w.values + e) - f(w.values - e)
-                            for e in 1e-6 * np.eye(w.n)]) / 2e-6
+def _jacobian(field, w: SimplexWeights) -> np.ndarray:
+    """D phi(w) as the field states it; refused for a field without."""
+    if not hasattr(field, "jacobian"):
+        raise PreconditionError("the field has no jacobian(w) method")
+    return field.jacobian(w)
 
 
 def _tangent_operator_eigs(A: np.ndarray) -> np.ndarray:
@@ -561,7 +552,7 @@ def stability_check(w: SimplexWeights, field,
     report = is_stationary(w, field, tol)
     if not report.is_stationary:
         raise PreconditionError("stability_check needs a stationary point")
-    J = jacobian_field(field, w)
+    J = _jacobian(field, w)
     supp = report.support
     w_tilde = SimplexWeights.from_unnormalized(w.values[supp])
     J_tilde = J[np.ix_(supp, supp)]
@@ -571,8 +562,6 @@ def stability_check(w: SimplexWeights, field,
     margins_ok = bool(np.all(report.offsupport_margin > tol))
     eigs_ok = bool(np.all(eigs.real > tol)) if eigs.size else True
     report.is_stable = margins_ok and eigs_ok
-    if isinstance(field, FrozenField):
-        report.in_I_lp, _ = membership_I(field.gamma[supp], tol=1e-8)
     return report
 
 
@@ -586,7 +575,7 @@ def linearized_trajectory(w_star: SimplexWeights, delta: TangentVector,
     if np.any(w_star.values + d < -1e-15):
         raise PreconditionError("w_star + delta must lie in the simplex")
     DPhi = full_flow_jacobian(w_star, field(w_star),
-                              jacobian_field(field, w_star))
+                              _jacobian(field, w_star))
     pred = w_star.values + scipy.linalg.expm(-DPhi * t) @ d
     pred = np.clip(pred, 0.0, None)
     return SimplexWeights.from_unnormalized(pred)
@@ -643,7 +632,7 @@ def omega_limit(field, w0: SimplexWeights, cfg: FlowConfig) -> OmegaResult:
     output, which the stabilized step control keeps near the step ends'
     accuracy in the stability-limited tail; without it that output sat on a
     floor near 2e-8."""
-    if np.any(w0.values <= 0):
+    if not w0.interior:
         # already on a face; one-hot starts are stationary immediately
         rep = is_stationary(w0, field, max(cfg.stationarity_tol, 1e-12))
         if rep.is_stationary:

@@ -8,7 +8,9 @@ live here too.
 
 The system H(w) v = grad F is solved by Cholesky on the formed Hessian when
 p <= 64, and above that by conjugate gradients on the Hessian-vector product
-to relative residual 1e-10 in at most 10 p iterations.
+to relative residual 1e-10 in at most 10 p iterations. The frozen field and
+its Jacobian solve with the same Cholesky routine, _solve_direct, and so
+refuse the same Hessians.
 """
 
 from __future__ import annotations
@@ -151,8 +153,8 @@ class FrozenField:
     """The hypergradient field with parameters frozen at theta_0.
 
     phi(w) = -Gamma g(w) with Gamma the n x p per-sample gradient matrix and
-    g(w) = H(w)^{-1} grad F(theta_0), H(w) = sum_i w_i H_i. Carries the
-    per-sample Hessians explicitly so the analytic Jacobian is available.
+    g(w) = H(w)^{-1} grad F(theta_0), H(w) = sum_i w_i H_i. It carries the
+    per-sample Hessians, so it states its own Jacobian for stability_check.
     """
 
     def __init__(self, gamma: np.ndarray, sample_hessians: np.ndarray,
@@ -173,13 +175,14 @@ class FrozenField:
         return np.einsum("i,ijk->jk", values, self.sample_hessians)
 
     def __call__(self, w: SimplexWeights) -> np.ndarray:
-        return self.eval_raw(w.values)
-
-    def eval_raw(self, values: np.ndarray) -> np.ndarray:
-        """Evaluate on raw coordinates (may lie slightly off the simplex);
-        used by the central-difference Jacobian."""
-        return -(self.gamma @ _solve_direct(self.weighted_hessian(values),
+        return -(self.gamma @ _solve_direct(self.weighted_hessian(w.values),
                                             self.grad_outer))
+
+    def jacobian(self, w: SimplexWeights) -> np.ndarray:
+        """D phi(w)_ij = <Gamma_i, H^{-1} H_j g>, as dg/dw_j = -H^{-1} H_j g."""
+        H = self.weighted_hessian(w.values)
+        g = _solve_direct(H, self.grad_outer)
+        return self.gamma @ _solve_direct(H, (self.sample_hessians @ g).T)
 
     @classmethod
     def ridge_like(cls, rng, n: int, p: int, ridge: float) -> "FrozenField":

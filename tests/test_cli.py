@@ -243,6 +243,13 @@ class TestSolve:
                   "--out", str(tmp_path / "x"), "--set", "novalue"])
 
 
+# stationary_report.json's keys as README lists them; the constant preset
+# adds closed_form_error
+REPORT_KEYS = {"w", "is_stationary", "support", "proportionality_residual",
+               "offsupport_margin", "tangent_eigenvalues", "is_stable",
+               "in_I_lp", "converged", "oscillating"}
+
+
 class TestFlow:
     def test_constant_preset_reports_closed_form_error(self, tmp_path, capsys):
         out = tmp_path / "flow"
@@ -254,6 +261,8 @@ class TestFlow:
         err = float(captured.out.split(":")[-1])
         assert err <= 1e-4
         report = json.loads((out / "stationary_report.json").read_text())
+        assert set(report) == REPORT_KEYS | {"closed_form_error"}
+        assert report["in_I_lp"] is None
         assert report["closed_form_error"] <= 1e-4
         # the limit concentrates on the argmin of phi
         w = np.array(report["w"])
@@ -266,6 +275,7 @@ class TestFlow:
                    "--set", "flow.stationarity_tol=1e-9"])
         assert rc == 0
         report = json.loads((out / "stationary_report.json").read_text())
+        assert set(report) == REPORT_KEYS
         assert report["converged"] is True
         assert report["is_stationary"] is True
         assert len(report["support"]) <= 3
@@ -722,6 +732,7 @@ def test_removed_config_key_exits_2_naming_it(tmp_path, capsys, command, item,
 
 
 UNREAD_BY_EXACT = "rho is not read by solver kind exact; remove it"
+BAD_PHI = "phi must be a nonempty, finite, 1-d real vector, got "
 
 
 @pytest.mark.parametrize("command, sets, message", [
@@ -731,9 +742,15 @@ UNREAD_BY_EXACT = "rho is not read by solver kind exact; remove it"
     (["flow"], ["preset=constant", "p=4"],
      "flow preset constant does not read ['p']"),
     (["flow"], ["preset=constant", "phi=[1.0,2.0]", "n=7"],
-     "flow preset constant does not read ['n']")],
+     "flow preset constant does not read ['n']"),
+    (["flow"], ["preset=constant", "phi=[NaN,0,0]"], BAD_PHI),
+    (["flow"], ["preset=constant", "phi=[Infinity,0,0]"], BAD_PHI),
+    (["flow"], ["preset=constant", "phi=[]"], BAD_PHI),
+    (["flow"], ["preset=constant", "phi=[[1,2],[3,4]]"], BAD_PHI),
+    (["flow"], ["preset=constant", "phi=abc"], BAD_PHI)],
     ids=["solve-exact-rho", "toy-mixture-exact-rho", "fig3-phi", "constant-p",
-         "constant-phi-n"])
+         "constant-phi-n", "constant-phi-nan", "constant-phi-inf",
+         "constant-phi-empty", "constant-phi-matrix", "constant-phi-string"])
 def test_key_the_run_does_not_read_exits_2_naming_it(tmp_path, capsys,
                                                      command, sets, message):
     argv = [*command, "--out", str(tmp_path / "out")]

@@ -37,7 +37,6 @@ from bilevel_reweight import (
     integrate_mirror_flow,
     integrate_sparse_reference,
     is_stationary,
-    jacobian_field,
     linearized_trajectory,
     membership_I,
     omega_limit,
@@ -52,6 +51,20 @@ from bilevel_reweight import dynamics, losses
 def softmax(u):
     e = np.exp(u - u.max())
     return e / e.sum()
+
+
+def raw_phi(field, values):
+    """A FrozenField's phi = -Gamma H(v)^{-1} grad F at raw coordinates v,
+    off the simplex too, from its gamma, sample_hessians and grad_outer."""
+    H = np.einsum("i,ijk->jk", values, field.sample_hessians)
+    return -(field.gamma @ np.linalg.solve(H, field.grad_outer))
+
+
+def fd_jacobian(field, w):
+    """Central differences of raw_phi at w, step 1e-6 per weight."""
+    return np.column_stack([raw_phi(field, w.values + e)
+                            - raw_phi(field, w.values - e)
+                            for e in 1e-6 * np.eye(w.n)]) / 2e-6
 
 
 def rk4(deriv, y, t, steps):
@@ -547,7 +560,7 @@ class TestFlowsHalt:
         nan = np.full(train.n, np.nan)
         with pytest.raises(ValueError, match="weights must be finite"):
             if flow == "mirror":
-                integrate_mirror_flow(ConstantField(nan), w0, cfg)
+                integrate_mirror_flow(lambda w: nan, w0, cfg)
             else:
                 monkeypatch.setattr(dynamics, "hypergrad_at",
                                     lambda *args: nan)
@@ -591,50 +604,39 @@ class TestStationarity:
 
 
 class TestJacobians:
-    def test_analytic_matches_finite_difference(self):
-        field = FrozenField.ridge_like(6, 5, 3, 0.5)
-        rng = np.random.default_rng(7)
-        w = SimplexWeights.from_unnormalized(rng.random(5) + 0.2)
-        Ja = jacobian_field(field, w)
-        Jf = dynamics._fd_jacobian(field, w)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
+           p=st.integers(1, 5), ridge=st.floats(0.1, 2.0), data=st.data())
+    def test_analytic_matches_finite_difference(self, seed, n, p, ridge,
+                                                data):
+        field = FrozenField.ridge_like(seed, n, p, ridge)
+        w = SimplexWeights.from_unnormalized(data.draw(st.lists(
+            st.floats(0.2, 1.0), min_size=n, max_size=n)))
+        Ja = field.jacobian(w)
+        Jf = fd_jacobian(field, w)
         assert np.max(np.abs(Ja - Jf)) <= 1e-6 * (1 + np.abs(Ja).max())
 
+    def test_constant_field_jacobian_is_zero(self):
+        J = ConstantField(np.arange(4.0)).jacobian(SimplexWeights.uniform(4))
+        assert np.array_equal(J, np.zeros((4, 4)))
+
     def test_analytic_mode_requires_frozen_field(self):
-        # neither a FrozenField nor a field with eval_raw: refused
+        # a one-hot point is stationary for any field; a field with no
+        # jacobian method is refused, not differenced
         with pytest.raises(PreconditionError):
-            jacobian_field(lambda w: w.values, SimplexWeights.uniform(3))
-
-    def test_other_fields_get_central_differences(self):
-        # a FrozenField's eval_raw on a plain object is differentiated
-        # numerically, column by column with step 1e-6, as is a ConstantField
-        field = FrozenField.ridge_like(6, 5, 3, 0.5)
-
-        class Wrapped:
-            eval_raw = staticmethod(field.eval_raw)
-
-        w = SimplexWeights.from_unnormalized(np.arange(1.0, 6.0))
-        J = jacobian_field(Wrapped(), w)
-        for j in range(5):
-            e = np.zeros(5)
-            e[j] = 1e-6
-            assert np.array_equal(J[:, j], (field.eval_raw(w.values + e)
-                                            - field.eval_raw(w.values - e))
-                                  / (2 * 1e-6))
-        assert np.array_equal(jacobian_field(ConstantField(np.ones(4)),
-                                             SimplexWeights.uniform(4)),
-                              np.zeros((4, 4)))
+            stability_check(SimplexWeights.one_hot(3, 1), lambda w: w.values)
 
     def test_full_flow_jacobian_matches_fd(self):
         # D Phi for Phi(v) = (diag(v) - v v^T) phi(v) in raw coordinates
         field = FrozenField.ridge_like(8, 5, 3, 0.5)
         rng = np.random.default_rng(9)
         w = SimplexWeights.from_unnormalized(rng.random(5) + 0.2)
-        J = jacobian_field(field, w)
+        J = field.jacobian(w)
         DPhi = full_flow_jacobian(w, field(w), J)
 
         def Phi(v):
             P = np.diag(v) - np.outer(v, v)
-            return P @ field.eval_raw(v)
+            return P @ raw_phi(field, v)
 
         eps = 1e-6
         fd = np.empty((5, 5))
@@ -652,7 +654,7 @@ class TestStability:
         assert rep.is_stable
         assert np.all(rep.offsupport_margin > 0)
         assert np.all(rep.tangent_eigenvalues.real > 0)
-        assert rep.in_I_lp
+        assert sparsity_certificate(res.w, field.gamma)[0]
 
     def test_rejects_non_stationary_point(self):
         field = FrozenField.ridge_like(5, 5, 3, 0.5)
@@ -700,8 +702,8 @@ class TestLinearizedTrajectory:
         assert errs[1] <= errs[0] / 3.0
 
     def test_refuses_a_field_without_a_jacobian(self):
-        # phi constant makes every point stationary; without eval_raw the
-        # Jacobian is unknown, not zero
+        # phi constant makes every point stationary; without a jacobian
+        # method the Jacobian is unknown, not zero
         w = SimplexWeights(np.array([0.5, 0.3, 0.2]))
         delta = TangentVector(np.array([0.01, -0.005, -0.005]))
         with pytest.raises(PreconditionError):
