@@ -16,7 +16,6 @@ import csv
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -39,7 +38,7 @@ from .dynamics import (
     sparsity_certificate,
     stability_check,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DatasetFormatError, _check_number
 from .hypergrad import FrozenField, closed_form_inner_quadratic
 from .losses import (
     ModelParams,
@@ -101,28 +100,6 @@ def _merged(defaults: dict, cfg: dict, prefix: str = "") -> dict:
     return out
 
 
-def _check_number(key: str, value, default):
-    """ConfigError unless a top-level value whose default is a number, or a
-    list of numbers, is one (a list must not be empty): an integer where the
-    default is one, finite, and positive, or zero for seed and mu."""
-    if isinstance(default, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
-        if not value:
-            raise ConfigError(f"{key} must be a non-empty list")
-        for item in value:
-            _check_number(key, item, default[0])
-    elif isinstance(default, (int, float)):
-        kind, what = ((int, "an integer") if isinstance(default, int)
-                      else ((int, float), "a real number"))
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ConfigError(f"{key} must be {what}, got {value!r}")
-        zero_ok = key in ("seed", "mu")
-        if not (0 < value < math.inf or zero_ok and value == 0):
-            sign = "nonnegative" if zero_ok else "positive"
-            raise ConfigError(f"{key} must be {sign} and finite")
-
-
 def _build(cls, fields):
     """cls(**fields); ConfigError names any key cls does not know."""
     known = sorted(f.name for f in dataclasses.fields(cls))
@@ -143,9 +120,16 @@ def _resolve(args, defaults: dict, seed_key: str, name=None):
     """Every subcommand's config and run directory: the config file with
     --set applied and --seed put at seed_key, merged into defaults, and
     written to --out as resolved-config.json (which names an experiment).
-    ConfigError on a top-level key that defaults lacks."""
-    cfg = {} if args.config is None else json.loads(
-        Path(args.config).read_text())
+    ConfigError on an unreadable config file or an unknown top-level key."""
+    try:
+        cfg = {} if args.config is None else json.loads(
+            Path(args.config).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {args.config}: {exc.strerror}")
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"{args.config} is not JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{args.config} does not hold a JSON object")
     for item in args.set or []:
         if "=" not in item:
             raise SystemExit(f"--set expects key=value, got {item!r}")
@@ -165,7 +149,9 @@ def _resolve(args, defaults: dict, seed_key: str, name=None):
                           f"known keys: {sorted(defaults)}")
     cfg = _merged(copy.deepcopy(defaults), cfg)
     for key, default in defaults.items():
-        _check_number(key, cfg[key], default)
+        if isinstance(default, (int, float, list)):
+            _check_number(key, cfg[key], default, "nonnegative"
+                          if key in ("seed", "mu") else "positive")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "resolved-config.json",
@@ -205,6 +191,9 @@ def _model_from_config(cfg: dict, train):
     if kind == "ridge":
         return RidgeLeastSquares(0.0 if mu is None else mu)
     if kind == "logistic":
+        if train.kind != "classification":
+            raise ConfigError(f"model logistic needs a classification "
+                              f"dataset, got a {train.kind} one")
         return RegularizedMultinomialLogistic(1e-2 if mu is None else mu)
     raise ConfigError(f"unknown model {kind!r}")
 
@@ -635,7 +624,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:  # a config value or kind that is rejected
+    except (ConfigError, DatasetFormatError) as exc:
         print(exc, file=sys.stderr)
         return 2
 

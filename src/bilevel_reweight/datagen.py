@@ -21,7 +21,7 @@ from .errors import (
     AbsoluteContinuityError,
     ConfigError,
     DatasetFormatError,
-    _check_field_types,
+    _check_fields,
 )
 from .losses import CLASSIFICATION, REGRESSION, Dataset, ModelParams
 from .simplex import SimplexWeights
@@ -49,14 +49,13 @@ class MixtureSpec:
     p_cluster1: float = 0.5  # 1.0 forces every train sample into cluster 1
 
     def __post_init__(self):
-        _check_field_types(self)
-        if self.n < 1 or self.m < 1:
-            raise ConfigError("n and m must be >= 1")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be nonnegative")
-        if not (0.0 <= self.p_cluster1 <= 1.0):
+        _check_fields(self, mu1="any", mu2="any", theta1_hat="any",
+                      theta2_hat="any", sigma="nonnegative",
+                      p_cluster1="nonnegative", seed="any")
+        if self.p_cluster1 > 1:
             raise ConfigError("p_cluster1 must lie in [0, 1]")
-        if len(self.mu1) != len(self.mu2) or len(self.mu1) != len(self.theta1_hat):
+        if len({len(self.mu1), len(self.mu2), len(self.theta1_hat),
+                len(self.theta2_hat)}) > 1:
             raise ConfigError("centroid/parameter dimensions must agree")
 
 
@@ -77,10 +76,11 @@ class CorruptionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_field_types(self)
-        if self.n < 1 or self.classes < 2 or self.d < 1:
-            raise ConfigError("invalid corruption spec sizes")
-        if not (0.0 <= self.p_c <= 1.0):
+        _check_fields(self, p_c="nonnegative", separation="nonnegative",
+                      seed="any")
+        if self.classes < 2:
+            raise ConfigError("classes must be at least 2")
+        if self.p_c > 1:
             raise ConfigError("p_c must lie in [0, 1]")
 
 
@@ -191,35 +191,41 @@ def save_dataset(data: Dataset, path, seed: Optional[int] = None):
 
 
 def load_dataset(path) -> Dataset:
+    """What save_dataset wrote to path; DatasetFormatError names the file."""
     path = Path(path)
     sidecar_path = path.with_suffix(path.suffix + ".json")
-    if not sidecar_path.exists():
-        raise DatasetFormatError(f"missing sidecar {sidecar_path}")
-    with open(sidecar_path) as f:
-        meta = json.load(f)
-    kind = meta.get("kind")
+    for p in (sidecar_path, path):
+        if not p.is_file():
+            raise DatasetFormatError(f"missing dataset file {p}")
+    try:
+        meta = json.loads(sidecar_path.read_text())
+    except ValueError:  # not JSON, or not UTF-8
+        raise DatasetFormatError(f"{sidecar_path} is not JSON")
+    kind = meta.get("kind") if isinstance(meta, dict) else None
     if kind not in (REGRESSION, CLASSIFICATION):
-        raise DatasetFormatError(f"sidecar has unknown kind {kind!r}")
+        raise DatasetFormatError(f"{sidecar_path} has unknown kind {kind!r}")
     features, targets = [], []
     with open(path, newline="") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
         except StopIteration:
-            raise DatasetFormatError("empty dataset file", line=1)
+            raise DatasetFormatError(f"{path}: empty dataset file", line=1)
         d = len(header) - 1
         if d < 1 or header[-1] != "target":
-            raise DatasetFormatError("malformed header row", line=1)
+            raise DatasetFormatError(f"{path}: malformed header row", line=1)
         for lineno, row in enumerate(reader, start=2):
             if len(row) != d + 1:
-                raise DatasetFormatError("wrong number of columns", line=lineno)
+                raise DatasetFormatError(f"{path}: wrong number of columns",
+                                         line=lineno)
             try:
                 features.append([float(x) for x in row[:d]])
                 targets.append(int(row[d]) if kind == CLASSIFICATION
                                else float(row[d]))
             except ValueError:
-                raise DatasetFormatError("non-numeric entry", line=lineno)
+                raise DatasetFormatError(f"{path}: non-numeric entry",
+                                         line=lineno)
     if not features:
-        raise DatasetFormatError("dataset has no rows", line=2)
+        raise DatasetFormatError(f"{path}: dataset has no rows", line=2)
     return Dataset(np.array(features), np.array(targets), kind,
                    n_classes=meta.get("C"))

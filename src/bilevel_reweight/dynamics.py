@@ -14,7 +14,6 @@ restricted to the tangent space.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional
 
@@ -25,7 +24,8 @@ from .errors import (
     ConfigError,
     NoConvergenceError,
     PreconditionError,
-    _check_field_types,
+    _check_fields,
+    _check_number,
 )
 from .hypergrad import frozen_field, hypergrad_at
 from .losses import ModelParams
@@ -54,14 +54,9 @@ class FlowConfig:
     rtol: float = 1e-10  # DOP853 tolerance; dt is the first trial step
 
     def __post_init__(self):
-        _check_field_types(self)
-        # each test is written so that NaN fails it
-        if not 0 < self.dt < self.t_max < math.inf:
-            raise ConfigError("need 0 < dt < t_max < inf")
-        if not 0 < self.stationarity_tol < math.inf:
-            raise ConfigError("stationarity_tol must be positive and finite")
-        if not 0 < self.rtol < math.inf:
-            raise ConfigError("rtol must be positive and finite")
+        _check_fields(self)
+        if self.dt >= self.t_max:
+            raise ConfigError("dt must be less than t_max")
 
 
 class ConstantField:
@@ -440,11 +435,8 @@ def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
     """Joint flow theta' = -alpha grad G(theta, w), w' = -beta P(w) psi,
     for nonnegative finite rates alpha and beta, not both zero. A failed
     step halts it as it halts integrate_mirror_flow."""
-    for name, rate in (("alpha", alpha), ("beta", beta)):
-        # written so that NaN fails it
-        if not (isinstance(rate, numbers.Real) and 0 <= rate < math.inf):
-            raise ConfigError(f"{name} must be nonnegative and finite, got "
-                              f"{rate!r}")
+    _check_number("alpha", alpha, 1.0, "nonnegative")
+    _check_number("beta", beta, 1.0, "nonnegative")
     if alpha == 0 and beta == 0:
         raise ValueError("alpha and beta cannot both be zero")
     if not w0.interior:

@@ -1,7 +1,10 @@
 """Exception types shared across the package."""
 
 import dataclasses
+import math
 import numbers
+
+import numpy as np
 
 
 class BilevelError(Exception):
@@ -51,17 +54,35 @@ class ConfigError(BilevelError, ValueError):
     the field or the kind."""
 
 
-# annotation -> (accepted types, description); the modules that declare
-# configs use `from __future__ import annotations`, so annotations are strings
-_FIELD_TYPES = {"int": (numbers.Integral, "an integer"),
-                "float": (numbers.Real, "a real number")}
+def _check_number(name, value, default, sign):
+    """ConfigError unless value is a number of default's kind: an integer
+    where default is an int, a real number where it is a float, and where it
+    is a list or tuple a non-empty list, tuple or 1-d array of those. A bool
+    is never a number. Each number must be finite and, as sign says,
+    "positive", "nonnegative" or of "any" sign."""
+    if isinstance(default, (list, tuple)):
+        if not (isinstance(value, (list, tuple)) or np.ndim(value) == 1):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        if not len(value):
+            raise ConfigError(f"{name} must be a non-empty list")
+        for item in value:
+            _check_number(name, item, default[0], sign)
+        return
+    kind, what = ((numbers.Integral, "an integer") if isinstance(default, int)
+                  else (numbers.Real, "a real number"))
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    # each test is written so that NaN fails it
+    if not {"positive": 0 < value < math.inf,
+            "nonnegative": 0 <= value < math.inf,
+            "any": -math.inf < value < math.inf}[sign]:
+        what = "finite" if sign == "any" else f"{sign} and finite"
+        raise ConfigError(f"{name} must be {what}")
 
 
-def _check_field_types(config):
-    """Raise ConfigError unless each int or float field of the dataclass
-    instance config holds a value of that type."""
+def _check_fields(config, **signs):
+    """_check_number on each field of the dataclass instance config, against
+    its default, with the sign signs names for it ("positive" if none)."""
     for f in dataclasses.fields(config):
-        types, what = _FIELD_TYPES.get(f.type, (object, None))
-        value = getattr(config, f.name)
-        if not isinstance(value, types):
-            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+        _check_number(f.name, getattr(config, f.name), f.default,
+                      signs.get(f.name, "positive"))

@@ -9,14 +9,12 @@ outer loss uses the bare fit term.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import _check_number
 from .simplex import SimplexWeights, _all_finite
 
 REGRESSION = "regression"
@@ -208,8 +206,7 @@ class LossModel:
 
 def _check_mu(mu) -> float:
     """mu as a float, or ConfigError if it is not a nonnegative finite real."""
-    if not (isinstance(mu, numbers.Real) and 0 <= mu < math.inf):
-        raise ConfigError("mu must be nonnegative and finite")
+    _check_number("mu", mu, 0.0, "nonnegative")
     return float(mu)
 
 

@@ -25,11 +25,10 @@ import numpy as np
 
 from .errors import (
     AssumptionViolationError,
-    ConfigError,
     NoConvergenceError,
     NumericOverflowError,
     SingularDesignError,
-    _check_field_types,
+    _check_fields,
 )
 from .hypergrad import (
     _closed_form,
@@ -55,12 +54,7 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        _check_field_types(self)
-        for name in ("eta", "rho"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be nonnegative and finite")
-        if self.iterations < 1 or self.record_every < 1:
-            raise ConfigError("iterations and record_every must be >= 1")
+        _check_fields(self, eta="nonnegative", rho="nonnegative")
 
 
 @dataclass

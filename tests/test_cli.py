@@ -91,7 +91,8 @@ class TestGenerate:
         rc = main(["generate", "--spec", str(mixture_spec_file),
                    "--out", str(tmp_path / "o"), "--set", "spec.sigma=-1"])
         assert rc == 2
-        assert capsys.readouterr().err.strip() == "sigma must be nonnegative"
+        assert capsys.readouterr().err.strip() == (
+            "sigma must be nonnegative and finite")
 
     def test_takes_its_config_as_spec_only(self, tmp_path, capsys,
                                            mixture_spec_file):
@@ -697,6 +698,85 @@ def test_rejected_top_level_value_exits_2_naming_it(tmp_path, capsys, command,
     assert main([*command, "--out", str(out), "--set", item]) == 2
     assert capsys.readouterr().err.strip() == message
     assert not out.exists()
+
+
+# a value that a config class, a dataset spec or the model refuses once the
+# run builds it, after the run directory exists
+CORRUPTION = ["generate", "--set", "type=corruption"]
+REJECTED_BY_THE_RUN = [
+    (["generate"], "spec.n=true", "n must be an integer, got True"),
+    (["solve"], "solver.iterations=true",
+     "iterations must be an integer, got True"),
+    (["flow"], "flow.dt=true", "dt must be a real number, got True"),
+    (["generate"], 'spec.mu1="ab"', "mu1 must be a list, got 'ab'"),
+    (["generate"], "spec.mu1=[NaN,0]", "mu1 must be finite"),
+    (["generate"], "spec.sigma=Infinity",
+     "sigma must be nonnegative and finite"),
+    (CORRUPTION, "spec.separation=NaN",
+     "separation must be nonnegative and finite"),
+    (CORRUPTION, "spec.n_test=0", "n_test must be positive and finite"),
+    (CORRUPTION, "spec.n_val=-1", "n_val must be positive and finite"),
+    (["solve"], "model=\"logistic\"",
+     "model logistic needs a classification dataset, got a regression one")]
+
+
+@pytest.mark.parametrize("command, item, message", REJECTED_BY_THE_RUN,
+                         ids=[f"{c[0]}-{item}"
+                              for c, item, _ in REJECTED_BY_THE_RUN])
+def test_value_the_run_rejects_exits_2_naming_it(tmp_path, capsys, command,
+                                                 item, message):
+    config = tmp_path / "cfg.json"
+    config.write_text("{}")
+    assert main(_argv(command, config, tmp_path / "out", [item])) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
+# an input file that is missing or unreadable; paths are relative to the
+# test's working directory, which holds the files the test writes
+UNREADABLE = [
+    (["solve", "--set", 'dataset={"path":"no-sidecar"}'],
+     "missing dataset file no-sidecar/train.csv.json"),
+    (["solve", "--set", 'dataset={"path":"no-csv"}'],
+     "missing dataset file no-csv/train.csv"),
+    (["solve", "--set", 'dataset={"path":"empty-csv"}'],
+     "empty-csv/train.csv: empty dataset file (line 1)"),
+    (["solve", "--set", 'dataset={"path":"bad-sidecar"}'],
+     "bad-sidecar/train.csv.json is not JSON"),
+    (["solve", "--set", 'dataset={"path":"list-sidecar"}'],
+     "list-sidecar/train.csv.json has unknown kind None"),
+    (["solve", "--config", "nope.json"],
+     "cannot read nope.json: No such file or directory"),
+    (["solve", "--config", "empty-csv"],
+     "cannot read empty-csv: Is a directory"),
+    (["solve", "--config", "not-json.json"],
+     "not-json.json is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    (["flow", "--config", "number.json"],
+     "number.json does not hold a JSON object")]
+
+
+@pytest.mark.parametrize("argv, message", UNREADABLE,
+                         ids=["no-sidecar", "no-csv", "empty-csv",
+                              "non-json-sidecar", "non-object-sidecar",
+                              "missing-config", "directory-config",
+                              "non-json-config", "non-object-config"])
+def test_unreadable_input_file_exits_2_naming_it(tmp_path, monkeypatch,
+                                                 capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    regression = json.dumps({"kind": "regression"})
+    table = "f0,target\n1.0,2.0\n"
+    for name, sidecar, data in [
+            ("no-sidecar", None, table), ("no-csv", regression, None),
+            ("empty-csv", regression, ""), ("bad-sidecar", "{", table),
+            ("list-sidecar", "[1]", table)]:
+        Path(name).mkdir()
+        if sidecar is not None:
+            Path(name, "train.csv.json").write_text(sidecar)
+        if data is not None:
+            Path(name, "train.csv").write_text(data)
+    Path("not-json.json").write_text("not json")
+    Path("number.json").write_text("3")
+    assert main([*argv, "--out", "out"]) == 2
+    assert capsys.readouterr().err.strip() == message
 
 
 @pytest.mark.parametrize("command, item", [

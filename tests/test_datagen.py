@@ -83,6 +83,8 @@ class TestGenMixture:
             MixtureSpec(p_cluster1=1.5)
         with pytest.raises(ValueError):
             MixtureSpec(mu1=(0.0,), mu2=(0.0, 1.0))
+        with pytest.raises(ValueError, match="dimensions must agree"):
+            MixtureSpec(theta2_hat=(1.0,))
 
 
 _SPEC_FIELDS = [
@@ -95,11 +97,36 @@ _SPEC_FIELDS = [
     (spec, field, value)
     for spec, reals, counts in _SPEC_FIELDS
     for field in reals + counts
-    for value in (None, "1", 2.5)
+    for value in (None, "1", 2.5, True)
     if value != 2.5 or field in counts])
 def test_specs_reject_wrong_type_naming_the_field(spec, field, value):
     with pytest.raises(ConfigError, match=field):
         spec(**{field: value})
+
+
+@pytest.mark.parametrize("spec,field,value,message", [
+    (MixtureSpec, "mu1", "ab", "mu1 must be a list, got 'ab'"),
+    (MixtureSpec, "mu2", (), "mu2 must be a non-empty list"),
+    (MixtureSpec, "theta1_hat", (np.nan, 0.0), "theta1_hat must be finite"),
+    (MixtureSpec, "theta2_hat", (True, 0.0),
+     "theta2_hat must be a real number, got True"),
+    (MixtureSpec, "sigma", np.inf, "sigma must be nonnegative and finite"),
+    (CorruptionSpec, "separation", np.nan,
+     "separation must be nonnegative and finite"),
+    (CorruptionSpec, "n_test", 0, "n_test must be positive and finite"),
+    (CorruptionSpec, "n_val", -1, "n_val must be positive and finite")])
+def test_specs_reject_bad_value_naming_the_field(spec, field, value, message):
+    with pytest.raises(ConfigError) as exc:
+        spec(**{field: value})
+    assert str(exc.value) == message
+
+
+def test_mixture_spec_takes_lists_tuples_and_arrays():
+    spec = MixtureSpec(n=20, m=5, mu1=[-2.0, 0.0], mu2=np.array([2.0, 0.0]),
+                       theta1_hat=(1, -1), theta2_hat=np.array([-1.0, 1.0]))
+    train, _, _, _ = gen_mixture(spec)
+    assert np.array_equal(train.features,
+                          gen_mixture(MixtureSpec(n=20, m=5))[0].features)
 
 
 class TestGenCorrupted:

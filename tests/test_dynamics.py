@@ -330,7 +330,7 @@ def test_flow_config_rejects_invalid_value_naming_the_field(field, value):
 @pytest.mark.parametrize("field,value", [
     (field, value)
     for field in ("dt", "t_max", "stationarity_tol", "rtol")
-    for value in (None, "1")])
+    for value in (None, "1", True)])
 def test_flow_config_rejects_wrong_type_naming_the_field(field, value):
     with pytest.raises(ConfigError, match=field):
         FlowConfig(**{field: value})
@@ -346,7 +346,7 @@ def joint_toy():
 class TestJointFlow:
     @pytest.mark.parametrize("rate,value", [
         (rate, value) for rate in ("alpha", "beta")
-        for value in (None, "1", -1.0, np.nan, np.inf)])
+        for value in (None, "1", -1.0, np.nan, np.inf, True)])
     def test_rejects_invalid_rate_naming_it(self, joint_toy, rate, value):
         model, train, test, _ = joint_toy
         with pytest.raises(ConfigError, match=rate):

@@ -565,7 +565,7 @@ def test_solver_config_rejects_invalid_value_naming_the_field(field, value):
 @pytest.mark.parametrize("field,value", [
     (field, value)
     for field in ("eta", "rho", "iterations", "record_every")
-    for value in (None, "1", 2.5)
+    for value in (None, "1", 2.5, True)
     if value != 2.5 or field in ("iterations", "record_every")])
 def test_solver_config_rejects_wrong_type_naming_the_field(field, value):
     with pytest.raises(ConfigError, match=field):
