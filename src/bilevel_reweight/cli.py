@@ -4,13 +4,14 @@ named reproducible experiments.
 Subcommands: generate, solve, flow, experiment. Each resolves its JSON
 config (--spec for generate, --config otherwise) in _resolve: --set
 key=value overrides dotted paths, --seed sets the data seed, and the result
-is checked and merged into the defaults in COMMANDS or EXPERIMENTS. Every
-run directory receives that resolved config, so re-running reproduces it.
+is checked and merged into the defaults in COMMANDS or EXPERIMENTS. A run
+that is not rejected leaves it in its directory, so re-running reproduces it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -19,7 +20,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -116,11 +116,10 @@ def _write_json(path, obj):
         f.write("\n")
 
 
-def _resolve(args, defaults: dict, seed_key: str, name=None):
-    """Every subcommand's config and run directory: the config file with
-    --set applied and --seed put at seed_key, merged into defaults, and
-    written to --out as resolved-config.json (which names an experiment).
-    ConfigError on an unreadable config file or an unknown top-level key."""
+def _resolve(args, defaults: dict, seed_key: str, name=None) -> dict:
+    """Every subcommand's config: the config file with --set applied and
+    --seed put at seed_key, merged into defaults. ConfigError on an
+    unreadable config file or an unknown top-level key."""
     try:
         cfg = {} if args.config is None else json.loads(
             Path(args.config).read_text())
@@ -152,11 +151,28 @@ def _resolve(args, defaults: dict, seed_key: str, name=None):
         if isinstance(default, (int, float, list)):
             _check_number(key, cfg[key], default, "nonnegative"
                           if key in ("seed", "mu") else "positive")
-    out = Path(args.out)
+    return cfg
+
+
+@contextlib.contextmanager
+def _run_dir(path, resolved: dict):
+    """The run directory path, made if missing. A run that ends in a
+    ConfigError or DatasetFormatError leaves path as it found it: every
+    rejection comes before a run's first write, so what was made is empty
+    and removed. Any other end writes resolved to resolved-config.json."""
+    out = Path(path)
+    made = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "resolved-config.json",
-                cfg if name is None else {"experiment": name, **cfg})
-    return cfg, out
+    try:
+        yield out
+    except (ConfigError, DatasetFormatError):
+        for p in made:
+            p.rmdir()
+        raise
+    except BaseException:  # a halt (exit 1) or a crash
+        _write_json(out / "resolved-config.json", resolved)
+        raise
+    _write_json(out / "resolved-config.json", resolved)
 
 
 def _dataset_from_config(cfg: dict):
@@ -355,7 +371,9 @@ COMMANDS = {
 def cmd_run(args) -> int:
     """Run generate, solve or flow into --out."""
     run, defaults, seed_key = COMMANDS[args.command]
-    run(*_resolve(args, defaults, seed_key))
+    cfg = _resolve(args, defaults, seed_key)
+    with _run_dir(args.out, cfg) as out:
+        run(cfg, out)
     return 0
 
 
@@ -369,7 +387,7 @@ def _write_table(path, rows):
         writer.writerows(rows)
 
 
-def _exp_toy_mixture(cfg: dict, out: Path, jobs: int) -> list:
+def _exp_toy_mixture(cfg: dict, out: Path) -> list:
     spec = _build(MixtureSpec, cfg["spec"])
     train, test, theta_hat, z = gen_mixture(spec)
     model = RidgeLeastSquares(cfg["mu"])
@@ -403,11 +421,10 @@ def _exp_toy_mixture(cfg: dict, out: Path, jobs: int) -> list:
     return rows
 
 
-def _exp_ratio_sweep(cfg: dict, out: Path, jobs: int) -> list:
+def _exp_ratio_sweep(cfg: dict, out: Path) -> list:
     spec = _build(CorruptionSpec, cfg["spec"])
     train, clean_mask, test, val = gen_corrupted(spec)
     model = RegularizedMultinomialLogistic(cfg["mu"])
-    ratios = cfg["ratios"]
     iterations = cfg["iterations"]
     p = model.n_params(train)
     n = train.n
@@ -427,6 +444,7 @@ def _exp_ratio_sweep(cfg: dict, out: Path, jobs: int) -> list:
         trace = soba(model, train, val, ModelParams(np.zeros(p)),
                      SimplexWeights.uniform(n), np.zeros(p), scfg)
         wall = time.monotonic() - t0
+        trace.to_jsonl(out / f"trace-ratio-{r:g}.jsonl", include_weights=False)
         rec = trace.final
         theta = ModelParams(rec.theta)
         return {
@@ -437,22 +455,12 @@ def _exp_ratio_sweep(cfg: dict, out: Path, jobs: int) -> list:
             "support_size": rec.support_size,
             "oracle_accuracy": oracle_acc,
             "wall_time_s": wall,
-        }, trace
+        }
 
-    rows = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, ratios))
-    else:
-        results = [run_one(r) for r in ratios]
-    for (row, trace), r in zip(results, ratios):
-        trace.to_jsonl(out / f"trace-ratio-{r:g}.jsonl", include_weights=False)
-        rows.append(row)
-    rows.sort(key=lambda row: row["ratio"])
-    return rows
+    return sorted(map(run_one, cfg["ratios"]), key=lambda row: row["ratio"])
 
 
-def _exp_softmax_toy(cfg: dict, out: Path, jobs: int) -> list:
+def _exp_softmax_toy(cfg: dict, out: Path) -> list:
     spec = _build(MixtureSpec, cfg["spec"])
     train, test, theta_hat, z = gen_mixture(spec)
     model = RidgeLeastSquares(cfg["mu"])
@@ -473,7 +481,7 @@ def _exp_softmax_toy(cfg: dict, out: Path, jobs: int) -> list:
     return rows
 
 
-def _exp_frozen_flow(cfg: dict, out: Path, jobs: int) -> list:
+def _exp_frozen_flow(cfg: dict, out: Path) -> list:
     _, result, member = _fig3_flow(cfg, _build(FlowConfig, cfg["flow"]), out)
     size = int(support(result.w, 1e-6).size)
     return [{
@@ -502,7 +510,7 @@ def _require_whole(trace, flow: str):
         raise SystemExit(f"regime-check: {flow} halted: {trace.halted}")
 
 
-def _exp_regime_check(cfg: dict, out: Path, jobs: int) -> list:
+def _exp_regime_check(cfg: dict, out: Path) -> list:
     spec = _build(MixtureSpec, cfg["spec"])
     train, test, theta_hat, z = gen_mixture(spec)
     model = RidgeLeastSquares(cfg["mu"])
@@ -562,32 +570,25 @@ EXPERIMENTS = {
 
 def cmd_experiment(args) -> int:
     run, defaults, seed_key = EXPERIMENTS[args.name]
-    cfg, out = _resolve(args, defaults, seed_key, args.name)
-    start = time.monotonic()
-    if args.profile:
-        import cProfile  # on demand: importing it adds 0.13 MB to peak RSS
-        profiler = cProfile.Profile()
-        rows = profiler.runcall(run, cfg, out, args.jobs)
-        profiler.dump_stats(out / "profile.pstats")
-    else:
-        rows = run(cfg, out, args.jobs)
-    wall = time.monotonic() - start
-    _write_table(out / "table.csv", rows)
-    _write_json(out / "summary.json", {"experiment": args.name,
-                                       "rows": rows, "wall_time_s": wall})
+    cfg = _resolve(args, defaults, seed_key, args.name)
+    with _run_dir(args.out, {"experiment": args.name, **cfg}) as out:
+        start = time.monotonic()
+        if args.profile:
+            import cProfile  # on demand: importing it adds 0.13 MB to peak RSS
+            profiler = cProfile.Profile()
+            rows = profiler.runcall(run, cfg, out)
+            profiler.dump_stats(out / "profile.pstats")
+        else:
+            rows = run(cfg, out)
+        wall = time.monotonic() - start
+        _write_table(out / "table.csv", rows)
+        _write_json(out / "summary.json", {"experiment": args.name,
+                                           "rows": rows, "wall_time_s": wall})
     log.info("experiment %s finished in %.1fs", args.name, wall)
     return 0
 
 
 # -------------------------------------------------------------------- main
-
-def _positive_int(text: str) -> int:
-    """argparse type of a count that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -614,8 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("name", choices=sorted(EXPERIMENTS))
     e.add_argument("--profile", action="store_true",
                    help="write cProfile stats to profile.pstats in --out")
-    e.add_argument("--jobs", type=_positive_int, default=1,
-                   help="ratio-sweep: ratios run at a time")
+    # Parse-only: ratios run in series, but the benchmark's Preset.argv
+    # still passes --jobs 1; ROADMAP item 1 drops it there and this flag here.
+    e.add_argument("--jobs", choices=["1"], help=argparse.SUPPRESS)
     return parser
 
 

@@ -63,15 +63,8 @@ class ConstantField:
     """A field that ignores the weights; its Jacobian is zero."""
 
     def __init__(self, phi):
-        try:
-            values = np.asarray(phi)
-        except ValueError:  # a ragged nesting
-            values = np.asarray(None)
-        if not (values.dtype.kind in "iuf" and values.ndim == 1
-                and values.size and np.isfinite(values).all()):
-            raise ConfigError("phi must be a nonempty, finite, 1-d real "
-                              f"vector, got {phi!r}")
-        self.phi = values.astype(float, copy=False)
+        _check_number("phi", phi, [0.0], "any")
+        self.phi = np.asarray(phi, dtype=float)
 
     def __call__(self, w: SimplexWeights) -> np.ndarray:
         return self.phi
@@ -122,7 +115,7 @@ def _dual_records(times, states: np.ndarray) -> List[TraceRecord]:
     h = _entropies(w)
     sizes = (w > DEFAULT_SUPPORT_TOL).sum(axis=1)
     return [TraceRecord(k=t, theta=None, w=SimplexWeights._unchecked(row),
-                        inner_loss=math.nan, outer_loss=math.nan,
+                        inner_loss=None, outer_loss=None,
                         entropy=float(hi), support_size=int(si))
             for t, row, hi, si in zip(times, w, h, sizes)]
 
@@ -495,8 +488,7 @@ class StationaryReport:
 def is_stationary(w: SimplexWeights, field,
                   tol: float = 1e-8) -> StationaryReport:
     """Stationary iff the field is constant over support(w)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_number("tol", tol, 1.0, "positive")
     phi = field(w)
     supp = support(w)
     on = phi[supp]
@@ -576,6 +568,7 @@ def linearized_trajectory(w_star: SimplexWeights, delta: TangentVector,
 def membership_I(Z: np.ndarray, tol: float = 1e-8):
     """Is Z in the set of l x p matrices with 1_l in range(Z) or a
     nontrivial null space? Returns (bool, certificate)."""
+    _check_number("tol", tol, 1.0, "positive")
     Z = np.asarray(Z, dtype=float)
     l = Z.shape[0]
     ones = np.ones(l)
@@ -676,6 +669,7 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
     omega_change (the last checkpoint change, or None). A refresh or a step
     that fails with one of solvers._HALTS halts it as it halts
     integrate_mirror_flow."""
+    _check_number("refresh_dt", refresh_dt, 1.0, "positive")
     if omega_cfg is None:
         omega_cfg = FlowConfig(dt=min(cfg.dt, 1e-2), t_max=1e3,
                                stationarity_tol=1e-9)

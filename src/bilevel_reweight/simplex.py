@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericOverflowError
+from .errors import NumericOverflowError, _check_number
 
 SUM_TOL = 1e-12
 DEFAULT_SUPPORT_TOL = 1e-8
@@ -164,8 +164,7 @@ def entropy(w: SimplexWeights) -> float:
 
 def support(w: SimplexWeights, tol: float = DEFAULT_SUPPORT_TOL) -> np.ndarray:
     """Indices with weight above tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_number("tol", tol, 1.0, "positive")
     return np.flatnonzero(w.values > tol)
 
 

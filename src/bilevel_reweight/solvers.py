@@ -29,6 +29,7 @@ from .errors import (
     NumericOverflowError,
     SingularDesignError,
     _check_fields,
+    _check_number,
 )
 from .hypergrad import (
     _closed_form,
@@ -38,11 +39,11 @@ from .hypergrad import (
 )
 from .losses import ForwardPass, ModelParams
 from .simplex import (
+    DEFAULT_SUPPORT_TOL,
     SimplexWeights,
     _all_finite,
     entropy,
     mirror_step,
-    support,
 )
 
 
@@ -62,8 +63,8 @@ class TraceRecord:
     k: float
     theta: np.ndarray
     w: SimplexWeights
-    inner_loss: float
-    outer_loss: float
+    inner_loss: Optional[float]  # None on a mirror flow, which has no theta
+    outer_loss: Optional[float]
     entropy: float
     support_size: int
     extra: Optional[dict] = None
@@ -120,7 +121,7 @@ def _make_record(train: ForwardPass, test: ForwardPass, w: SimplexWeights, k,
         inner_loss=float(w.values @ train.sample_losses()),
         outer_loss=float(test.fit_losses().mean()),
         entropy=entropy(w),
-        support_size=int(support(w).size),
+        support_size=int((w.values > DEFAULT_SUPPORT_TOL).sum()),
         extra=extra,
     )
 
@@ -173,6 +174,7 @@ def solve_inner(model, data, w: SimplexWeights, theta0: ModelParams,
     one that lowers |g|. Returns when |g| <= tol (at once if theta0 meets
     it); raises NoConvergenceError with the final |g| after max_iter steps
     or when the line search fails."""
+    _check_number("tol", tol, 1.0, "positive")
     if model.is_quadratic:
         return closed_form_inner_quadratic(data, w, model.mu)
     wv = w.values

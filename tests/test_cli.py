@@ -484,6 +484,8 @@ class TestRegimeCheckFlows:
         assert exc.value.code == f"regime-check: {name} halted: {reason}"
         assert not (out / "table.csv").exists()
         assert not (out / "summary.json").exists()
+        # a halted run, unlike a rejected one, leaves its config
+        assert _resolved(out)["horizon"] == 0.01
 
     @pytest.mark.parametrize("seed", [0, 5, None])
     def test_gaps_hold_at_a_hundredth_of_the_joint_rtol(self, tmp_path,
@@ -701,7 +703,7 @@ def test_rejected_top_level_value_exits_2_naming_it(tmp_path, capsys, command,
 
 
 # a value that a config class, a dataset spec or the model refuses once the
-# run builds it, after the run directory exists
+# run builds it, after the run directory exists; the run removes it again
 CORRUPTION = ["generate", "--set", "type=corruption"]
 REJECTED_BY_THE_RUN = [
     (["generate"], "spec.n=true", "n must be an integer, got True"),
@@ -727,8 +729,24 @@ def test_value_the_run_rejects_exits_2_naming_it(tmp_path, capsys, command,
                                                  item, message):
     config = tmp_path / "cfg.json"
     config.write_text("{}")
-    assert main(_argv(command, config, tmp_path / "out", [item])) == 2
+    out = tmp_path / "out" / "run"
+    assert main(_argv(command, config, out, [item])) == 2
     assert capsys.readouterr().err.strip() == message
+    assert not out.parent.exists()
+
+
+def test_rejected_rerun_leaves_an_earlier_run_as_it_was(tmp_path, capsys):
+    out = tmp_path / "d"
+    sets = ["--set", "dataset.spec.n=30", "--set", "dataset.spec.m=10",
+            "--set", "solver.iterations=5"]
+    assert main(["solve", "--out", str(out), *sets]) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert sorted(before) == ["resolved-config.json", "summary.json",
+                              "trace.jsonl"]
+    assert main(["solve", "--out", str(out), *sets,
+                 "--set", "solver.iterations=true"]) == 2
+    assert "iterations must be an integer" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
 
 # an input file that is missing or unreadable; paths are relative to the
@@ -777,6 +795,7 @@ def test_unreadable_input_file_exits_2_naming_it(tmp_path, monkeypatch,
     Path("number.json").write_text("3")
     assert main([*argv, "--out", "out"]) == 2
     assert capsys.readouterr().err.strip() == message
+    assert not Path("out").exists()
 
 
 @pytest.mark.parametrize("command, item", [
@@ -793,6 +812,7 @@ def test_seed_outside_the_philox_key_range_exits_2(tmp_path, capsys, command,
     assert main(_argv(command, config, tmp_path / "out", [item])) == 2
     assert capsys.readouterr().err.strip() == (
         f"seed must lie in [0, 2**64), got {seed}")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, item, config", [
@@ -812,7 +832,6 @@ def test_removed_config_key_exits_2_naming_it(tmp_path, capsys, command, item,
 
 
 UNREAD_BY_EXACT = "rho is not read by solver kind exact; remove it"
-BAD_PHI = "phi must be a nonempty, finite, 1-d real vector, got "
 
 
 @pytest.mark.parametrize("command, sets, message", [
@@ -823,11 +842,13 @@ BAD_PHI = "phi must be a nonempty, finite, 1-d real vector, got "
      "flow preset constant does not read ['p']"),
     (["flow"], ["preset=constant", "phi=[1.0,2.0]", "n=7"],
      "flow preset constant does not read ['n']"),
-    (["flow"], ["preset=constant", "phi=[NaN,0,0]"], BAD_PHI),
-    (["flow"], ["preset=constant", "phi=[Infinity,0,0]"], BAD_PHI),
-    (["flow"], ["preset=constant", "phi=[]"], BAD_PHI),
-    (["flow"], ["preset=constant", "phi=[[1,2],[3,4]]"], BAD_PHI),
-    (["flow"], ["preset=constant", "phi=abc"], BAD_PHI)],
+    (["flow"], ["preset=constant", "phi=[NaN,0,0]"], "phi must be finite"),
+    (["flow"], ["preset=constant", "phi=[Infinity,0,0]"],
+     "phi must be finite"),
+    (["flow"], ["preset=constant", "phi=[]"], "phi must be a non-empty list"),
+    (["flow"], ["preset=constant", "phi=[[1,2],[3,4]]"],
+     "phi must be a real number, got [1, 2]"),
+    (["flow"], ["preset=constant", "phi=abc"], "phi must be a list, got 'abc'")],
     ids=["solve-exact-rho", "toy-mixture-exact-rho", "fig3-phi", "constant-p",
          "constant-phi-n", "constant-phi-nan", "constant-phi-inf",
          "constant-phi-empty", "constant-phi-matrix", "constant-phi-string"])
@@ -838,6 +859,7 @@ def test_key_the_run_does_not_read_exits_2_naming_it(tmp_path, capsys,
         argv += ["--set", item]
     assert main(argv) == 2
     assert capsys.readouterr().err.strip().startswith(message)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("sets", [
@@ -861,7 +883,9 @@ def test_benchmark_configs_resolve_to_themselves(tmp_path, preset):
         cfg = preset.config(seed)
         out = tmp_path / str(seed)
         args = cli.build_parser().parse_args(preset.argv(cfg, out))
-        cli._resolve(args, defaults, seed_key, args.name)
+        merged = cli._resolve(args, defaults, seed_key, args.name)
+        with cli._run_dir(args.out, {"experiment": args.name, **merged}):
+            pass
         resolved = json.loads((out / "resolved-config.json").read_text())
         assert resolved == json.loads(json.dumps({"experiment": preset.name,
                                                   **cfg}))
@@ -884,13 +908,7 @@ class TestProfile:
         assert not (plain / "profile.pstats").exists()
         stats = pstats.Stats(str(profiled / "profile.pstats"))
         assert any(name == "soba" for _, _, name in stats.stats)
-
-        def table(out):
-            with open(out / "table.csv", newline="") as f:
-                return [{k: v for k, v in row.items() if k != "wall_time_s"}
-                        for row in csv.DictReader(f)]
-
-        assert table(profiled) == table(plain)
+        assert _untimed_table(profiled) == _untimed_table(plain)
         traces = sorted(p.name for p in plain.glob("trace*.jsonl"))
         assert len(traces) == 2
         assert traces == sorted(p.name for p in profiled.glob("trace*.jsonl"))
@@ -898,27 +916,69 @@ class TestProfile:
             assert (plain / name).read_bytes() == (profiled / name).read_bytes()
 
 
+def _untimed_table(out):
+    """out/table.csv's rows without their wall-clock column."""
+    with open(out / "table.csv", newline="") as f:
+        return [{k: v for k, v in row.items() if k != "wall_time_s"}
+                for row in csv.DictReader(f)]
+
+
 class TestJobs:
-    def test_only_experiment_takes_jobs(self, tmp_path, capsys):
+    """Ratios run in series; experiment parses the benchmark's --jobs 1
+    and refuses every other count, and no other command takes the flag."""
+
+    FLOW = ["flow", "--set", "flow.t_max=1.0", "--set", "flow.dt=0.01"]
+
+    @pytest.mark.parametrize("argv, jobs", [
+        (TestProfile.ARGS, "0"), (TestProfile.ARGS, "-3"),
+        (TestProfile.ARGS, "2"), (TestProfile.ARGS, "4"),
+        (FLOW, "4"), (FLOW, "1")],
+        ids=["experiment-0", "experiment--3", "experiment-2", "experiment-4",
+             "flow-4", "flow-1"])
+    def test_refuses_all_but_experiments_1(self, tmp_path, capsys, argv,
+                                           jobs):
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main(["flow", "--jobs", "4", "--set", "flow.t_max=1.0",
-                  "--set", "flow.dt=0.01", "--out", str(tmp_path / "f")])
+            main([*argv, "--jobs", jobs, "--out", str(out)])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
-        assert not (tmp_path / "f").exists()
-        assert main(TestProfile.ARGS + ["--jobs", "2",
-                                        "--out", str(tmp_path / "e")]) == 0
-        assert len(list((tmp_path / "e").glob("trace-ratio-*.jsonl"))) == 2
+        assert not out.exists()
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_rejects_a_count_below_one(self, tmp_path, capsys, jobs):
-        with pytest.raises(SystemExit) as exc:
-            main(TestProfile.ARGS + ["--jobs", jobs,
-                                     "--out", str(tmp_path / "e")])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--jobs" in err and "at least 1" in err
-        assert not (tmp_path / "e").exists()
+    def test_experiment_takes_1_as_if_it_were_absent(self, tmp_path):
+        plain, one = tmp_path / "plain", tmp_path / "one"
+        assert main(TestProfile.ARGS + ["--out", str(plain)]) == 0
+        assert main(TestProfile.ARGS + ["--jobs", "1", "--out", str(one)]) == 0
+        names = sorted(f.name for f in plain.iterdir())
+        assert names == sorted(f.name for f in one.iterdir())
+        assert len([n for n in names if n.startswith("trace-ratio-")]) == 2
+        assert _untimed_table(one) == _untimed_table(plain)
+        for name in names:
+            if name not in ("summary.json", "table.csv"):  # wall-clock times
+                assert (plain / name).read_bytes() == (one / name).read_bytes()
+
+
+def _strict_jsonl(path):
+    """The rows of a JSON-lines file, refusing NaN and the infinities,
+    which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return [json.loads(line, parse_constant=refuse)
+            for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("argv", [
+    TestJobs.FLOW, [*TestJobs.FLOW, "--set", "preset=constant"],
+    ["experiment", "frozen-flow", "--set", "flow.t_max=5.0"]],
+    ids=["flow-fig3", "flow-constant", "frozen-flow"])
+def test_mirror_flow_traces_are_strict_json_with_null_losses(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    rows = _strict_jsonl(out / "trace.jsonl")
+    assert len(rows) > 1
+    for row in rows:
+        assert row["inner_loss"] is None and row["outer_loss"] is None
+        assert row["theta_err"] is None
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():

@@ -44,6 +44,7 @@ from bilevel_reweight import (
     solve_inner,
     sparsity_certificate,
     stability_check,
+    support,
 )
 from bilevel_reweight import dynamics, losses
 
@@ -945,3 +946,51 @@ class TestSparseReference:
         # once at t = 0, then at k * 0.01 for k = 1 .. 29
         assert len(refreshed) == 1 + 29
         assert [r.k for r in trace.records] == list(np.linspace(0.0, 0.3, 7))
+
+
+def _tolerance_calls():
+    """name -> (argument, call of the public function with that argument):
+    every tolerance a caller sets, each refused when NaN or nonpositive
+    rather than answering as if the test had failed."""
+    one_hot = SimplexWeights.one_hot(3, 0)
+    field = ConstantField([1.0, 2.0, 3.0])
+    gamma = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    train, test, _, _ = gen_mixture(MixtureSpec(n=10, m=5, sigma=0.1, seed=2))
+    clf, _, _, _ = gen_corrupted(CorruptionSpec(
+        n=40, classes=3, d=4, n_test=20, n_val=5, seed=1))
+    logistic = RegularizedMultinomialLogistic(1e-2)
+    uniform = SimplexWeights.uniform(train.n)
+    return {
+        "support": ("tol", lambda v: support(one_hot, v)),
+        "is_stationary": ("tol", lambda v: is_stationary(one_hot, field, v)),
+        "stability_check": ("tol",
+                            lambda v: stability_check(one_hot, field, v)),
+        "linearized_trajectory": ("tol", lambda v: linearized_trajectory(
+            one_hot, TangentVector(np.zeros(3)), field, 1.0, v)),
+        "membership_I": ("tol", lambda v: membership_I(gamma, v)),
+        "sparsity_certificate": ("tol", lambda v: sparsity_certificate(
+            SimplexWeights.uniform(3), gamma, tol=v)),
+        "sparsity_certificate-support_tol": (
+            "tol", lambda v: sparsity_certificate(
+                SimplexWeights.uniform(3), gamma, support_tol=v)),
+        "integrate_sparse_reference": (
+            "refresh_dt", lambda v: integrate_sparse_reference(
+                RidgeLeastSquares(1e-3), train, test,
+                ModelParams(np.zeros(2)), uniform,
+                FlowConfig(dt=1e-2, t_max=0.1), refresh_dt=v)),
+        "solve_inner": ("tol", lambda v: solve_inner(
+            logistic, clf, SimplexWeights.uniform(clf.n),
+            ModelParams(np.zeros(logistic.n_params(clf))), tol=v)),
+    }
+
+
+TOLERANCE_CALLS = _tolerance_calls()
+
+
+@pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("name", sorted(TOLERANCE_CALLS))
+def test_tolerance_must_be_positive_and_finite(name, value):
+    arg, call = TOLERANCE_CALLS[name]
+    with pytest.raises(ConfigError,
+                       match=f"^{arg} must be positive and finite$"):
+        call(value)

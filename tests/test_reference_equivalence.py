@@ -508,7 +508,7 @@ class TestDualRecords:
                 h, math.copysign(1, h))
             assert r.support_size == support(want).size
             assert r.theta is None
-            assert math.isnan(r.inner_loss) and math.isnan(r.outer_loss)
+            assert r.inner_loss is None and r.outer_loss is None
 
     def test_draws_rows_with_exact_zeros_from_width_8(self):
         u = find(log_weight_rows(), lambda u: u.shape[1] >= 8 and np.any(
