@@ -183,9 +183,9 @@ def _dataset_from_config(cfg: dict):
                           f"type and spec, or path")
     if "path" in cfg:
         train = datagen.load_dataset(Path(cfg["path"]) / "train.csv")
-        test = datagen.load_dataset(Path(cfg["path"]) / "test.csv")
+        test = _load_split_like(train, Path(cfg["path"]) / "test.csv")
         val_path = Path(cfg["path"]) / "val.csv"
-        val = datagen.load_dataset(val_path) if val_path.exists() else None
+        val = _load_split_like(train, val_path) if val_path.exists() else None
         return train, test, val, {}
     kind = cfg["type"]
     if kind == "mixture":
@@ -198,6 +198,20 @@ def _dataset_from_config(cfg: dict):
         train, clean_mask, test, val = gen_corrupted(spec)
         return train, test, val, {"clean_mask": clean_mask, "spec": spec}
     raise ConfigError(f"unknown dataset type {kind!r}")
+
+
+def _load_split_like(train, path: Path):
+    """load_dataset(path), refused with a DatasetFormatError naming path
+    unless its kind, feature count and class count match train's."""
+    data = datagen.load_dataset(path)
+    for what, ours, theirs in [("kind", data.kind, train.kind),
+                               ("feature count", data.d, train.d),
+                               ("class count", data.n_classes,
+                                train.n_classes)]:
+        if ours != theirs:
+            raise DatasetFormatError(f"{path} has {what} {ours!r}, but "
+                                     f"train.csv has {theirs!r}")
+    return data
 
 
 def _model_from_config(cfg: dict, train):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
@@ -138,47 +139,35 @@ def gen_corrupted(spec: CorruptionSpec
     return train, ~corrupt, test, val
 
 
-def _atom_key(row: np.ndarray) -> bytes:
-    return np.ascontiguousarray(row, dtype=float).tobytes()
-
-
 def importance_weights(train_atoms, test_atoms) -> SimplexWeights:
-    """Density-ratio weights on shared atoms: w_i proportional to
-    (test multiplicity) / (train multiplicity) of atom i."""
-    train_atoms = np.atleast_2d(np.asarray(train_atoms, dtype=float))
-    test_atoms = np.atleast_2d(np.asarray(test_atoms, dtype=float))
-    train_counts: dict = {}
-    for row in train_atoms:
-        k = _atom_key(row)
-        train_counts[k] = train_counts.get(k, 0) + 1
-    test_counts: dict = {}
-    for row in test_atoms:
-        k = _atom_key(row)
-        if k not in train_counts:
-            raise AbsoluteContinuityError(
-                "a test atom does not appear in the training set")
-        test_counts[k] = test_counts.get(k, 0) + 1
-    w = np.array([
-        test_counts.get(_atom_key(row), 0) / train_counts[_atom_key(row)]
-        for row in train_atoms
-    ])
-    return SimplexWeights.from_unnormalized(w)
+    """Density-ratio weights on shared atoms, matched by value: w_i is
+    proportional to (test multiplicity) / (train multiplicity) of atom i."""
+    train = np.atleast_2d(np.asarray(train_atoms, dtype=float))
+    test = np.atleast_2d(np.asarray(test_atoms, dtype=float))
+    if train.shape[1:] != test.shape[1:]:
+        raise ValueError("train and test atoms differ in length")
+    atoms = np.concatenate([train, test])
+    if not np.isfinite(atoms).all():
+        raise ValueError("atoms must be finite")
+    _, atom = np.unique(atoms, axis=0, return_inverse=True)
+    n = len(train)
+    train_counts = np.bincount(atom[:n], minlength=atom.max() + 1)
+    test_counts = np.bincount(atom[n:], minlength=atom.max() + 1)
+    if not train_counts[atom[n:]].all():
+        raise AbsoluteContinuityError(
+            "a test atom does not appear in the training set")
+    return SimplexWeights.from_unnormalized(
+        test_counts[atom[:n]] / train_counts[atom[:n]])
 
 
 def save_dataset(data: Dataset, path, seed: Optional[int] = None):
     """CSV with a header row plus a JSON sidecar (<path>.json)."""
     path = Path(path)
-    header = [f"f{j}" for j in range(data.d)] + ["target"]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for i in range(data.n):
-            row = [format(x, ".17g") for x in data.features[i]]
-            if data.kind == CLASSIFICATION:
-                row.append(str(int(data.targets[i])))
-            else:
-                row.append(format(data.targets[i], ".17g"))
-            writer.writerow(row)
+    header = ",".join([f"f{j}" for j in range(data.d)] + ["target"])
+    target_fmt = "%d" if data.kind == CLASSIFICATION else "%.17g"
+    np.savetxt(path, np.column_stack([data.features, data.targets]),
+               fmt=["%.17g"] * data.d + [target_fmt], delimiter=",",
+               newline="\r\n", header=header, comments="")
     sidecar = {
         "kind": data.kind,
         "n": data.n,
@@ -191,7 +180,8 @@ def save_dataset(data: Dataset, path, seed: Optional[int] = None):
 
 
 def load_dataset(path) -> Dataset:
-    """What save_dataset wrote to path; DatasetFormatError names the file."""
+    """What save_dataset wrote to path. DatasetFormatError names the file,
+    and the line for a fault in one row, on anything Dataset would refuse."""
     path = Path(path)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     for p in (sidecar_path, path):
@@ -204,28 +194,40 @@ def load_dataset(path) -> Dataset:
     kind = meta.get("kind") if isinstance(meta, dict) else None
     if kind not in (REGRESSION, CLASSIFICATION):
         raise DatasetFormatError(f"{sidecar_path} has unknown kind {kind!r}")
+    n_classes = meta.get("C") if kind == CLASSIFICATION else None
+    if kind == CLASSIFICATION and (type(n_classes) is not int
+                                   or n_classes < 2):
+        raise DatasetFormatError(f"{sidecar_path}: classification needs an "
+                                 f"integer C >= 2, got {n_classes!r}")
+    try:
+        rows = csv.reader(path.read_text(encoding="utf-8").splitlines())
+    except ValueError:  # not UTF-8
+        raise DatasetFormatError(f"{path} is not UTF-8")
+    header = next(rows, None)
+    if header is None:
+        raise DatasetFormatError(f"{path}: empty dataset file", line=1)
+    d = len(header) - 1
+    if d < 1 or header[-1] != "target":
+        raise DatasetFormatError(f"{path}: malformed header row", line=1)
     features, targets = [], []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != d + 1:
+            raise DatasetFormatError(f"{path}: wrong number of columns",
+                                     line=lineno)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: empty dataset file", line=1)
-        d = len(header) - 1
-        if d < 1 or header[-1] != "target":
-            raise DatasetFormatError(f"{path}: malformed header row", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 1:
-                raise DatasetFormatError(f"{path}: wrong number of columns",
-                                         line=lineno)
-            try:
-                features.append([float(x) for x in row[:d]])
-                targets.append(int(row[d]) if kind == CLASSIFICATION
-                               else float(row[d]))
-            except ValueError:
-                raise DatasetFormatError(f"{path}: non-numeric entry",
-                                         line=lineno)
+            x = [float(v) for v in row[:d]]
+            y = int(row[d]) if n_classes else float(row[d])
+        except ValueError:
+            raise DatasetFormatError(f"{path}: non-numeric entry",
+                                     line=lineno)
+        if n_classes and not 0 <= y < n_classes:
+            raise DatasetFormatError(f"{path}: class label {y} outside "
+                                     f"0..{n_classes - 1}", line=lineno)
+        if not all(map(math.isfinite, [*x, y])):
+            raise DatasetFormatError(f"{path}: non-finite entry", line=lineno)
+        features.append(x)
+        targets.append(y)
     if not features:
         raise DatasetFormatError(f"{path}: dataset has no rows", line=2)
     return Dataset(np.array(features), np.array(targets), kind,
-                   n_classes=meta.get("C"))
+                   n_classes=n_classes)

@@ -589,6 +589,7 @@ def sparsity_certificate(w: SimplexWeights, gamma: np.ndarray,
                          support_tol: float = DEFAULT_SUPPORT_TOL):
     """Stationary supports must make Gamma restricted to the support a
     member of I_l^p; generic supports larger than p fail."""
+    _check_number("support_tol", support_tol, 1.0, "positive")
     supp = support(w, support_tol)
     if supp.size == 0:
         raise PreconditionError("empty support")

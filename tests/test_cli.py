@@ -749,7 +749,8 @@ def test_rejected_rerun_leaves_an_earlier_run_as_it_was(tmp_path, capsys):
     assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
 
-# an input file that is missing or unreadable; paths are relative to the
+# an input file that is missing, unreadable, holds a value Dataset refuses,
+# or is a split that disagrees with train.csv; paths are relative to the
 # test's working directory, which holds the files the test writes
 UNREADABLE = [
     (["solve", "--set", 'dataset={"path":"no-sidecar"}'],
@@ -762,6 +763,28 @@ UNREADABLE = [
      "bad-sidecar/train.csv.json is not JSON"),
     (["solve", "--set", 'dataset={"path":"list-sidecar"}'],
      "list-sidecar/train.csv.json has unknown kind None"),
+    (["solve", "--set", 'dataset={"path":"not-utf8"}'],
+     "not-utf8/train.csv is not UTF-8"),
+    (["solve", "--set", 'dataset={"path":"nan-entry"}'],
+     "nan-entry/train.csv: non-finite entry (line 3)"),
+    (["solve", "--set", 'dataset={"path":"label-7"}'],
+     "label-7/train.csv: class label 7 outside 0..2 (line 2)"),
+    (["solve", "--set", 'dataset={"path":"null-C"}'],
+     "null-C/train.csv.json: classification needs an integer C >= 2, "
+     "got None"),
+    (["solve", "--set", 'dataset={"path":"string-C"}'],
+     "string-C/train.csv.json: classification needs an integer C >= 2, "
+     "got '3'"),
+    (["solve", "--set", 'dataset={"path":"test-d3"}'],
+     "test-d3/test.csv has feature count 3, but train.csv has 1"),
+    (["solve", "--set", 'dataset={"path":"test-C5"}'],
+     "test-C5/test.csv has class count 5, but train.csv has 3"),
+    (["solve", "--set", 'dataset={"path":"test-kind"}',
+      "--set", 'model="ridge"'],
+     "test-kind/test.csv has kind 'classification', but train.csv has "
+     "'regression'"),
+    (["solve", "--set", 'dataset={"path":"val-d3"}'],
+     "val-d3/val.csv has feature count 3, but train.csv has 1"),
     (["solve", "--config", "nope.json"],
      "cannot read nope.json: No such file or directory"),
     (["solve", "--config", "empty-csv"],
@@ -775,22 +798,52 @@ UNREADABLE = [
 @pytest.mark.parametrize("argv, message", UNREADABLE,
                          ids=["no-sidecar", "no-csv", "empty-csv",
                               "non-json-sidecar", "non-object-sidecar",
+                              "non-utf8-csv", "non-finite-entry",
+                              "class-label-out-of-range",
+                              "null-class-count", "string-class-count",
+                              "test-feature-count", "test-class-count",
+                              "test-kind", "val-feature-count",
                               "missing-config", "directory-config",
                               "non-json-config", "non-object-config"])
 def test_unreadable_input_file_exits_2_naming_it(tmp_path, monkeypatch,
                                                  capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     regression = json.dumps({"kind": "regression"})
-    table = "f0,target\n1.0,2.0\n"
-    for name, sidecar, data in [
-            ("no-sidecar", None, table), ("no-csv", regression, None),
-            ("empty-csv", regression, ""), ("bad-sidecar", "{", table),
-            ("list-sidecar", "[1]", table)]:
+    table, table_d3 = "f0,target\n1.0,2.0\n", "f0,f1,f2,target\n1,2,3,4\n"
+    labels = "f0,target\n1.0,0\n"
+
+    def classes(c):
+        return json.dumps({"kind": "classification", "C": c})
+    for name, files in [
+            ("no-sidecar", {"train.csv": table}),
+            ("no-csv", {"train.csv.json": regression}),
+            ("empty-csv", {"train.csv.json": regression, "train.csv": ""}),
+            ("bad-sidecar", {"train.csv.json": "{", "train.csv": table}),
+            ("list-sidecar", {"train.csv.json": "[1]", "train.csv": table}),
+            ("not-utf8", {"train.csv.json": regression,
+                          "train.csv": b"f0,target\n\xff,1\n"}),
+            ("nan-entry", {"train.csv.json": regression,
+                           "train.csv": table + "nan,2.0\n"}),
+            ("label-7", {"train.csv.json": classes(3),
+                         "train.csv": "f0,target\n1.0,7\n"}),
+            ("null-C", {"train.csv.json": classes(None), "train.csv": labels}),
+            ("string-C", {"train.csv.json": classes("3"),
+                          "train.csv": labels}),
+            ("test-d3", {"train.csv.json": regression, "train.csv": table,
+                         "test.csv.json": regression, "test.csv": table_d3}),
+            ("test-C5", {"train.csv.json": classes(3), "train.csv": labels,
+                         "test.csv.json": classes(5), "test.csv": labels}),
+            ("test-kind", {"train.csv.json": regression, "train.csv": table,
+                           "test.csv.json": classes(3), "test.csv": labels}),
+            ("val-d3", {"train.csv.json": regression, "train.csv": table,
+                        "test.csv.json": regression, "test.csv": table,
+                        "val.csv.json": regression, "val.csv": table_d3})]:
         Path(name).mkdir()
-        if sidecar is not None:
-            Path(name, "train.csv.json").write_text(sidecar)
-        if data is not None:
-            Path(name, "train.csv").write_text(data)
+        for file, text in files.items():
+            if isinstance(text, bytes):
+                Path(name, file).write_bytes(text)
+            else:
+                Path(name, file).write_text(text)
     Path("not-json.json").write_text("not json")
     Path("number.json").write_text("3")
     assert main([*argv, "--out", "out"]) == 2

@@ -1,3 +1,4 @@
+import collections
 import json
 
 import numpy as np
@@ -7,8 +8,10 @@ from bilevel_reweight import (
     AbsoluteContinuityError,
     ConfigError,
     CorruptionSpec,
+    Dataset,
     DatasetFormatError,
     MixtureSpec,
+    SimplexWeights,
     gen_corrupted,
     gen_mixture,
     importance_weights,
@@ -203,6 +206,35 @@ class TestImportanceWeights:
         with pytest.raises(AbsoluteContinuityError):
             importance_weights([[0.0, 0.0]], [[1.0, 1.0]])
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_counting_rows_in_python(self, seed):
+        # the dictionary count importance_weights once ran, as the reference;
+        # tuples of floats match by value too
+        rng = np.random.default_rng(seed)
+        pool = rng.standard_normal((5, 3))
+        train = np.vstack([pool, pool[rng.integers(0, 5, 30)]])
+        test = pool[rng.integers(0, 5, 20)]
+        train_counts = collections.Counter(map(tuple, train))
+        test_counts = collections.Counter(map(tuple, test))
+        want = SimplexWeights.from_unnormalized(
+            [test_counts[tuple(r)] / train_counts[tuple(r)] for r in train])
+        assert np.array_equal(importance_weights(train, test).values,
+                              want.values)
+
+    def test_atoms_match_by_value(self):
+        w = importance_weights([[0.0, 1.0], [1.0, 1.0]], [[-0.0, 1.0]])
+        assert np.array_equal(w.values, [1.0, 0.0])
+
+    @pytest.mark.parametrize("train, test, message", [
+        ([[0.0], [np.nan]], [[0.0]], "atoms must be finite"),
+        ([[0.0]], [[np.inf]], "atoms must be finite"),
+        ([[np.nan]], [[np.nan]], "atoms must be finite"),
+        ([[0.0, 1.0]], [[0.0]], "train and test atoms differ in length")],
+        ids=["nan-train", "inf-test", "nan-both", "lengths"])
+    def test_rejects_atoms_naming_the_fault(self, train, test, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            importance_weights(train, test)
+
 
 class TestPersistence:
     def test_regression_round_trip_bit_identical(self, tmp_path):
@@ -231,6 +263,17 @@ class TestPersistence:
         meta = json.loads((tmp_path / "d.csv.json").read_text())
         assert meta == {"kind": "regression", "n": 10, "d": 2, "C": None,
                         "seed": 9}
+
+    def test_csv_bytes(self, tmp_path):
+        save_dataset(Dataset([[1.0, -0.5], [0.1, 2.0]], [3.0, -1e-20]),
+                     tmp_path / "r.csv", seed=4)
+        save_dataset(Dataset([[-0.0], [1e300]], [2, 0], "classification",
+                             n_classes=3), tmp_path / "c.csv")
+        assert (tmp_path / "r.csv").read_bytes() == (
+            b"f0,f1,target\r\n1,-0.5,3\r\n"
+            b"0.10000000000000001,2,-9.9999999999999995e-21\r\n")
+        assert (tmp_path / "c.csv").read_bytes() == (
+            b"f0,target\r\n-0,2\r\n1.0000000000000001e+300,0\r\n")
 
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -280,6 +323,31 @@ class TestPersistence:
         path = self._write(tmp_path, "f0,target\n")
         with pytest.raises(DatasetFormatError):
             load_dataset(path)
+
+    @pytest.mark.parametrize("body, sidecar, message", [
+        ("f0,target\n1.0,2.0\ninf,2.0\n", {"kind": "regression"},
+         "non-finite entry (line 3)"),
+        ("f0,target\n1.0,nan\n", {"kind": "regression"},
+         "non-finite entry (line 2)"),
+        ("f0,target\n1.0,0\n1.0,-1\n", {"kind": "classification", "C": 2},
+         "class label -1 outside 0..1 (line 3)"),
+        ("f0,target\n1.0,0\n", {"kind": "classification", "C": 1},
+         "classification needs an integer C >= 2, got 1"),
+        ("f0,target\n1.0,0\n", {"kind": "classification", "C": True},
+         "classification needs an integer C >= 2, got True"),
+        ("f0,target\n1.0,0\n", {"kind": "classification"},
+         "classification needs an integer C >= 2, got None")],
+        ids=["inf-feature", "nan-target", "negative-label", "one-class",
+             "bool-class-count", "no-class-count"])
+    def test_value_dataset_refuses_names_the_file(self, tmp_path, body,
+                                                  sidecar, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        (tmp_path / "bad.csv.json").write_text(json.dumps(sidecar))
+        with pytest.raises(DatasetFormatError) as exc:
+            load_dataset(path)
+        assert str(exc.value).endswith(message)
+        assert str(exc.value).startswith(str(path))
 
     def test_unknown_kind_in_sidecar(self, tmp_path):
         path = self._write(tmp_path, "f0,target\n1.0,2.0\n", kind="ranking")

@@ -971,7 +971,7 @@ def _tolerance_calls():
         "sparsity_certificate": ("tol", lambda v: sparsity_certificate(
             SimplexWeights.uniform(3), gamma, tol=v)),
         "sparsity_certificate-support_tol": (
-            "tol", lambda v: sparsity_certificate(
+            "support_tol", lambda v: sparsity_certificate(
                 SimplexWeights.uniform(3), gamma, support_tol=v)),
         "integrate_sparse_reference": (
             "refresh_dt", lambda v: integrate_sparse_reference(
