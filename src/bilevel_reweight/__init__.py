@@ -21,12 +21,10 @@ from .dynamics import (
     OmegaResult,
     StationaryReport,
     constant_field_solution,
-    full_flow_jacobian,
     integrate_joint_flow,
     integrate_mirror_flow,
     integrate_sparse_reference,
     is_stationary,
-    linearized_trajectory,
     membership_I,
     omega_from_trace,
     omega_limit,

@@ -1,7 +1,7 @@
-"""Command-line surface: generate datasets, run solvers and flows, and drive
-named reproducible experiments.
+"""Command-line surface: generate datasets, run solvers, and drive named
+reproducible experiments, the flows among them.
 
-Subcommands: generate, solve, flow, experiment. Each resolves its JSON
+Subcommands: generate, solve, experiment. Each resolves its JSON
 config (--spec for generate, --config otherwise) in _resolve: --set
 key=value overrides dotted paths, --seed sets the data seed, and the result
 is checked and merged into the defaults in COMMANDS or EXPERIMENTS. A run
@@ -131,7 +131,7 @@ def _resolve(args, defaults: dict, seed_key: str, name=None) -> dict:
         raise ConfigError(f"{args.config} does not hold a JSON object")
     for item in args.set or []:
         if "=" not in item:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
+            raise ConfigError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
@@ -147,10 +147,10 @@ def _resolve(args, defaults: dict, seed_key: str, name=None) -> dict:
         raise ConfigError(f"unknown {args.command} config key(s) {unknown}; "
                           f"known keys: {sorted(defaults)}")
     cfg = _merged(copy.deepcopy(defaults), cfg)
+    signs = {"seed": "nonnegative", "mu": "nonnegative", "phi": "any"}
     for key, default in defaults.items():
         if isinstance(default, (int, float, list)):
-            _check_number(key, cfg[key], default, "nonnegative"
-                          if key in ("seed", "mu") else "positive")
+            _check_number(key, cfg[key], default, signs.get(key, "positive"))
     return cfg
 
 
@@ -298,92 +298,19 @@ def _solve(cfg: dict, out: Path):
     _write_json(out / "summary.json", {**summary, "halted": trace.halted})
 
 
-# -------------------------------------------------------------------- flow
-
-def _fig3_flow(cfg: dict, fcfg: FlowConfig, out: Path):
-    """flow's fig3 preset and experiment frozen-flow: the mirror flow of the
-    ridge-like FrozenField drawn from cfg's n, p and seed, integrated from
-    the uniform weights and written to out/trace.jsonl. Returns the field,
-    the Omega result read off the trace, and whether its support is in
-    I_l^p (sparsity_certificate at tol 1e-6), or None if Omega did not
-    converge: only a limit is certified."""
-    field = FrozenField.ridge_like(datagen._rng(cfg["seed"]), cfg["n"],
-                                   cfg["p"], 0.1)
-    w0 = SimplexWeights.uniform(field.n)
-    trace = integrate_mirror_flow(field, w0, fcfg)
-    trace.to_jsonl(out / "trace.jsonl")
-    result = omega_from_trace(trace, w0, fcfg)
-    if not result.converged:
-        return field, result, None
-    member, _ = sparsity_certificate(result.w, field.gamma, tol=1e-6,
-                                     support_tol=1e-6)
-    return field, result, member
-
-
-def _check_flow_keys(cfg: dict):
-    """ConfigError naming each top-level key that the preset does not read
-    but that differs from its default: fig3 draws its field from n, p and
-    seed; constant integrates phi, or one drawn from n and seed."""
-    if cfg["preset"] == "fig3":
-        unread = ["phi"]
-    elif cfg["preset"] == "constant":
-        unread = ["p"] if cfg["phi"] is None else ["n", "p", "seed"]
-    else:
-        raise ConfigError(f"unknown flow preset {cfg['preset']!r}")
-    defaults = COMMANDS["flow"][1]
-    set_keys = [key for key in unread if cfg[key] != defaults[key]]
-    if set_keys:
-        raise ConfigError(f"flow preset {cfg['preset']} does not read "
-                          f"{set_keys}; leave them at their defaults")
-
-
-def _flow(cfg: dict, out: Path):
-    _check_flow_keys(cfg)
-    fcfg = _build(FlowConfig, cfg["flow"])
-    if cfg["preset"] == "fig3":
-        field, result, member = _fig3_flow(cfg, fcfg, out)
-        extra = {"in_I_lp": member}
-    else:  # constant
-        phi = cfg["phi"]
-        if phi is None:
-            phi = datagen._rng(cfg["seed"]).standard_normal(cfg["n"])
-        field = ConstantField(phi)
-        w0 = SimplexWeights.uniform(field.phi.size)
-        trace = integrate_mirror_flow(field, w0, fcfg)
-        trace.to_jsonl(out / "trace.jsonl")
-        result = omega_from_trace(trace, w0, fcfg)
-        closed = constant_field_solution(w0, field.phi, fcfg.t_max)
-        err = float(np.max(np.abs(trace.final.w.values - closed.values)))
-        # a constant field has no Gamma whose support could be certified
-        extra = {"closed_form_error": err, "in_I_lp": None}
-        print(f"closed-form comparison error: {err:.3e}")
-    tol = max(10 * fcfg.stationarity_tol, 1e-6)
-    report = is_stationary(result.w, field, tol=tol)
-    if report.is_stationary:
-        report = stability_check(result.w, field, tol=tol)
-    _write_json(out / "stationary_report.json", {
-        **report.to_json_dict(), "converged": result.converged,
-        "oscillating": result.oscillating, **extra})
-    if result.oscillating:
-        log.info("flow did not converge (oscillation detected)")
-
-
 # command -> (run, default config, dotted key of the data seed), as in
 # EXPERIMENTS. A null model or mu follows the data (ridge with mu 0 for
-# regression, logistic with mu 1e-2 otherwise); a null phi is drawn from seed.
+# regression, logistic with mu 1e-2 otherwise).
 COMMANDS = {
     "generate": (_generate, {"type": "mixture", "spec": {}}, "spec.seed"),
     "solve": (_solve, {
         "dataset": {"type": "mixture", "spec": {}}, "model": None,
         "mu": None, "solver": {"kind": "exact"}}, "dataset.spec.seed"),
-    "flow": (_flow, {
-        "preset": "fig3", "n": 5, "p": 3, "seed": 0, "phi": None, "flow": {}},
-        "seed"),
 }
 
 
 def cmd_run(args) -> int:
-    """Run generate, solve or flow into --out."""
+    """Run generate or solve into --out."""
     run, defaults, seed_key = COMMANDS[args.command]
     cfg = _resolve(args, defaults, seed_key)
     with _run_dir(args.out, cfg) as out:
@@ -495,8 +422,42 @@ def _exp_softmax_toy(cfg: dict, out: Path) -> list:
     return rows
 
 
+def _mirror_flow(field, n: int, fcfg: FlowConfig, out: Path):
+    """Integrate field's mirror flow from the n uniform weights into
+    out/trace.jsonl. Returns the trace and Omega read off it."""
+    w0 = SimplexWeights.uniform(n)
+    trace = integrate_mirror_flow(field, w0, fcfg)
+    trace.to_jsonl(out / "trace.jsonl")
+    return trace, omega_from_trace(trace, w0, fcfg)
+
+
+def _write_report(out: Path, field, result, fcfg: FlowConfig, **extra):
+    """out/stationary_report.json: Omega's limit under is_stationary at tol
+    max(10 stationarity_tol, 1e-6), then stability_check if stationary,
+    with Omega's converged and oscillating, and extra."""
+    tol = max(10 * fcfg.stationarity_tol, 1e-6)
+    report = is_stationary(result.w, field, tol=tol)
+    if report.is_stationary:
+        report = stability_check(result.w, field, tol=tol)
+    _write_json(out / "stationary_report.json", {
+        **report.to_json_dict(), "converged": result.converged,
+        "oscillating": result.oscillating, **extra})
+
+
 def _exp_frozen_flow(cfg: dict, out: Path) -> list:
-    _, result, member = _fig3_flow(cfg, _build(FlowConfig, cfg["flow"]), out)
+    """The mirror flow of the ridge-like FrozenField drawn from n, p and
+    seed. Only a limit is certified: in_I_lp, whether Omega's support is in
+    I_l^p (sparsity_certificate at tol 1e-6), is None unless Omega
+    converged."""
+    fcfg = _build(FlowConfig, cfg["flow"])
+    field = FrozenField.ridge_like(datagen._rng(cfg["seed"]), cfg["n"],
+                                   cfg["p"], 0.1)
+    _, result = _mirror_flow(field, cfg["n"], fcfg, out)
+    member = None
+    if result.converged:
+        member, _ = sparsity_certificate(result.w, field.gamma, tol=1e-6,
+                                         support_tol=1e-6)
+    _write_report(out, field, result, fcfg, in_I_lp=member)
     size = int(support(result.w, 1e-6).size)
     return [{
         "seed": cfg["seed"], "converged": result.converged,
@@ -504,6 +465,23 @@ def _exp_frozen_flow(cfg: dict, out: Path) -> list:
         "support_leq_p": size <= cfg["p"],
         "in_I_lp": member,
     }]
+
+
+def _exp_constant_flow(cfg: dict, out: Path) -> list:
+    """The mirror flow of ConstantField(phi); closed_form_error is its
+    largest weight's distance at t_max to constant_field_solution."""
+    fcfg = _build(FlowConfig, cfg["flow"])
+    field = ConstantField(cfg["phi"])
+    n = field.phi.size
+    trace, result = _mirror_flow(field, n, fcfg, out)
+    closed = constant_field_solution(SimplexWeights.uniform(n), field.phi,
+                                     fcfg.t_max)
+    err = float(np.max(np.abs(trace.final.w.values - closed.values)))
+    # a constant field has no Gamma whose support could be certified
+    _write_report(out, field, result, fcfg, closed_form_error=err,
+                  in_I_lp=None)
+    return [{"closed_form_error": err, "converged": result.converged,
+             "oscillating": result.oscillating}]
 
 
 # DOP853 tolerance of regime-check's joint legs. Their reader is the gap, the
@@ -557,7 +535,8 @@ def _exp_regime_check(cfg: dict, out: Path) -> list:
 
 
 # name -> (run, default config, dotted key of the data seed). A run's config
-# is the default merged with the user's (see _merged).
+# is the default merged with the user's (see _merged). constant-flow has no
+# data seed, so --seed there is an unknown key.
 EXPERIMENTS = {
     "toy-mixture": (_exp_toy_mixture, {
         "spec": {}, "mu": 1e-4,
@@ -568,6 +547,8 @@ EXPERIMENTS = {
         "n": 5, "p": 3, "seed": 0,
         "flow": {"dt": 1e-2, "t_max": 500.0, "stationarity_tol": 1e-9}},
         "seed"),
+    "constant-flow": (_exp_constant_flow, {
+        "phi": [0.0, 1.0, 2.0], "flow": {}}, "seed"),
     "ratio-sweep": (_exp_ratio_sweep, {
         "spec": {}, "mu": 1e-2, "ratios": RATIO_GRID, "iterations": 4000},
         "spec.seed"),
@@ -624,7 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("generate", "write synthetic datasets")
     command("solve", "run one solver")
-    command("flow", "integrate a mirror flow and certify it")
     e = command("experiment", "run a named experiment preset", cmd_experiment)
     e.add_argument("name", choices=sorted(EXPERIMENTS))
     e.add_argument("--profile", action="store_true",

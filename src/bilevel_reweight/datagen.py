@@ -181,7 +181,8 @@ def save_dataset(data: Dataset, path, seed: Optional[int] = None):
 
 def load_dataset(path) -> Dataset:
     """What save_dataset wrote to path. DatasetFormatError names the file,
-    and the line for a fault in one row, on anything Dataset would refuse."""
+    and the line for a fault in one row, on anything Dataset would refuse
+    and on a row or feature count other than the sidecar's n and d."""
     path = Path(path)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     for p in (sidecar_path, path):
@@ -199,6 +200,10 @@ def load_dataset(path) -> Dataset:
                                    or n_classes < 2):
         raise DatasetFormatError(f"{sidecar_path}: classification needs an "
                                  f"integer C >= 2, got {n_classes!r}")
+    for key in ("n", "d"):
+        if type(meta.get(key)) is not int or meta[key] < 1:
+            raise DatasetFormatError(f"{sidecar_path}: {key} must be a "
+                                     f"positive integer, got {meta.get(key)!r}")
     try:
         rows = csv.reader(path.read_text(encoding="utf-8").splitlines())
     except ValueError:  # not UTF-8
@@ -229,5 +234,9 @@ def load_dataset(path) -> Dataset:
         targets.append(y)
     if not features:
         raise DatasetFormatError(f"{path}: dataset has no rows", line=2)
+    for key, count in (("n", len(features)), ("d", d)):
+        if count != meta[key]:
+            raise DatasetFormatError(f"{path} has {key} = {count}, but "
+                                     f"{sidecar_path} has {key} = {meta[key]}")
     return Dataset(np.array(features), np.array(targets), kind,
                    n_classes=n_classes)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import List, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConfigError,
@@ -32,7 +31,6 @@ from .losses import ModelParams
 from .simplex import (
     DEFAULT_SUPPORT_TOL,
     SimplexWeights,
-    TangentVector,
     _entropies,
     preconditioner,
     support,
@@ -519,15 +517,6 @@ def _tangent_operator_eigs(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(M)
 
 
-def full_flow_jacobian(w: SimplexWeights, phi: np.ndarray,
-                       J: np.ndarray) -> np.ndarray:
-    """D Phi(w) for Phi(w) = P(w) phi(w):
-    diag(phi) + diag(w) J - <w, phi> I - w (phi^T + w^T J)."""
-    v = w.values
-    return (np.diag(phi) + v[:, None] * J - (v @ phi) * np.eye(w.n)
-            - np.outer(v, phi + J.T @ v))
-
-
 def stability_check(w: SimplexWeights, field,
                     tol: float = 1e-8) -> StationaryReport:
     """Certify a stationary point: off-support margins must be positive and
@@ -547,22 +536,6 @@ def stability_check(w: SimplexWeights, field,
     eigs_ok = bool(np.all(eigs.real > tol)) if eigs.size else True
     report.is_stable = margins_ok and eigs_ok
     return report
-
-
-def linearized_trajectory(w_star: SimplexWeights, delta: TangentVector,
-                          field, t: float, tol: float = 1e-6) -> SimplexWeights:
-    """First-order prediction w(t) = w* + exp(-D Phi(w*) t) delta."""
-    report = is_stationary(w_star, field, tol)
-    if not report.is_stationary:
-        raise PreconditionError("w_star must be stationary")
-    d = delta.values
-    if np.any(w_star.values + d < -1e-15):
-        raise PreconditionError("w_star + delta must lie in the simplex")
-    DPhi = full_flow_jacobian(w_star, field(w_star),
-                              _jacobian(field, w_star))
-    pred = w_star.values + scipy.linalg.expm(-DPhi * t) @ d
-    pred = np.clip(pred, 0.0, None)
-    return SimplexWeights.from_unnormalized(pred)
 
 
 def membership_I(Z: np.ndarray, tol: float = 1e-8):

@@ -237,45 +237,76 @@ class TestSolve:
         assert summary["theta_err"] == final["theta_err"]
         assert 0 < final["theta_err"] < np.linalg.norm(theta_hat)
 
-    def test_malformed_override_exits(self, tmp_path):
+    def test_malformed_override_exits(self, tmp_path, capsys):
         cfg = self.solve_config(tmp_path)
-        with pytest.raises(SystemExit):
-            main(["solve", "--config", str(cfg),
-                  "--out", str(tmp_path / "x"), "--set", "novalue"])
+        out = tmp_path / "x"
+        assert main(["solve", "--config", str(cfg), "--out", str(out),
+                     "--set", "novalue"]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "--set expects key=value, got 'novalue'")
+        assert not out.exists()
 
 
-# stationary_report.json's keys as README lists them; the constant preset
-# adds closed_form_error
+# stationary_report.json's keys as README lists them; constant-flow adds
+# closed_form_error
 REPORT_KEYS = {"w", "is_stationary", "support", "proportionality_residual",
                "offsupport_margin", "tangent_eigenvalues", "is_stable",
                "in_I_lp", "converged", "oscillating"}
 
+FROZEN = ["experiment", "frozen-flow"]
+CONSTANT = ["experiment", "constant-flow"]
+
+
+def _report(out):
+    return json.loads((out / "stationary_report.json").read_text())
+
+
+def _rows(out):
+    return json.loads((out / "summary.json").read_text())["rows"]
+
 
 class TestFlow:
-    def test_constant_preset_reports_closed_form_error(self, tmp_path, capsys):
+    """The flow presets, frozen-flow and constant-flow, also write the
+    certificate of their limit to stationary_report.json."""
+
+    def test_constant_preset_reports_closed_form_error(self, tmp_path):
         out = tmp_path / "flow"
-        rc = main(["flow", "--out", str(out),
-                   "--set", "preset=constant", "--set", "phi=[0.0,1.0,2.0]",
+        rc = main([*CONSTANT, "--out", str(out),
+                   "--set", "phi=[0.0,1.0,2.0]",
                    "--set", "flow.dt=0.001", "--set", "flow.t_max=10.0"])
         assert rc == 0
-        captured = capsys.readouterr()
-        err = float(captured.out.split(":")[-1])
-        assert err <= 1e-4
-        report = json.loads((out / "stationary_report.json").read_text())
+        report = _report(out)
         assert set(report) == REPORT_KEYS | {"closed_form_error"}
         assert report["in_I_lp"] is None
         assert report["closed_form_error"] <= 1e-4
+        (row,) = _rows(out)
+        assert row == {key: report[key] for key in
+                       ("closed_form_error", "converged", "oscillating")}
         # the limit concentrates on the argmin of phi
         w = np.array(report["w"])
         assert w.argmax() == 0
 
+    def test_constant_preset_takes_phi_of_any_sign(self, tmp_path):
+        out = tmp_path / "flow"
+        assert main([*CONSTANT, "--out", str(out),
+                     "--set", "phi=[-1.0,0.5,2.0]"]) == 0
+        assert _resolved(out)["phi"] == [-1.0, 0.5, 2.0]
+        assert np.array(_report(out)["w"]).argmax() == 0
+
+    def test_constant_preset_refuses_the_seed_flag(self, tmp_path, capsys):
+        out = tmp_path / "flow"
+        assert main([*CONSTANT, "--out", str(out), "--seed", "0"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "unknown experiment config key(s) ['seed']")
+        assert not out.exists()
+
     def test_fig3_preset_certifies_sparse_limit(self, tmp_path):
         out = tmp_path / "flow"
-        rc = main(["flow", "--out", str(out), "--seed", "0",
+        rc = main([*FROZEN, "--out", str(out), "--seed", "0",
                    "--set", "flow.dt=0.01", "--set", "flow.t_max=300.0",
                    "--set", "flow.stationarity_tol=1e-9"])
         assert rc == 0
-        report = json.loads((out / "stationary_report.json").read_text())
+        report = _report(out)
         assert set(report) == REPORT_KEYS
         assert report["converged"] is True
         assert report["is_stationary"] is True
@@ -285,25 +316,34 @@ class TestFlow:
         assert len(rows) > 1
 
     def test_unknown_preset_exits_nonzero(self, tmp_path):
-        rc = main(["flow", "--out", str(tmp_path / "f"),
+        # the flow presets are experiment names; there is no preset key
+        rc = main([*FROZEN, "--out", str(tmp_path / "f"),
                    "--set", "preset=spiral"])
         assert rc == 2
 
     def test_rejected_config_exits_2_naming_the_field(self, tmp_path, capsys):
-        rc = main(["flow", "--out", str(tmp_path / "f"),
+        rc = main([*FROZEN, "--out", str(tmp_path / "f"),
                    "--set", "flow.dt=null"])
         assert rc == 2
         assert capsys.readouterr().err.strip() == (
             "dt must be a real number, got None")
 
     def test_unknown_flow_key_exits_2_naming_it(self, tmp_path, capsys):
-        rc = main(["flow", "--out", str(tmp_path / "f"),
+        rc = main([*FROZEN, "--out", str(tmp_path / "f"),
                    "--set", "flow.dtt=0.1"])
         assert rc == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("unknown FlowConfig key(s) ['dtt']; known "
                               "keys: [")
         assert "'dt'" in err
+
+    def test_flow_is_not_a_subcommand(self, tmp_path, capsys):
+        out = tmp_path / "f"
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'flow'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExperiment:
@@ -416,22 +456,18 @@ class TestExperiment:
 
     @pytest.mark.parametrize("seed, t_max, converged", [
         (0, 300.0, True), (3, 5.0, False)])
-    def test_frozen_flow_is_flows_fig3_run(self, tmp_path, seed, t_max,
-                                           converged):
-        # the same n, p, seed and flow config give the same trace and limit
-        sets = ["--set", f"seed={seed}", "--set",
-                f'flow={{"dt":0.01,"t_max":{t_max},"stationarity_tol":1e-9}}']
-        flow, exp = tmp_path / "flow", tmp_path / "exp"
-        assert main(["flow", "--out", str(flow), *sets]) == 0
-        assert main(["experiment", "frozen-flow", "--out", str(exp),
-                     *sets]) == 0
-        assert ((flow / "trace.jsonl").read_bytes()
-                == (exp / "trace.jsonl").read_bytes())
-        report = json.loads((flow / "stationary_report.json").read_text())
-        (row,) = json.loads((exp / "summary.json").read_text())["rows"]
+    def test_frozen_flow_report_agrees_with_its_row(self, tmp_path, seed,
+                                                    t_max, converged):
+        out = tmp_path / "exp"
+        assert main([*FROZEN, "--out", str(out), "--set", f"seed={seed}",
+                     "--set", f'flow={{"dt":0.01,"t_max":{t_max},'
+                              f'"stationarity_tol":1e-9}}']) == 0
+        report = _report(out)
+        assert set(report) == REPORT_KEYS
+        (row,) = _rows(out)
         assert row["converged"] is report["converged"] is converged
         assert row["oscillating"] is report["oscillating"]
-        # both certify only a limit that converged
+        # only a limit that converged is certified
         assert row["in_I_lp"] is report["in_I_lp"]
         assert (report["in_I_lp"] is None) is not converged
 
@@ -441,10 +477,10 @@ class TestExperiment:
         # report's tol 1e-6, and its support [0, 3] is in I_l^p; but it did
         # not converge, so it is not certified
         out = tmp_path / "flow"
-        assert main(["flow", "--seed", "3", "--set", "flow.t_max=5.0",
+        assert main([*FROZEN, "--seed", "3", "--set", "flow.t_max=5.0",
                      "--set", "flow.dt=0.01", "--set",
                      "flow.stationarity_tol=1e-9", "--out", str(out)]) == 0
-        report = json.loads((out / "stationary_report.json").read_text())
+        report = _report(out)
         assert report["converged"] is False
         assert report["is_stationary"] is True
         assert report["in_I_lp"] is None
@@ -621,9 +657,9 @@ def _argv(command, config, out, sets):
 @pytest.mark.parametrize("command, item, key", [
     (["generate"], "typ=corruption", "typ"),
     (["solve"], "solverr.iterations=3", "solverr"),
-    (["flow"], "flw.t_max=1", "flw"),
+    (CONSTANT, "flw.t_max=1", "flw"),
     (["experiment", "ratio-sweep"], "jobs=4", "jobs")],
-    ids=["generate", "solve", "flow", "experiment"])
+    ids=["generate", "solve", "constant-flow", "experiment"])
 def test_unknown_top_level_key_exits_and_names_it(tmp_path, capsys, command,
                                                   item, key):
     config = tmp_path / "cfg.json"
@@ -641,8 +677,9 @@ def test_unknown_top_level_key_exits_and_names_it(tmp_path, capsys, command,
     (["generate"], ["spec.n=30", "spec.m=10", "spec.seed=2"]),
     (["solve"], ["dataset.spec.n=30", "dataset.spec.m=10", "mu=1e-4",
                  "solver.iterations=10", "solver.record_every=5"]),
-    (["flow"], ["flow.dt=0.01", "flow.t_max=5.0"])],
-    ids=["experiment", "generate", "solve", "flow"])
+    (FROZEN, ["flow.dt=0.01", "flow.t_max=5.0"]),
+    (CONSTANT, ["flow.dt=0.01", "flow.t_max=5.0"])],
+    ids=["experiment", "generate", "solve", "frozen-flow", "constant-flow"])
 def test_resolved_config_reruns_identically(tmp_path, command, sets):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
@@ -689,11 +726,16 @@ REJECTED = [
      "betas must be a non-empty list"),
     (["experiment", "toy-mixture"], "mu=NaN",
      "mu must be nonnegative and finite"),
-    (["flow"], "n=abc", "n must be an integer, got 'abc'")]
+    (CONSTANT, "phi=[true]", "phi must be a real number, got True")]
 
 
-@pytest.mark.parametrize("command, item, message", REJECTED,
-                         ids=[f"{c[-1]}-{item}" for c, item, _ in REJECTED])
+@pytest.mark.parametrize("command, item, message", [
+    *(pytest.param(c, item, message, id=f"{c[-1]}-{item}")
+      for c, item, message in REJECTED),
+    # the n=abc that the retired flow command refused as a malformed integer:
+    # constant-flow reads no n, so it refuses the key before its value
+    pytest.param(CONSTANT, "n=abc", "unknown experiment config key(s) ['n']; "
+                 "known keys: ['flow', 'phi']", id="flow-n=abc")])
 def test_rejected_top_level_value_exits_2_naming_it(tmp_path, capsys, command,
                                                     item, message):
     out = tmp_path / "out"
@@ -709,7 +751,7 @@ REJECTED_BY_THE_RUN = [
     (["generate"], "spec.n=true", "n must be an integer, got True"),
     (["solve"], "solver.iterations=true",
      "iterations must be an integer, got True"),
-    (["flow"], "flow.dt=true", "dt must be a real number, got True"),
+    (FROZEN, "flow.dt=true", "dt must be a real number, got True"),
     (["generate"], 'spec.mu1="ab"', "mu1 must be a list, got 'ab'"),
     (["generate"], "spec.mu1=[NaN,0]", "mu1 must be finite"),
     (["generate"], "spec.sigma=Infinity",
@@ -785,13 +827,22 @@ UNREADABLE = [
      "'regression'"),
     (["solve", "--set", 'dataset={"path":"val-d3"}'],
      "val-d3/val.csv has feature count 3, but train.csv has 1"),
+    (["solve", "--set", 'dataset={"path":"short-csv"}'],
+     "short-csv/train.csv has n = 1, but short-csv/train.csv.json has n = 2"),
+    (["solve", "--set", 'dataset={"path":"narrow-csv"}'],
+     "narrow-csv/train.csv has d = 1, but narrow-csv/train.csv.json has "
+     "d = 2"),
+    (["solve", "--set", 'dataset={"path":"no-n"}'],
+     "no-n/train.csv.json: n must be a positive integer, got None"),
+    (["solve", "--set", 'dataset={"path":"bool-d"}'],
+     "bool-d/train.csv.json: d must be a positive integer, got True"),
     (["solve", "--config", "nope.json"],
      "cannot read nope.json: No such file or directory"),
     (["solve", "--config", "empty-csv"],
      "cannot read empty-csv: Is a directory"),
     (["solve", "--config", "not-json.json"],
      "not-json.json is not JSON: Expecting value: line 1 column 1 (char 0)"),
-    (["flow", "--config", "number.json"],
+    ([*CONSTANT, "--config", "number.json"],
      "number.json does not hold a JSON object")]
 
 
@@ -803,17 +854,22 @@ UNREADABLE = [
                               "null-class-count", "string-class-count",
                               "test-feature-count", "test-class-count",
                               "test-kind", "val-feature-count",
+                              "sidecar-row-count", "sidecar-feature-count",
+                              "sidecar-missing-n", "sidecar-bool-d",
                               "missing-config", "directory-config",
                               "non-json-config", "non-object-config"])
 def test_unreadable_input_file_exits_2_naming_it(tmp_path, monkeypatch,
                                                  capsys, argv, message):
     monkeypatch.chdir(tmp_path)
-    regression = json.dumps({"kind": "regression"})
     table, table_d3 = "f0,target\n1.0,2.0\n", "f0,f1,f2,target\n1,2,3,4\n"
     labels = "f0,target\n1.0,0\n"
 
+    def sidecar(kind="regression", **meta):
+        return json.dumps({"kind": kind, "n": 1, "d": 1, **meta})
+
     def classes(c):
-        return json.dumps({"kind": "classification", "C": c})
+        return sidecar("classification", C=c)
+    regression, regression_d3 = sidecar(), sidecar(d=3)
     for name, files in [
             ("no-sidecar", {"train.csv": table}),
             ("no-csv", {"train.csv.json": regression}),
@@ -822,7 +878,7 @@ def test_unreadable_input_file_exits_2_naming_it(tmp_path, monkeypatch,
             ("list-sidecar", {"train.csv.json": "[1]", "train.csv": table}),
             ("not-utf8", {"train.csv.json": regression,
                           "train.csv": b"f0,target\n\xff,1\n"}),
-            ("nan-entry", {"train.csv.json": regression,
+            ("nan-entry", {"train.csv.json": sidecar(n=2),
                            "train.csv": table + "nan,2.0\n"}),
             ("label-7", {"train.csv.json": classes(3),
                          "train.csv": "f0,target\n1.0,7\n"}),
@@ -830,14 +886,23 @@ def test_unreadable_input_file_exits_2_naming_it(tmp_path, monkeypatch,
             ("string-C", {"train.csv.json": classes("3"),
                           "train.csv": labels}),
             ("test-d3", {"train.csv.json": regression, "train.csv": table,
-                         "test.csv.json": regression, "test.csv": table_d3}),
+                         "test.csv.json": regression_d3,
+                         "test.csv": table_d3}),
             ("test-C5", {"train.csv.json": classes(3), "train.csv": labels,
                          "test.csv.json": classes(5), "test.csv": labels}),
             ("test-kind", {"train.csv.json": regression, "train.csv": table,
                            "test.csv.json": classes(3), "test.csv": labels}),
             ("val-d3", {"train.csv.json": regression, "train.csv": table,
                         "test.csv.json": regression, "test.csv": table,
-                        "val.csv.json": regression, "val.csv": table_d3})]:
+                        "val.csv.json": regression_d3, "val.csv": table_d3}),
+            ("short-csv", {"train.csv.json": sidecar(n=2), "train.csv": table}),
+            ("narrow-csv", {"train.csv.json": sidecar(d=2),
+                            "train.csv": table}),
+            ("no-n", {"train.csv.json": json.dumps({"kind": "regression",
+                                                    "d": 1}),
+                      "train.csv": table}),
+            ("bool-d", {"train.csv.json": sidecar(d=True),
+                        "train.csv": table})]:
         Path(name).mkdir()
         for file, text in files.items():
             if isinstance(text, bytes):
@@ -854,24 +919,26 @@ def test_unreadable_input_file_exits_2_naming_it(tmp_path, monkeypatch,
 @pytest.mark.parametrize("command, item", [
     (["generate"], "spec.seed=-1"),
     (["solve"], "dataset.spec.seed=18446744073709551616"),
-    (["flow"], "seed=18446744073709551616"),
-    (["experiment", "frozen-flow"], "seed=18446744073709551616")],
+    # frozen-flow's --seed flag reaches the same check as its --set seed=
+    ([*FROZEN, "--seed", "18446744073709551616"], None),
+    (FROZEN, "seed=18446744073709551616")],
     ids=["generate", "solve", "flow", "experiment"])
 def test_seed_outside_the_philox_key_range_exits_2(tmp_path, capsys, command,
                                                    item):
     config = tmp_path / "cfg.json"
     config.write_text("{}")
-    seed = item.split("=")[1]
-    assert main(_argv(command, config, tmp_path / "out", [item])) == 2
+    seed = command[-1] if item is None else item.split("=")[1]
+    sets = [] if item is None else [item]
+    assert main(_argv(command, config, tmp_path / "out", sets)) == 2
     assert capsys.readouterr().err.strip() == (
         f"seed must lie in [0, 2**64), got {seed}")
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, item, config", [
-    (["flow"], "flow.alpha=7", "FlowConfig"),
-    (["experiment", "frozen-flow"], "flow.beta=2", "FlowConfig"),
-    (["flow"], "flow.oscillation_window=5", "FlowConfig"),
+    (CONSTANT, "flow.alpha=7", "FlowConfig"),
+    (FROZEN, "flow.beta=2", "FlowConfig"),
+    (CONSTANT, "flow.oscillation_window=5", "FlowConfig"),
     (["solve"], "solver.rho_v=0.3", "SolverConfig"),
     (["solve"], "solver.inner_tol=1e-3", "SolverConfig")],
     ids=["flow-alpha", "frozen-flow-beta", "flow-oscillation_window",
@@ -885,26 +952,26 @@ def test_removed_config_key_exits_2_naming_it(tmp_path, capsys, command, item,
 
 
 UNREAD_BY_EXACT = "rho is not read by solver kind exact; remove it"
+UNKNOWN = "unknown experiment config key(s) "
 
 
 @pytest.mark.parametrize("command, sets, message", [
     (["solve"], ["solver.rho=5"], UNREAD_BY_EXACT),
     (["experiment", "toy-mixture"], ["exact.rho=0.01"], UNREAD_BY_EXACT),
-    (["flow"], ["phi=[1.0,2.0]"], "flow preset fig3 does not read ['phi']"),
-    (["flow"], ["preset=constant", "p=4"],
-     "flow preset constant does not read ['p']"),
-    (["flow"], ["preset=constant", "phi=[1.0,2.0]", "n=7"],
-     "flow preset constant does not read ['n']"),
-    (["flow"], ["preset=constant", "phi=[NaN,0,0]"], "phi must be finite"),
-    (["flow"], ["preset=constant", "phi=[Infinity,0,0]"],
-     "phi must be finite"),
-    (["flow"], ["preset=constant", "phi=[]"], "phi must be a non-empty list"),
-    (["flow"], ["preset=constant", "phi=[[1,2],[3,4]]"],
-     "phi must be a real number, got [1, 2]"),
-    (["flow"], ["preset=constant", "phi=abc"], "phi must be a list, got 'abc'")],
+    (FROZEN, ["phi=[1.0,2.0]"], UNKNOWN + "['phi']"),
+    (CONSTANT, ["p=4"], UNKNOWN + "['p']"),
+    (CONSTANT, ["phi=[1.0,2.0]", "n=7"], UNKNOWN + "['n']"),
+    (CONSTANT, ["seed=0"], UNKNOWN + "['seed']"),
+    (CONSTANT, ["preset=constant"], UNKNOWN + "['preset']"),
+    (CONSTANT, ["phi=[NaN,0,0]"], "phi must be finite"),
+    (CONSTANT, ["phi=[Infinity,0,0]"], "phi must be finite"),
+    (CONSTANT, ["phi=[]"], "phi must be a non-empty list"),
+    (CONSTANT, ["phi=[[1,2],[3,4]]"], "phi must be a real number, got [1, 2]"),
+    (CONSTANT, ["phi=abc"], "phi must be a list, got 'abc'")],
     ids=["solve-exact-rho", "toy-mixture-exact-rho", "fig3-phi", "constant-p",
-         "constant-phi-n", "constant-phi-nan", "constant-phi-inf",
-         "constant-phi-empty", "constant-phi-matrix", "constant-phi-string"])
+         "constant-phi-n", "constant-seed", "constant-preset",
+         "constant-phi-nan", "constant-phi-inf", "constant-phi-empty",
+         "constant-phi-matrix", "constant-phi-string"])
 def test_key_the_run_does_not_read_exits_2_naming_it(tmp_path, capsys,
                                                      command, sets, message):
     argv = [*command, "--out", str(tmp_path / "out")]
@@ -913,18 +980,6 @@ def test_key_the_run_does_not_read_exits_2_naming_it(tmp_path, capsys,
     assert main(argv) == 2
     assert capsys.readouterr().err.strip().startswith(message)
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("sets", [
-    ["phi=null", "flow.t_max=1.0"],
-    ["preset=constant", "n=4", "seed=3", "flow.t_max=1.0"],
-    ["preset=constant", "phi=[1.0,2.0]", "n=5", "p=3", "seed=0",
-     "flow.t_max=1.0"]], ids=["fig3", "constant-drawn", "constant-phi"])
-def test_unread_flow_key_at_its_default_runs(tmp_path, sets):
-    argv = ["flow", "--out", str(tmp_path / "out")]
-    for item in sets:
-        argv += ["--set", item]
-    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("preset", workloads.PRESETS, ids=lambda p: p.name)
@@ -980,14 +1035,14 @@ class TestJobs:
     """Ratios run in series; experiment parses the benchmark's --jobs 1
     and refuses every other count, and no other command takes the flag."""
 
-    FLOW = ["flow", "--set", "flow.t_max=1.0", "--set", "flow.dt=0.01"]
+    SOLVE = ["solve"]
 
     @pytest.mark.parametrize("argv, jobs", [
         (TestProfile.ARGS, "0"), (TestProfile.ARGS, "-3"),
         (TestProfile.ARGS, "2"), (TestProfile.ARGS, "4"),
-        (FLOW, "4"), (FLOW, "1")],
+        (SOLVE, "4"), (SOLVE, "1")],
         ids=["experiment-0", "experiment--3", "experiment-2", "experiment-4",
-             "flow-4", "flow-1"])
+             "solve-4", "solve-1"])
     def test_refuses_all_but_experiments_1(self, tmp_path, capsys, argv,
                                            jobs):
         out = tmp_path / "out"
@@ -1021,9 +1076,10 @@ def _strict_jsonl(path):
 
 
 @pytest.mark.parametrize("argv", [
-    TestJobs.FLOW, [*TestJobs.FLOW, "--set", "preset=constant"],
-    ["experiment", "frozen-flow", "--set", "flow.t_max=5.0"]],
-    ids=["flow-fig3", "flow-constant", "frozen-flow"])
+    [*FROZEN, "--set", "flow.t_max=1.0", "--set", "flow.dt=0.01"],
+    [*CONSTANT, "--set", "flow.t_max=1.0", "--set", "flow.dt=0.01"],
+    [*FROZEN, "--set", "flow.t_max=5.0"]],
+    ids=["flow-fig3", "constant-flow", "frozen-flow"])
 def test_mirror_flow_traces_are_strict_json_with_null_losses(tmp_path, argv):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 0

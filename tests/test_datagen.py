@@ -285,7 +285,7 @@ class TestPersistence:
         path = tmp_path / "hand.csv"
         path.write_text("f0,f1,target\n1.0,2.0,3.0\n-1.5,0.25,0.0\n")
         (tmp_path / "hand.csv.json").write_text(
-            json.dumps({"kind": "regression"}))
+            json.dumps({"kind": "regression", "n": 2, "d": 2}))
         data = load_dataset(path)
         assert data.n == 2 and data.d == 2
         assert np.allclose(data.features, [[1.0, 2.0], [-1.5, 0.25]])
@@ -294,7 +294,8 @@ class TestPersistence:
     def _write(self, tmp_path, body, kind="regression"):
         path = tmp_path / "bad.csv"
         path.write_text(body)
-        (tmp_path / "bad.csv.json").write_text(json.dumps({"kind": kind}))
+        (tmp_path / "bad.csv.json").write_text(
+            json.dumps({"kind": kind, "n": 1, "d": 1}))
         return path
 
     def test_wrong_column_count_reports_line(self, tmp_path):
@@ -343,7 +344,9 @@ class TestPersistence:
                                                   sidecar, message):
         path = tmp_path / "bad.csv"
         path.write_text(body)
-        (tmp_path / "bad.csv.json").write_text(json.dumps(sidecar))
+        rows = body.count("\n") - 1  # the header is one line
+        (tmp_path / "bad.csv.json").write_text(
+            json.dumps({"n": rows, "d": 1, **sidecar}))
         with pytest.raises(DatasetFormatError) as exc:
             load_dataset(path)
         assert str(exc.value).endswith(message)

@@ -24,11 +24,9 @@ from bilevel_reweight import (
     RegularizedMultinomialLogistic,
     RidgeLeastSquares,
     SimplexWeights,
-    TangentVector,
     closed_form_inner_quadratic,
     constant_field_solution,
     frozen_field,
-    full_flow_jacobian,
     gen_corrupted,
     gen_mixture,
     hypergrad,
@@ -37,10 +35,8 @@ from bilevel_reweight import (
     integrate_mirror_flow,
     integrate_sparse_reference,
     is_stationary,
-    linearized_trajectory,
     membership_I,
     omega_limit,
-    project_tangent,
     solve_inner,
     sparsity_certificate,
     stability_check,
@@ -627,26 +623,6 @@ class TestJacobians:
         with pytest.raises(PreconditionError):
             stability_check(SimplexWeights.one_hot(3, 1), lambda w: w.values)
 
-    def test_full_flow_jacobian_matches_fd(self):
-        # D Phi for Phi(v) = (diag(v) - v v^T) phi(v) in raw coordinates
-        field = FrozenField.ridge_like(8, 5, 3, 0.5)
-        rng = np.random.default_rng(9)
-        w = SimplexWeights.from_unnormalized(rng.random(5) + 0.2)
-        J = field.jacobian(w)
-        DPhi = full_flow_jacobian(w, field(w), J)
-
-        def Phi(v):
-            P = np.diag(v) - np.outer(v, v)
-            return P @ raw_phi(field, v)
-
-        eps = 1e-6
-        fd = np.empty((5, 5))
-        for j in range(5):
-            e = np.zeros(5)
-            e[j] = eps
-            fd[:, j] = (Phi(w.values + e) - Phi(w.values - e)) / (2 * eps)
-        assert np.max(np.abs(DPhi - fd)) <= 1e-5 * (1 + np.abs(DPhi).max())
-
 
 class TestStability:
     def test_sparse_limit_is_stable(self, sparse_limit):
@@ -671,50 +647,6 @@ class TestStability:
         if rep.support.size == 1:
             assert rep.tangent_eigenvalues.size == 0
         assert rep.is_stable
-
-
-class TestLinearizedTrajectory:
-    def test_constant_field_prediction_is_exact(self):
-        # a constant field freezes the flow: prediction must return w* + delta
-        w = SimplexWeights(np.array([0.5, 0.3, 0.2]))
-        field = ConstantField(np.full(3, 1.7))
-        delta = TangentVector(np.array([0.01, -0.005, -0.005]))
-        pred = linearized_trajectory(w, delta, field, t=3.0)
-        assert np.allclose(pred.values, w.values + delta.values, atol=1e-12)
-
-    def test_first_order_accuracy(self, sparse_limit):
-        field, res = sparse_limit
-        supp = np.flatnonzero(res.w.values > 1e-8)
-        reduced = FrozenField(field.gamma[supp], field.sample_hessians[supp],
-                              field.grad_outer)
-        wstar = SimplexWeights.from_unnormalized(res.w.values[supp])
-        d0 = project_tangent(np.array([1.0, -0.3, -0.7])).values
-        T = 0.5
-        errs = []
-        for eps in (2e-2, 1e-2):
-            delta = TangentVector(eps * d0)
-            pred = linearized_trajectory(wstar, delta, reduced, T, tol=1e-6)
-            start = SimplexWeights(wstar.values + delta.values)
-            true = integrate_mirror_flow(reduced, start,
-                                         FlowConfig(dt=1e-4, t_max=T),
-                                         record_times=[T]).final.w
-            errs.append(np.max(np.abs(pred.values - true.values)))
-        # quadratic in the perturbation size: halving eps quarters the error
-        assert errs[1] <= errs[0] / 3.0
-
-    def test_refuses_a_field_without_a_jacobian(self):
-        # phi constant makes every point stationary; without a jacobian
-        # method the Jacobian is unknown, not zero
-        w = SimplexWeights(np.array([0.5, 0.3, 0.2]))
-        delta = TangentVector(np.array([0.01, -0.005, -0.005]))
-        with pytest.raises(PreconditionError):
-            linearized_trajectory(w, delta, lambda w: np.full(3, 1.7), 1.0)
-
-    def test_rejects_non_stationary_base_point(self):
-        field = FrozenField.ridge_like(10, 5, 3, 0.5)
-        delta = TangentVector(np.zeros(5))
-        with pytest.raises(PreconditionError):
-            linearized_trajectory(SimplexWeights.uniform(5), delta, field, 1.0)
 
 
 class TestMembership:
@@ -965,8 +897,6 @@ def _tolerance_calls():
         "is_stationary": ("tol", lambda v: is_stationary(one_hot, field, v)),
         "stability_check": ("tol",
                             lambda v: stability_check(one_hot, field, v)),
-        "linearized_trajectory": ("tol", lambda v: linearized_trajectory(
-            one_hot, TangentVector(np.zeros(3)), field, 1.0, v)),
         "membership_I": ("tol", lambda v: membership_I(gamma, v)),
         "sparsity_certificate": ("tol", lambda v: sparsity_certificate(
             SimplexWeights.uniform(3), gamma, tol=v)),
