@@ -74,8 +74,8 @@ class ConstantField:
 class ExactHypergradField:
     """Oracle field psi(theta*(w), w): the true gradient of the value
     function, backed by an inner solve to |grad G| <= 1e-12 per evaluation.
-    For a quadratic model the closed form's weighted Gram serves the
-    hypergradient too, so each evaluation builds it once."""
+    For a quadratic model the closed form's Cholesky factor of H(w) serves
+    the hypergradient too, so each evaluation factors H(w) once."""
 
     def __init__(self, model, data, test_data):
         self.model = model
@@ -84,10 +84,10 @@ class ExactHypergradField:
         self._theta0 = ModelParams(np.zeros(model.n_params(data)))
 
     def __call__(self, w: SimplexWeights) -> np.ndarray:
-        theta, gram = _inner_solution(self.model, self.data, w, self._theta0,
+        theta, chol = _inner_solution(self.model, self.data, w, self._theta0,
                                       1e-12)
         return hypergrad_at(self.model.forward(theta, self.data),
-                            self.model.forward(theta, self.test_data), w, gram)
+                            self.model.forward(theta, self.test_data), w, chol)
 
 
 def _softmax(u: np.ndarray) -> SimplexWeights:

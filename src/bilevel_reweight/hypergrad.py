@@ -6,19 +6,18 @@ The frozen-parameter field phi(w) = -Gamma g(w) keeps theta fixed and only
 lets w act through the weighted Hessian. Finite-difference oracles for h
 live here too.
 
-The system H(w) v = grad F is solved by Cholesky on the formed Hessian when
-p <= 64, and above that by conjugate gradients on the Hessian-vector product
-to relative residual 1e-10 in at most 10 p iterations. The frozen field and
-its Jacobian solve with the same Cholesky routine, _solve_direct, and so
-refuse the same Hessians.
+Every p x p positive definite system is factored by _factor_spd, Cholesky
+with one refusal rule on LAPACK's condition estimate pocon: H(w) v = grad F
+for p <= 64, the frozen field and its Jacobian, and the ridge closed form,
+whose factor of H(w) the exact solvers reuse for the hypergradient. Above
+p = 64, H(w) v = grad F is solved by conjugate gradients on the
+Hessian-vector product to relative residual 1e-10 in at most 10 p
+iterations.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (
@@ -39,52 +38,53 @@ from .losses import (
 from .simplex import SimplexWeights, TangentVector, _all_finite
 
 
-# LAPACK's Cholesky factor and solve, called directly: the p x p systems are
-# tiny and SciPy's cho_factor/cho_solve wrappers cost ten times the solve.
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
-
-# The gufuncs behind np.linalg.eigvalsh and np.linalg.solve for a vector
-# right-hand side, called directly on the d x d closed-form system for the
-# same reason. They run under the error state that eigvalsh and solve set
-# and fail with the same LinAlgError messages.
-_eigvalsh_lo = _umath_linalg.eigvalsh_lo
-_solve1 = _umath_linalg.solve1
+# LAPACK's Cholesky factor, solve and condition estimate, called directly
+# and with their default arguments (upper triangle, inputs kept): the p x p
+# systems are tiny, SciPy's cho_factor/cho_solve wrappers cost ten times the
+# solve, and keyword arguments alone cost half a call.
+_potrf, _potrs, _pocon = get_lapack_funcs(("potrf", "potrs", "pocon"),
+                                          dtype=np.float64)
 
 
-def _eig_failed(err, flag):
-    raise LinAlgError("Eigenvalues did not converge")
+def _factor_spd(A: np.ndarray):
+    """The upper Cholesky factor of a finite symmetric A, or None where A is
+    not positive definite to working precision: where potrf fails, or where
+    pocon's estimate of 1/cond_1(A), given p max A_ii >= ||A||_1 as the
+    norm, is at most 1e-12 / p^1.5. That estimate is never below
+    (lambda_min / lambda_max) / p^1.5, so only A with lambda_min <= 1e-12
+    lambda_max are refused; the rounding residue that Cholesky can leave a
+    singular A as a positive pivot is caught whatever A's rank."""
+    c, info = _potrf(A)
+    if info:
+        return None
+    p = A.shape[0]
+    # Python's max over a list costs a third of NumPy's here
+    rcond = _pocon(c, p * max(A.diagonal().tolist()))[0]
+    return c if rcond > 1e-12 / p ** 1.5 else None
 
 
-def _singular(err, flag):
-    raise LinAlgError("Singular matrix")
+def _cho_solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A^{-1} rhs from the upper Cholesky factor c of A, as
+    scipy.linalg.cho_solve computes it, bit for bit."""
+    if not _all_finite(rhs):
+        raise ValueError("array must not contain infs or NaNs")
+    return _potrs(c, rhs)[0]
+
+
+def _hessian_factor(H: np.ndarray) -> np.ndarray:
+    """_factor_spd(H), raising AssumptionViolationError where it refuses H."""
+    if not _all_finite(H):
+        raise ValueError("array must not contain infs or NaNs")
+    c = _factor_spd(H)
+    if c is None:
+        raise AssumptionViolationError("inner Hessian is not positive definite")
+    return c
 
 
 def _solve_direct(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """H^{-1} rhs by Cholesky, as scipy.linalg.cho_factor and cho_solve
-    compute it, bit for bit, where H is positive definite to working
-    precision. Rounding can leave a singular H a factor with positive
-    pivots, so H is also refused where the smallest squared pivot is at most
-    1e-12 times the largest diagonal entry of H. Each squared pivot is at
-    least lambda_min and each diagonal entry at most lambda_max, so no H
-    that _closed_form accepts is refused. It refuses a rank-1 H (a Gram of
-    one sample), whose later pivots are rounding residues, but a singular H
-    of rank 2 or more whose null vector is nearly orthogonal to the last
-    coordinate can keep its pivots and pass."""
-    if not (_all_finite(H) and _all_finite(rhs)):
-        raise ValueError("array must not contain infs or NaNs")
-    c, info = _potrf(H, lower=False, clean=False, overwrite_a=False)
-    if info == 0:
-        # Python's min and max over lists cost a third of NumPy's here
-        lo = min(c.diagonal().tolist())
-        if lo * lo <= 1e-12 * max(H.diagonal().tolist()):
-            info = 1
-    if info > 0:
-        raise AssumptionViolationError("inner Hessian is not positive definite")
-    if info == 0:
-        x, info = _potrs(c, rhs, lower=False, overwrite_b=False)
-    if info < 0:
-        raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
-    return x
+    compute it, bit for bit, where _factor_spd accepts H."""
+    return _cho_solve(_hessian_factor(H), rhs)
 
 
 def _solve_cg(apply_H, rhs: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -121,11 +121,11 @@ _DIRECT_MAX_P = 64
 _CG_TOL = 1e-10
 
 
-def _solve_hessian(train: ForwardPass, w_values: np.ndarray, rhs: np.ndarray,
-                   fit_hess=None) -> np.ndarray:
+def _solve_hessian(train: ForwardPass, w_values: np.ndarray,
+                   rhs: np.ndarray) -> np.ndarray:
     p = rhs.size
     if p <= _DIRECT_MAX_P:
-        return _solve_direct(train.hess(w_values, fit_hess), rhs)
+        return _solve_direct(train.hess(w_values), rhs)
     return _solve_cg(lambda v: train.hess_apply(w_values, v), rhs, _CG_TOL,
                      10 * p)
 
@@ -139,12 +139,15 @@ def hypergrad(model, data, test_data, theta: ModelParams,
 
 
 def hypergrad_at(train: ForwardPass, test: ForwardPass, w: SimplexWeights,
-                 fit_hess=None) -> np.ndarray:
+                 factor=None) -> np.ndarray:
     """Psi from forward passes at the same theta over the training and test
     sets: -Gamma H(w)^{-1} grad F(theta), with neither Gamma nor a per-sample
-    Hessian formed. fit_hess, if given, is train.fit_hess(w.values) as the
-    caller already built it (see ForwardPass.hess)."""
-    v = _solve_hessian(train, w.values, test.mean_fit_grad(), fit_hess)
+    Hessian formed. factor, if given, is the upper Cholesky factor of
+    train.hess(w.values) that the caller already holds (see _closed_form),
+    and H(w) is neither formed nor factored again."""
+    rhs = test.mean_fit_grad()
+    v = (_solve_hessian(train, w.values, rhs) if factor is None
+         else _cho_solve(factor, rhs))
     psi = train.gamma_apply(v)
     return np.negative(psi, out=psi)
 
@@ -180,9 +183,9 @@ class FrozenField:
 
     def jacobian(self, w: SimplexWeights) -> np.ndarray:
         """D phi(w)_ij = <Gamma_i, H^{-1} H_j g>, as dg/dw_j = -H^{-1} H_j g."""
-        H = self.weighted_hessian(w.values)
-        g = _solve_direct(H, self.grad_outer)
-        return self.gamma @ _solve_direct(H, (self.sample_hessians @ g).T)
+        c = _hessian_factor(self.weighted_hessian(w.values))
+        g = _cho_solve(c, self.grad_outer)
+        return self.gamma @ _cho_solve(c, (self.sample_hessians @ g).T)
 
     @classmethod
     def ridge_like(cls, rng, n: int, p: int, ridge: float) -> "FrozenField":
@@ -205,34 +208,30 @@ def frozen_field(model, data, test_data, theta0: ModelParams) -> FrozenField:
 
 def closed_form_inner_quadratic(data: Dataset, w: SimplexWeights,
                                 mu: float = 0.0) -> ModelParams:
-    """Exact inner minimizer for the ridge model:
-    theta*(w) = (sum_i w_i d_i d_i^T + mu I)^{-1} sum_i w_i y_i d_i."""
+    """Exact inner minimizer for the ridge model: theta*(w) =
+    (sum_i w_i d_i d_i^T + mu sum_i w_i I)^{-1} sum_i w_i y_i d_i."""
     return _closed_form(data, w.values, _check_mu(mu))[0]
 
 
 def _closed_form(data: Dataset, w_values: np.ndarray, mu: float):
-    """theta*(w) and the weighted Gram X^T diag(w) X it was solved with,
-    which is the ridge pass's fit_hess(w) bit for bit."""
-    G = _weighted_gram(data, w_values)
-    A = G.copy()
-    A.flat[::data.d + 1] += mu
+    """theta*(w) and the upper Cholesky factor of the system it solved,
+    A = X^T diag(w) X + mu sum(w) I, which is the ridge pass's hess(w) bit
+    for bit. A non-finite A or right-hand side raises NumericOverflowError,
+    and an A that _factor_spd refuses raises SingularDesignError."""
+    A = _weighted_gram(data, w_values)
+    if mu:
+        A.flat[::data.d + 1] += mu * w_values.sum()
     # X.T, not features_T: this product keeps the rounding theta*(w) had
     b = data.features.T @ (w_values * data.targets)
-    with np.errstate(call=_eig_failed, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        eigvals = _eigvalsh_lo(A)
-    lo, hi = eigvals[0], eigvals[-1]
-    if not (lo > 1e-12 * hi and lo > 1e-12):  # NaN fails
-        if not math.isfinite(lo + hi):
-            raise NumericOverflowError("weighted Gram overflowed to a "
-                                       "non-finite value")
+    if not (_all_finite(A) and _all_finite(b)):
+        raise NumericOverflowError("weighted Gram or right-hand side "
+                                   "overflowed to a non-finite value")
+    c = _factor_spd(A)
+    if c is None:
         raise SingularDesignError(
             "weighted design is singular; enlarge the support or set mu > 0"
         )
-    with np.errstate(call=_singular, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        theta = _solve1(A, b)
-    return ModelParams(theta), G
+    return ModelParams(_potrs(c, b)[0]), c
 
 
 def _value_function(model, data, test_data, w: SimplexWeights) -> float:

@@ -168,10 +168,10 @@ class ForwardPass:
             return self.fit_gamma_T_apply(w)
         return self.fit_gamma_T_apply(w) + (self.mu * w.sum()) * self.theta
 
-    def hess(self, w, fit_hess=None) -> np.ndarray:
-        """H(w), p x p. fit_hess, if given, is fit_hess(w) as the caller
-        already built it; it is copied, not changed."""
-        H = self.fit_hess(w) if fit_hess is None else fit_hess.copy()
+    def hess(self, w) -> np.ndarray:
+        """H(w), p x p, a new array. The ridge closed form builds the same
+        matrix bit for bit and keeps its Cholesky factor instead."""
+        H = self.fit_hess(w)
         if self.mu:
             H.flat[::H.shape[0] + 1] += self.mu * w.sum()
         return H

@@ -208,11 +208,11 @@ def solve_inner(model, data, w: SimplexWeights, theta0: ModelParams,
 def _inner_solution(model, data, w: SimplexWeights, theta0: ModelParams,
                     tol: float):
     """theta*(w) as solve_inner finds it, and for a quadratic model the
-    weighted Gram its closed form was solved with (else None), which is
-    the training pass's fit_hess(w.values) bit for bit."""
+    Cholesky factor its closed form was solved with (else None), which is
+    the factor of the training pass's hess(w.values), bit for bit."""
     if model.is_quadratic:
-        theta, gram = _closed_form(data, w.values, model.mu)
-        return theta.theta, gram
+        theta, chol = _closed_form(data, w.values, model.mu)
+        return theta.theta, chol
     return solve_inner(model, data, w, theta0, tol=tol).theta, None
 
 
@@ -220,19 +220,19 @@ def exact_bilevel(model, data, test_data, w0: SimplexWeights,
                   cfg: SolverConfig) -> FlowTrace:
     """Exact bilevel: inner solve to |grad G| <= 1e-10, hypergradient,
     mirror step, repeated. A failed inner solve at w0 raises; a later one
-    halts the run. For a quadratic model the closed-form solve's weighted
-    Gram is kept and serves the next step's hypergradient, which is at the
-    same w."""
+    halts the run. For a quadratic model the Cholesky factor of H(w) that
+    the closed-form solve made is kept and serves the next step's
+    hypergradient, which is at the same w, so each step factors H(w) once."""
     theta0 = ModelParams(np.zeros(model.n_params(data)))
-    gram = None
+    chol = None
 
     def solve(w):
-        nonlocal gram
-        theta, gram = _inner_solution(model, data, w, theta0, 1e-10)
+        nonlocal chol
+        theta, chol = _inner_solution(model, data, w, theta0, 1e-10)
         return theta
 
     def step(train, test, w):
-        psi = hypergrad_at(train, test, w, gram)
+        psi = hypergrad_at(train, test, w, chol)
         if cfg.eta > 0:
             w = mirror_step(w, psi, cfg.eta)
         return solve(w), w

@@ -1,0 +1,52 @@
+"""The package imports only public NumPy and SciPy API, so that it can run
+on the dependency floor that pyproject.toml declares (numpy>=1.24,
+scipy>=1.10) and that the CI dependency-floor job installs."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import bilevel_reweight
+
+PACKAGE = Path(bilevel_reweight.__file__).resolve().parent
+
+
+def private_imports(source):
+    """(line, dotted name) of each underscore-prefixed module or name that
+    source imports from numpy or scipy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] in ("numpy", "scipy") and any(
+                    part.startswith("_") for part in parts):
+                found.append((node.lineno, name))
+    return found
+
+
+def test_package_imports_no_private_numpy_or_scipy_api():
+    found = {path.name: private_imports(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("from numpy.linalg import LinAlgError, _umath_linalg",
+     [(1, "numpy.linalg._umath_linalg")]),
+    ("import numpy._core.multiarray as ma", [(1, "numpy._core.multiarray")]),
+    ("from scipy.integrate._ivp import dop853_coefficients",
+     [(1, "scipy.integrate._ivp"),
+      (1, "scipy.integrate._ivp.dop853_coefficients")]),
+    ("def f():\n    from numpy import _NoValue", [(2, "numpy._NoValue")]),
+    ("import numpy as np\nfrom scipy.linalg.lapack import get_lapack_funcs\n"
+     "from ._private import x\nimport _thread", [])])
+def test_private_imports_finds_what_it_forbids(source, hits):
+    assert private_imports(source) == hits

@@ -1,17 +1,19 @@
-"""Property tests: the direct LAPACK solve, the closed-form inner minimizer,
-the weighted Gram, the logistic residual, the mirror step, the one-pass
-simplex check, the finite guard, the block dense output and the bulk
-mirror-flow records give the same bytes and raise the same errors as the
-reference formulas they replace, except that the direct solve also refuses
-numerically singular Cholesky factors; the DOP853 coefficients are SciPy's;
-weights built without the simplex check pass it."""
+"""Property tests: the direct LAPACK solve and the closed-form inner
+minimizer give the bytes of scipy.linalg.cho_factor and cho_solve wherever
+their one refusal rule, _factor_spd, accepts the system; that rule accepts
+every system with lambda_min / lambda_max >= 1e-11 and refuses every exactly
+singular Gram, which cho_factor may not. The weighted Gram, the logistic
+residual, the mirror step, the one-pass simplex check, the finite guard, the
+block dense output and the bulk mirror-flow records give the same bytes and
+raise the same errors as the reference formulas they replace; the DOP853
+coefficients are SciPy's; weights built without the simplex check pass it."""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import find, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from bilevel_reweight import (
@@ -29,6 +31,7 @@ from bilevel_reweight import (
     exact_bilevel,
     mirror_step,
     softmax_reparam,
+    solve_inner,
     support,
 )
 from bilevel_reweight.dynamics import (
@@ -41,7 +44,7 @@ from bilevel_reweight.dynamics import (
     _dual_records,
     _softmax,
 )
-from bilevel_reweight.hypergrad import _solve_direct
+from bilevel_reweight.hypergrad import _factor_spd, _solve_direct
 from bilevel_reweight.losses import _weighted_gram
 from bilevel_reweight.simplex import SUM_TOL, _all_finite
 
@@ -84,6 +87,9 @@ class TestSolveDirect:
     @given(seed=SEEDS, p=st.integers(1, 8), kind=st.sampled_from(
         ["symmetric", "indefinite", "zero pivot", "rank deficient",
          "rank one"]))
+    # a rank-2 Gram whose smallest squared pivot, 4.7e-12, is above 1e-12
+    # times its largest diagonal entry; pocon estimates 1/cond at 8.8e-18
+    @example(seed=300, p=3, kind="rank deficient")
     def test_rejects_what_cho_factor_rejects(self, seed, p, kind):
         rng = np.random.default_rng(seed)
         if kind == "symmetric":
@@ -108,15 +114,10 @@ class TestSolveDirect:
         rhs = rng.standard_normal(p)
         if kind in ("rank deficient", "rank one") and p > 1:
             # cho_factor accepts a singular H whose factor rounding left
-            # positive pivots. _solve_direct refuses every one of rank 1, and
-            # passes a few in a thousand of higher rank as cho_factor does
-            got = outcome(_solve_direct, H, rhs)
-            refused = (None, (AssumptionViolationError,
-                              "inner Hessian is not positive definite"))
-            if kind == "rank one" or p == 2:
-                assert got == refused
-            else:
-                assert got in (refused, outcome(reference_solve, H, rhs))
+            # positive pivots; _solve_direct refuses every one
+            assert outcome(_solve_direct, H, rhs) == (None, (
+                AssumptionViolationError,
+                "inner Hessian is not positive definite"))
             return
         assert outcome(_solve_direct, H, rhs) == outcome(reference_solve, H,
                                                          rhs)
@@ -143,13 +144,44 @@ class TestSolveDirect:
 
 
 def reference_closed_form(X, y, w, mu):
-    A = X.T @ (w[:, None] * X) + mu * np.eye(X.shape[1])
-    b = X.T @ (w * y)
-    eigvals = np.linalg.eigvalsh(A)
-    if eigvals[0] <= 1e-12 * max(1.0, eigvals[-1]):
-        raise SingularDesignError(
-            "weighted design is singular; enlarge the support or set mu > 0")
-    return np.linalg.solve(A, b)
+    """scipy.linalg.cho_factor and cho_solve on the ridge pass's H(w),
+    A = X^T diag(w) X + mu sum(w) I."""
+    A = X.T @ (w[:, None] * X)
+    A[np.diag_indices_from(A)] += mu * w.sum()
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), X.T @ (w * y))
+
+
+class TestFactorSpd:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=SEEDS, p=st.integers(1, 8), log_scale=st.floats(-6.0, 6.0),
+           log_cond=st.floats(0.0, 11.0))
+    def test_accepts_every_condition_ratio_of_at_least_1e_11(
+            self, seed, p, log_scale, log_cond):
+        # A = scale Q diag(lambda) Q^T with lambda_min / lambda_max =
+        # 10^-log_cond
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        lam = 10.0 ** -rng.uniform(0.0, log_cond, p)
+        lam[0], lam[-1] = 1.0, 10.0 ** -log_cond
+        A = 10.0 ** log_scale * (Q * lam) @ Q.T
+        assert _factor_spd(A) is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=SEEDS, p=st.integers(2, 8),
+           kind=st.sampled_from(["few samples", "duplicate column"]))
+    def test_refuses_every_exactly_singular_gram(self, seed, p, kind):
+        # mu = 0 and integer features of rank below p
+        rng = np.random.default_rng(seed)
+        n = rng.integers(1, p) if kind == "few samples" else rng.integers(
+            p, 3 * p + 1)
+        X = rng.integers(-3, 4, (n, p)).astype(float)
+        if kind == "duplicate column":
+            j, k = rng.choice(p, 2, replace=False)
+            X[:, k] = X[:, j]
+        w = SimplexWeights.from_unnormalized(rng.random(n) + 0.01)
+        with pytest.raises(SingularDesignError, match="singular"):
+            closed_form_inner_quadratic(Dataset(X, rng.standard_normal(n)), w,
+                                        0.0)
 
 
 class TestClosedForm:
@@ -158,10 +190,11 @@ class TestClosedForm:
            mu=st.sampled_from([0.0, 1e-4, 1.0]),
            zeros=st.integers(0, 5), duplicate=st.booleans(),
            tilt=st.sampled_from([0.0, 1e-7, 1e-6, 1e-5, 1e-4]))
-    def test_equals_the_numpy_formula(self, seed, d, n, mu, zeros,
-                                      duplicate, tilt):
+    def test_equals_cho_factor_and_cho_solve(self, seed, d, n, mu, zeros,
+                                            duplicate, tilt):
         # a duplicated column tilted by t puts the smallest eigenvalue near
-        # t^2, around the singularity threshold
+        # t^2, around the singularity threshold; a refused system has
+        # lambda_min <= 1e-12 lambda_max
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, d))
         if duplicate and d > 1:
@@ -170,14 +203,15 @@ class TestClosedForm:
         w = rng.random(n)
         w[rng.permutation(n)[:min(zeros, n - 1)]] = 0.0
         w = SimplexWeights.from_unnormalized(w)
-
-        def closed_form(X, y, w, mu):
-            return closed_form_inner_quadratic(Dataset(X, y), w, mu).theta
-
-        got = outcome(closed_form, X, y, w, mu)
-        assert got == outcome(reference_closed_form, X, y, w.values, mu)
-        if mu == 0.0 and (n < d or (duplicate and d > 1 and tilt == 0.0)):
-            assert got[1][0] is SingularDesignError
+        try:
+            got = closed_form_inner_quadratic(Dataset(X, y), w, mu).theta
+        except SingularDesignError:
+            A = X.T @ (w.values[:, None] * X) + mu * w.values.sum() * np.eye(d)
+            lam = np.linalg.eigvalsh(A)
+            assert lam[0] <= 1e-12 * lam[-1]
+            return
+        assert got.tobytes() == reference_closed_form(X, y, w.values,
+                                                      mu).tobytes()
 
 
 def layout(X, kind):
@@ -412,18 +446,24 @@ class TestInteriorFlag:
 
 
 def test_closed_form_of_an_overflowing_gram_raises_numeric_overflow():
-    # eigvalsh of the infinite Gram is NaN, which the singularity test must
-    # not pass: neither the closed form nor exact_bilevel's first inner
-    # solve may return theta = 0 or fail with a bare ValueError
-    X = np.array([[1e200, 1.0], [1.0, 1e200], [1.0, 2.0]])
-    data = Dataset(X, np.ones(3))
+    # an infinite Gram, or a finite one with an infinite right-hand side
+    # X^T diag(w) y: neither the closed form, solve_inner nor exact_bilevel's
+    # first inner solve may return theta = 0 or fail with a bare ValueError
     w = SimplexWeights.uniform(3)
-    with np.errstate(over="ignore"):
-        with pytest.raises(NumericOverflowError, match="weighted Gram"):
-            closed_form_inner_quadratic(data, w, 0.0)
-        with pytest.raises(NumericOverflowError, match="weighted Gram"):
-            exact_bilevel(RidgeLeastSquares(0.0), data, data, w,
-                          SolverConfig(iterations=2))
+    what = "weighted Gram or right-hand side overflowed"
+    for X, y in [([[1e200, 1.0], [1.0, 1e200], [1.0, 2.0]], [1.0, 1.0, 1.0]),
+                 ([[10.0, 1.0], [1.0, 10.0], [3.0, -2.0]],
+                  [1.5e308, -1.5e308, 1e308])]:
+        data = Dataset(np.array(X), np.array(y))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericOverflowError, match=what):
+                closed_form_inner_quadratic(data, w, 0.0)
+            with pytest.raises(NumericOverflowError, match=what):
+                solve_inner(RidgeLeastSquares(0.0), data, w,
+                            ModelParams(np.zeros(2)))
+            with pytest.raises(NumericOverflowError, match=what):
+                exact_bilevel(RidgeLeastSquares(0.0), data, data, w,
+                              SolverConfig(iterations=2))
 
 
 def reference_dense_output(y, y_new, k, h, x):

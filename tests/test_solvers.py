@@ -183,7 +183,7 @@ class TestExactBilevel:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 40),
            d=st.integers(1, 4), mu=st.sampled_from([0.0, 1e-4, 1.0]))
-    def test_kept_gram_gives_the_fresh_hypergradient(self, seed, n, d, mu):
+    def test_kept_factor_gives_the_fresh_hypergradient(self, seed, n, d, mu):
         rng = np.random.default_rng(seed)
         model = RidgeLeastSquares(mu)
         train = Dataset(rng.standard_normal((n, d)), rng.standard_normal(n))
@@ -191,13 +191,13 @@ class TestExactBilevel:
         mass = rng.random(n) * (rng.random(n) < 0.7)
         mass[:d + 1] += 0.1  # full rank
         w = SimplexWeights.from_unnormalized(mass)
-        theta, G = _closed_form(train, w.values, mu)
-        kept = G.copy()
+        theta, c = _closed_form(train, w.values, mu)
+        kept = c.copy()
         tr, te = (model.forward(theta.theta, train),
                   model.forward(theta.theta, test))
-        psi = hypergrad_at(tr, te, w, fit_hess=G)
+        psi = hypergrad_at(tr, te, w, c)
         assert psi.tobytes() == hypergrad_at(tr, te, w).tobytes()
-        assert G.tobytes() == kept.tobytes()
+        assert c.tobytes() == kept.tobytes()
 
 
 class TestWarmStarted:
