@@ -33,7 +33,6 @@ from .dynamics import (
     constant_field_solution,
     integrate_joint_flow,
     integrate_mirror_flow,
-    is_stationary,
     omega_from_trace,
     sparsity_certificate,
     stability_check,
@@ -432,13 +431,12 @@ def _mirror_flow(field, n: int, fcfg: FlowConfig, out: Path):
 
 
 def _write_report(out: Path, field, result, fcfg: FlowConfig, **extra):
-    """out/stationary_report.json: Omega's limit under is_stationary at tol
-    max(10 stationarity_tol, 1e-6), then stability_check if stationary,
-    with Omega's converged and oscillating, and extra."""
-    tol = max(10 * fcfg.stationarity_tol, 1e-6)
-    report = is_stationary(result.w, field, tol=tol)
-    if report.is_stationary:
-        report = stability_check(result.w, field, tol=tol)
+    """out/stationary_report.json: stability_check's report on Omega's
+    limit at tol max(10 stationarity_tol, 1e-6), one evaluation of the field
+    and, only where the limit is stationary, one of its Jacobian, with
+    Omega's converged and oscillating, and extra."""
+    report = stability_check(result.w, field,
+                             tol=max(10 * fcfg.stationarity_tol, 1e-6))
     _write_json(out / "stationary_report.json", {
         **report.to_json_dict(), "converged": result.converged,
         "oscillating": result.oscillating, **extra})

@@ -499,55 +499,41 @@ def is_stationary(w: SimplexWeights, field,
         proportionality_residual=residual, offsupport_margin=margins)
 
 
-def _jacobian(field, w: SimplexWeights) -> np.ndarray:
-    """D phi(w) as the field states it; refused for a field without."""
-    if not hasattr(field, "jacobian"):
-        raise PreconditionError("the field has no jacobian(w) method")
-    return field.jacobian(w)
-
-
-def _tangent_operator_eigs(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of an l x l operator restricted to the tangent space,
-    expressed in the basis {e_i - e_l}."""
-    l = A.shape[0]
-    if l <= 1:
-        return np.array([], dtype=complex)
-    B = np.vstack([np.eye(l - 1), -np.ones((1, l - 1))])
-    M = np.linalg.lstsq(B, A @ B, rcond=None)[0]
-    return np.linalg.eigvals(M)
-
-
 def stability_check(w: SimplexWeights, field,
                     tol: float = 1e-8) -> StationaryReport:
-    """Certify a stationary point: off-support margins must be positive and
-    the tangent restriction of P(w~) J~ must have eigenvalues with positive
-    real parts."""
+    """Certify w: is_stationary's report, with is_stable and
+    tangent_eigenvalues added where w is stationary and left None (the
+    Jacobian not evaluated) where it is not. w is stable if its off-support
+    margins and the real parts of the eigenvalues of A = P(w~) J~ restricted
+    to the tangent space all exceed tol. Every column of A sums to zero, so
+    in the basis {e_i - e_l} that restriction is A[:-1, :-1] - A[:-1, -1:].
+    A field without a jacobian(w) method is refused at any w."""
+    if not hasattr(field, "jacobian"):
+        raise PreconditionError("the field has no jacobian(w) method")
     report = is_stationary(w, field, tol)
     if not report.is_stationary:
-        raise PreconditionError("stability_check needs a stationary point")
-    J = _jacobian(field, w)
+        return report
     supp = report.support
-    w_tilde = SimplexWeights.from_unnormalized(w.values[supp])
-    J_tilde = J[np.ix_(supp, supp)]
-    A = preconditioner(w_tilde) @ J_tilde
-    eigs = _tangent_operator_eigs(A)
+    A = (preconditioner(SimplexWeights.from_unnormalized(w.values[supp]))
+         @ field.jacobian(w)[np.ix_(supp, supp)])
+    eigs = (np.linalg.eigvals(A[:-1, :-1] - A[:-1, -1:]) if supp.size > 1
+            else np.array([], dtype=complex))
     report.tangent_eigenvalues = eigs
-    margins_ok = bool(np.all(report.offsupport_margin > tol))
-    eigs_ok = bool(np.all(eigs.real > tol)) if eigs.size else True
-    report.is_stable = margins_ok and eigs_ok
+    report.is_stable = bool(np.all(report.offsupport_margin > tol)
+                            and np.all(eigs.real > tol))
     return report
 
 
 def membership_I(Z: np.ndarray, tol: float = 1e-8):
     """Is Z in the set of l x p matrices with 1_l in range(Z) or a
-    nontrivial null space? Returns (bool, certificate)."""
+    nontrivial null space? Returns (bool, certificate). One lstsq call
+    gives both the least-squares x and Z's singular values."""
     _check_number("tol", tol, 1.0, "positive")
     Z = np.asarray(Z, dtype=float)
     l = Z.shape[0]
     ones = np.ones(l)
-    x, *_ = np.linalg.lstsq(Z, ones, rcond=None)
+    x, _, _, svals = np.linalg.lstsq(Z, ones, rcond=None)
     residual = float(np.linalg.norm(Z @ x - ones))
-    svals = np.linalg.svd(Z, compute_uv=False)
     sigma_max = float(svals[0]) if svals.size else 0.0
     sigma_min = float(svals[-1]) if Z.shape[1] <= l else 0.0
     if bool(residual <= tol * math.sqrt(l)):

@@ -17,6 +17,8 @@ iterations.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
@@ -53,13 +55,17 @@ def _factor_spd(A: np.ndarray):
     norm, is at most 1e-12 / p^1.5. That estimate is never below
     (lambda_min / lambda_max) / p^1.5, so only A with lambda_min <= 1e-12
     lambda_max are refused; the rounding residue that Cholesky can leave a
-    singular A as a positive pivot is caught whatever A's rank."""
+    singular A as a positive pivot is caught whatever A's rank. Where
+    p max A_ii overflows, the estimate is made on A / max A_ii, whose factor
+    is c / sqrt(max A_ii) and whose norm bound is p."""
     c, info = _potrf(A)
     if info:
         return None
     p = A.shape[0]
     # Python's max over a list costs a third of NumPy's here
-    rcond = _pocon(c, p * max(A.diagonal().tolist()))[0]
+    top = max(A.diagonal().tolist())
+    rcond = (_pocon(c, p * top) if p * top < math.inf
+             else _pocon(c / math.sqrt(top), p))[0]
     return c if rcond > 1e-12 / p ** 1.5 else None
 
 
@@ -170,6 +176,8 @@ class FrozenField:
             raise ValueError("sample Hessians must have shape (n, p, p)")
         if self.grad_outer.shape != (p,):
             raise ValueError("outer gradient dimension mismatch")
+        if not _all_finite(self.grad_outer):  # once: every solve reuses it
+            raise ValueError("array must not contain infs or NaNs")
         self.n = n
         self.p = p
 
@@ -178,13 +186,13 @@ class FrozenField:
         return np.einsum("i,ijk->jk", values, self.sample_hessians)
 
     def __call__(self, w: SimplexWeights) -> np.ndarray:
-        return -(self.gamma @ _solve_direct(self.weighted_hessian(w.values),
-                                            self.grad_outer))
+        c = _hessian_factor(self.weighted_hessian(w.values))
+        return -(self.gamma @ _potrs(c, self.grad_outer)[0])
 
     def jacobian(self, w: SimplexWeights) -> np.ndarray:
         """D phi(w)_ij = <Gamma_i, H^{-1} H_j g>, as dg/dw_j = -H^{-1} H_j g."""
         c = _hessian_factor(self.weighted_hessian(w.values))
-        g = _cho_solve(c, self.grad_outer)
+        g = _potrs(c, self.grad_outer)[0]
         return self.gamma @ _cho_solve(c, (self.sample_hessians @ g).T)
 
     @classmethod

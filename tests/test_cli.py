@@ -6,12 +6,21 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import bilevel_reweight
-from bilevel_reweight import FrozenField, cli, datagen, load_dataset
+from bilevel_reweight import (
+    FlowConfig,
+    FrozenField,
+    OmegaResult,
+    SimplexWeights,
+    cli,
+    datagen,
+    load_dataset,
+)
 from bilevel_reweight.cli import main
 
 # the benchmark's workload definitions; the module imports only the stdlib
@@ -314,6 +323,16 @@ class TestFlow:
         assert report["in_I_lp"] is True
         rows = read_jsonl(out / "trace.jsonl")
         assert len(rows) > 1
+
+    @pytest.mark.parametrize("w, jacobians", [
+        (SimplexWeights.one_hot(5, 2), 1), (SimplexWeights.uniform(5), 0)])
+    def test_report_evaluates_the_field_once(self, tmp_path, w, jacobians):
+        # the Jacobian only where the limit is stationary
+        field = mock.Mock(wraps=FrozenField.ridge_like(5, 5, 3, 0.5))
+        cli._write_report(tmp_path, field, OmegaResult(w, True, False, 0.0),
+                          FlowConfig())
+        assert (field.call_count, field.jacobian.call_count) == (1, jacobians)
+        assert _report(tmp_path)["is_stationary"] is bool(jacobians)
 
     def test_unknown_preset_exits_nonzero(self, tmp_path):
         # the flow presets are experiment names; there is no preset key

@@ -1,5 +1,6 @@
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -619,10 +620,11 @@ class TestJacobians:
         assert np.array_equal(J, np.zeros((4, 4)))
 
     def test_analytic_mode_requires_frozen_field(self):
-        # a one-hot point is stationary for any field; a field with no
-        # jacobian method is refused, not differenced
-        with pytest.raises(PreconditionError):
-            stability_check(SimplexWeights.one_hot(3, 1), lambda w: w.values)
+        # a field with no jacobian method is refused, not differenced,
+        # whether w is stationary for it (one-hot) or not (uniform)
+        for w in (SimplexWeights.one_hot(3, 1), SimplexWeights.uniform(3)):
+            with pytest.raises(PreconditionError, match="no jacobian"):
+                stability_check(w, lambda w: np.arange(3.0))
 
 
 class TestStability:
@@ -634,10 +636,16 @@ class TestStability:
         assert np.all(rep.tangent_eigenvalues.real > 0)
         assert sparsity_certificate(res.w, field.gamma)[0]
 
-    def test_rejects_non_stationary_point(self):
-        field = FrozenField.ridge_like(5, 5, 3, 0.5)
-        with pytest.raises(PreconditionError):
-            stability_check(SimplexWeights.uniform(5), field)
+    def test_non_stationary_point_gets_no_verdict(self):
+        # is_stationary's report as it is, the Jacobian never evaluated
+        frozen = FrozenField.ridge_like(5, 5, 3, 0.5)
+        field = mock.Mock(wraps=frozen)
+        w = SimplexWeights.uniform(5)
+        rep = stability_check(w, field)
+        assert rep.is_stationary is False
+        assert rep.is_stable is None and rep.tangent_eigenvalues is None
+        assert rep.to_json_dict() == is_stationary(w, frozen).to_json_dict()
+        assert (field.call_count, field.jacobian.call_count) == (1, 0)
 
     def test_vertex_has_no_tangent_eigenvalues(self):
         field = FrozenField.ridge_like(42, 5, 3, 0.5)

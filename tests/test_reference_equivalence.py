@@ -5,8 +5,11 @@ every system with lambda_min / lambda_max >= 1e-11 and refuses every exactly
 singular Gram, which cho_factor may not. The weighted Gram, the logistic
 residual, the mirror step, the one-pass simplex check, the finite guard, the
 block dense output and the bulk mirror-flow records give the same bytes and
-raise the same errors as the reference formulas they replace; the DOP853
-coefficients are SciPy's; weights built without the simplex check pass it."""
+raise the same errors as the reference formulas they replace; so do the
+frozen field, stability_check's tangent restriction and membership_I's
+singular values, to rounding where the reference is another LAPACK call;
+the DOP853 coefficients are SciPy's; weights built without the simplex check
+pass it."""
 
 import math
 
@@ -15,10 +18,13 @@ import pytest
 import scipy.linalg
 from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from bilevel_reweight import (
     AssumptionViolationError,
+    ConstantField,
     Dataset,
+    FrozenField,
     ModelParams,
     NumericOverflowError,
     RegularizedMultinomialLogistic,
@@ -29,9 +35,12 @@ from bilevel_reweight import (
     closed_form_inner_quadratic,
     entropy,
     exact_bilevel,
+    membership_I,
     mirror_step,
+    preconditioner,
     softmax_reparam,
     solve_inner,
+    stability_check,
     support,
 )
 from bilevel_reweight.dynamics import (
@@ -212,6 +221,17 @@ class TestClosedForm:
             return
         assert got.tobytes() == reference_closed_form(X, y, w.values,
                                                       mu).tobytes()
+
+
+    def test_accepts_a_perfectly_conditioned_gram_whose_norm_bound_overflows(
+            self):
+        # A = 9.63e307 I plus 1/3 off the diagonal has condition number 1,
+        # but p max A_ii overflows to inf
+        X = np.array([[1.7e154, 0.0], [0.0, 1.7e154], [1.0, 1.0]])
+        y, w = np.ones(3), SimplexWeights.uniform(3)
+        got = closed_form_inner_quadratic(Dataset(X, y), w, 0.0).theta
+        assert got.tobytes() == reference_closed_form(X, y, w.values,
+                                                      0.0).tobytes()
 
 
 def layout(X, kind):
@@ -591,3 +611,99 @@ def test_softmax_reparam_weights_pass_the_simplex_check(seed, n, scale):
                             SolverConfig(eta=10.0, rho=1e-2, iterations=20))
     for r in trace.records:
         assert_is_checked(r.w)
+
+
+class TestFrozenFieldSolves:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS, n=st.integers(1, 8), p=st.integers(1, 5),
+           ridge=st.floats(1e-3, 2.0))
+    def test_field_and_jacobian_equal_cho_factor_and_cho_solve(self, seed, n,
+                                                               p, ridge):
+        field = FrozenField.ridge_like(seed, n, p, ridge)
+        w = SimplexWeights.from_unnormalized(
+            np.random.default_rng(seed).random(n) + 0.01)
+        H = field.weighted_hessian(w.values)
+        g = reference_solve(H, field.grad_outer)
+        assert field(w).tobytes() == (-(field.gamma @ g)).tobytes()
+        assert field.jacobian(w).tobytes() == (field.gamma @ reference_solve(
+            H, (field.sample_hessians @ g).T)).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_outer_gradient_raises_the_same_value_error(self, bad):
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            FrozenField(np.eye(2), np.stack([np.eye(2)] * 2), [1.0, bad])
+
+
+def reference_tangent_eigenvalues(A):
+    """The eigenvalues of A restricted to the tangent space, by least
+    squares in the basis B = {e_i - e_l}: M solves B M = A B."""
+    l = A.shape[0]
+    B = np.vstack([np.eye(l - 1), -np.ones((1, l - 1))])
+    return np.linalg.eigvals(np.linalg.lstsq(B, A @ B, rcond=None)[0])
+
+
+class TestTangentRestriction:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, n=st.integers(2, 8), p=st.integers(1, 5),
+           ridge=st.floats(0.1, 2.0), data=st.data())
+    def test_slice_equals_the_lstsq_restriction(self, seed, n, p, ridge,
+                                                data):
+        frozen = FrozenField.ridge_like(seed, n, p, ridge)
+        supp = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        values = np.zeros(n)
+        values[supp] = 10.0 ** np.array(data.draw(st.lists(
+            st.floats(-3.0, 0.0), min_size=len(supp), max_size=len(supp))))
+        w = SimplexWeights.from_unnormalized(values)
+        # a zero field makes every w stationary; it states frozen's Jacobian
+        field = ConstantField(np.zeros(n))
+        field.jacobian = frozen.jacobian
+        got = stability_check(w, field).tangent_eigenvalues
+        if len(supp) == 1:
+            assert got.dtype == complex and got.size == 0
+            return
+        A = (preconditioner(SimplexWeights.from_unnormalized(values[supp]))
+             @ frozen.jacobian(w)[np.ix_(supp, supp)])
+        want = reference_tangent_eigenvalues(A)
+        gap = np.abs(got[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(gap)
+        assert gap[rows, cols].max() <= 1e-9 * np.abs(A).max()
+
+
+def reference_membership(Z, tol=1e-8):
+    """membership_I's verdict, kind and sigma_min from lstsq and then a
+    separate svd call."""
+    l = Z.shape[0]
+    ones = np.ones(l)
+    x = np.linalg.lstsq(Z, ones, rcond=None)[0]
+    residual = np.linalg.norm(Z @ x - ones)
+    svals = np.linalg.svd(Z, compute_uv=False)
+    sigma_min = svals[-1] if Z.shape[1] <= l else 0.0
+    if residual <= tol * math.sqrt(l):
+        return True, "ones", sigma_min, svals[0]
+    if sigma_min <= tol * max(svals[0], 1.0):
+        return True, "null", sigma_min, svals[0]
+    return False, None, sigma_min, svals[0]
+
+
+class TestMembershipSingularValues:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=SEEDS, l=st.integers(1, 8), p=st.integers(1, 6),
+           kind=st.sampled_from(["random", "rank deficient", "integer",
+                                 "badly scaled"]))
+    def test_verdict_equals_lstsq_then_svd(self, seed, l, p, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "rank deficient":
+            r = rng.integers(0, min(l, p))
+            Z = rng.standard_normal((l, r)) @ rng.standard_normal((r, p))
+        elif kind == "integer":
+            Z = rng.integers(-2, 3, (l, p)).astype(float)
+        else:
+            Z = rng.standard_normal((l, p))
+            if kind == "badly scaled":
+                Z *= (10.0 ** rng.uniform(-8, 8, (l, 1))
+                      * 10.0 ** rng.uniform(-8, 8, (1, p)))
+        member, cert = membership_I(Z)
+        want_member, want_kind, sigma_min, sigma_max = reference_membership(Z)
+        assert (member, cert["kind"]) == (want_member, want_kind)
+        if "sigma_min" in cert:
+            assert abs(cert["sigma_min"] - sigma_min) <= 1e-13 * sigma_max
