@@ -530,12 +530,14 @@ def membership_I(Z: np.ndarray, tol: float = 1e-8):
     gives both the least-squares x and Z's singular values."""
     _check_number("tol", tol, 1.0, "positive")
     Z = np.asarray(Z, dtype=float)
-    l = Z.shape[0]
+    l, p = Z.shape
+    if p == 0:
+        raise PreconditionError(f"Z has no columns (shape {Z.shape})")
     ones = np.ones(l)
     x, _, _, svals = np.linalg.lstsq(Z, ones, rcond=None)
     residual = float(np.linalg.norm(Z @ x - ones))
     sigma_max = float(svals[0]) if svals.size else 0.0
-    sigma_min = float(svals[-1]) if Z.shape[1] <= l else 0.0
+    sigma_min = float(svals[-1]) if p <= l else 0.0
     if bool(residual <= tol * math.sqrt(l)):
         return True, {"kind": "ones", "x": x.tolist(), "residual": residual}
     if bool(sigma_min <= tol * max(sigma_max, 1.0)):

@@ -25,7 +25,6 @@ from scipy.linalg.lapack import get_lapack_funcs
 from .errors import (
     AssumptionViolationError,
     NoConvergenceError,
-    NumericOverflowError,
     SingularDesignError,
     StepTooLargeError,
 )
@@ -37,7 +36,7 @@ from .losses import (
     _weighted_gram,
     outer_loss,
 )
-from .simplex import SimplexWeights, TangentVector, _all_finite
+from .simplex import SimplexWeights, TangentVector, _finite
 
 
 # LAPACK's Cholesky factor, solve and condition estimate, called directly
@@ -70,17 +69,15 @@ def _factor_spd(A: np.ndarray):
 
 
 def _cho_solve(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """A^{-1} rhs from the upper Cholesky factor c of A, as
-    scipy.linalg.cho_solve computes it, bit for bit."""
-    if not _all_finite(rhs):
-        raise ValueError("array must not contain infs or NaNs")
+    """A^{-1} rhs, once _finite passes rhs, from the upper Cholesky factor c
+    of A, as scipy.linalg.cho_solve computes it, bit for bit."""
+    _finite("right-hand side", rhs)
     return _potrs(c, rhs)[0]
 
 
 def _hessian_factor(H: np.ndarray) -> np.ndarray:
-    """_factor_spd(H), raising AssumptionViolationError where it refuses H."""
-    if not _all_finite(H):
-        raise ValueError("array must not contain infs or NaNs")
+    """_finite(H), then _factor_spd(H); AssumptionViolationError if refused."""
+    _finite("inner Hessian", H)
     c = _factor_spd(H)
     if c is None:
         raise AssumptionViolationError("inner Hessian is not positive definite")
@@ -94,9 +91,10 @@ def _solve_direct(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _solve_cg(apply_H, rhs: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Plain conjugate gradient on a positive definite operator. Raises
-    NoConvergenceError if the relative residual is still above tol after
-    max_iter iterations."""
+    """Plain conjugate gradient on a positive definite operator; _finite
+    checks rhs once and p^T H p at every iteration. Raises NoConvergenceError
+    if the relative residual is still above tol after max_iter iterations."""
+    _finite("right-hand side", rhs)
     x = np.zeros_like(rhs)
     r = rhs.copy()
     p = r.copy()
@@ -107,6 +105,7 @@ def _solve_cg(apply_H, rhs: np.ndarray, tol: float, max_iter: int) -> np.ndarray
     for _ in range(max_iter):
         Hp = apply_H(p)
         pHp = p @ Hp
+        _finite("CG curvature", pHp)
         if pHp <= 0:
             raise AssumptionViolationError("negative curvature in CG")
         alpha = rs / pHp
@@ -161,9 +160,9 @@ def hypergrad_at(train: ForwardPass, test: ForwardPass, w: SimplexWeights,
 class FrozenField:
     """The hypergradient field with parameters frozen at theta_0.
 
-    phi(w) = -Gamma g(w) with Gamma the n x p per-sample gradient matrix and
-    g(w) = H(w)^{-1} grad F(theta_0), H(w) = sum_i w_i H_i. It carries the
-    per-sample Hessians, so it states its own Jacobian for stability_check.
+    phi(w) = -Gamma g(w), g(w) = H(w)^{-1} grad F(theta_0), with Gamma the
+    n x p per-sample gradient matrix, H(w) = sum_i w_i H_i and grad F passed
+    by _finite once. It keeps the H_i to state its Jacobian (stability_check).
     """
 
     def __init__(self, gamma: np.ndarray, sample_hessians: np.ndarray,
@@ -176,8 +175,7 @@ class FrozenField:
             raise ValueError("sample Hessians must have shape (n, p, p)")
         if self.grad_outer.shape != (p,):
             raise ValueError("outer gradient dimension mismatch")
-        if not _all_finite(self.grad_outer):  # once: every solve reuses it
-            raise ValueError("array must not contain infs or NaNs")
+        _finite("outer gradient", self.grad_outer)
         self.n = n
         self.p = p
 
@@ -224,16 +222,14 @@ def closed_form_inner_quadratic(data: Dataset, w: SimplexWeights,
 def _closed_form(data: Dataset, w_values: np.ndarray, mu: float):
     """theta*(w) and the upper Cholesky factor of the system it solved,
     A = X^T diag(w) X + mu sum(w) I, which is the ridge pass's hess(w) bit
-    for bit. A non-finite A or right-hand side raises NumericOverflowError,
-    and an A that _factor_spd refuses raises SingularDesignError."""
+    for bit. A and the right-hand side pass _finite, and an A that
+    _factor_spd refuses raises SingularDesignError."""
     A = _weighted_gram(data, w_values)
     if mu:
         A.flat[::data.d + 1] += mu * w_values.sum()
     # X.T, not features_T: this product keeps the rounding theta*(w) had
     b = data.features.T @ (w_values * data.targets)
-    if not (_all_finite(A) and _all_finite(b)):
-        raise NumericOverflowError("weighted Gram or right-hand side "
-                                   "overflowed to a non-finite value")
+    _finite("weighted Gram or right-hand side", A, b)
     c = _factor_spd(A)
     if c is None:
         raise SingularDesignError(

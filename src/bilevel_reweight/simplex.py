@@ -28,6 +28,14 @@ def _all_finite(a: np.ndarray) -> bool:
     return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
+def _finite(what: str, *arrays):
+    """The one guard on a number a run computed, which halts the run:
+    NumericOverflowError naming what unless every array is finite."""
+    for a in arrays:
+        if not _all_finite(a):
+            raise NumericOverflowError(f"{what} overflowed to a non-finite value")
+
+
 @dataclass(frozen=True)
 class SimplexWeights:
     """A point of the n-simplex: nonnegative entries summing to one.
@@ -119,8 +127,7 @@ def mirror_step(w: SimplexWeights, phi, eta: float) -> SimplexWeights:
         raise ValueError("eta must be positive")
     if phi.shape != w.values.shape:
         raise ValueError("phi dimension mismatch")
-    if not _all_finite(phi):
-        raise NumericOverflowError("phi must be finite")
+    _finite("phi", phi)
     v = w.values
     with np.errstate(over="ignore", invalid="ignore"):
         # one buffer: z becomes exp(min(zmin - z, 0)), then the new weights;

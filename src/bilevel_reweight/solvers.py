@@ -41,7 +41,7 @@ from .losses import ForwardPass, ModelParams
 from .simplex import (
     DEFAULT_SUPPORT_TOL,
     SimplexWeights,
-    _all_finite,
+    _finite,
     entropy,
     mirror_step,
 )
@@ -124,12 +124,6 @@ def _make_record(train: ForwardPass, test: ForwardPass, w: SimplexWeights, k,
         support_size=int((w.values > DEFAULT_SUPPORT_TOL).sum()),
         extra=extra,
     )
-
-
-def _finite(what: str, *arrays):
-    for a in arrays:
-        if not _all_finite(a):
-            raise NumericOverflowError(f"{what} overflowed to a non-finite value")
 
 
 # Failures of a step that end a run with a partial trace instead of raising.

@@ -683,6 +683,12 @@ class TestMembership:
             member, _ = membership_I(rng.standard_normal((5, 2)))
             assert not member
 
+    def test_a_z_with_no_columns_is_refused(self):
+        with pytest.raises(PreconditionError, match=r"^Z has no columns"):
+            membership_I(np.zeros((3, 0)))
+        with pytest.raises(PreconditionError, match=r"^Z has no columns"):
+            sparsity_certificate(SimplexWeights.uniform(3), np.zeros((3, 0)))
+
     def test_sparsity_certificate_dichotomy(self, sparse_limit):
         field, res = sparse_limit
         member, _ = sparsity_certificate(res.w, field.gamma)

@@ -1,6 +1,13 @@
-"""The package imports only public NumPy and SciPy API, so that it can run
+"""Two rules on the package's source, read off its syntax trees.
+
+The package imports only public NumPy and SciPy API, so that it can run
 on the dependency floor that pyproject.toml declares (numpy>=1.24,
-scipy>=1.10) and that the CI dependency-floor job installs."""
+scipy>=1.10) and that the CI dependency-floor job installs.
+
+Only simplex.py constructs NumericOverflowError: a number a run computed
+is refused by one guard, simplex._finite, whose error every solver and
+flow turns into a halt (mirror_step's degenerate update is the other
+construction there)."""
 
 import ast
 from pathlib import Path
@@ -10,6 +17,13 @@ import pytest
 import bilevel_reweight
 
 PACKAGE = Path(bilevel_reweight.__file__).resolve().parent
+
+
+def package_hits(find):
+    """{file name: find(source)} for each package module find hits in."""
+    found = {path.name: find(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    return {name: hits for name, hits in found.items() if hits}
 
 
 def private_imports(source):
@@ -32,10 +46,31 @@ def private_imports(source):
     return found
 
 
+def overflow_constructions(source):
+    """Line of each place source constructs NumericOverflowError: a call of
+    it, or a raise of the class itself, by bare or dotted name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            target = node.func
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            target = node.exc
+        else:
+            continue
+        name = (target.id if isinstance(target, ast.Name)
+                else target.attr if isinstance(target, ast.Attribute)
+                else None)
+        if name == "NumericOverflowError":
+            found.append(node.lineno)
+    return found
+
+
 def test_package_imports_no_private_numpy_or_scipy_api():
-    found = {path.name: private_imports(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py"))}
-    assert {name: hits for name, hits in found.items() if hits} == {}
+    assert package_hits(private_imports) == {}
+
+
+def test_only_simplex_constructs_numeric_overflow():
+    assert set(package_hits(overflow_constructions)) == {"simplex.py"}
 
 
 @pytest.mark.parametrize("source, hits", [
@@ -50,3 +85,16 @@ def test_package_imports_no_private_numpy_or_scipy_api():
      "from ._private import x\nimport _thread", [])])
 def test_private_imports_finds_what_it_forbids(source, hits):
     assert private_imports(source) == hits
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("raise NumericOverflowError('x overflowed')", [1]),
+    ("def f():\n    err = errors.NumericOverflowError(msg)\n    raise err",
+     [2]),
+    ("if bad:\n    raise NumericOverflowError", [2]),
+    ("from .errors import NumericOverflowError\n"
+     "_HALTS = (NumericOverflowError, ValueError)\n"
+     "try:\n    f()\nexcept NumericOverflowError:\n    raise\n"
+     "raise ValueError('x')", [])])
+def test_overflow_constructions_finds_what_it_forbids(source, hits):
+    assert overflow_constructions(source) == hits

@@ -2,7 +2,9 @@
 minimizer give the bytes of scipy.linalg.cho_factor and cho_solve wherever
 their one refusal rule, _factor_spd, accepts the system; that rule accepts
 every system with lambda_min / lambda_max >= 1e-11 and refuses every exactly
-singular Gram, which cho_factor may not. The weighted Gram, the logistic
+singular Gram, which cho_factor may not; where cho_factor and cho_solve
+raise ValueError on a non-finite input, they raise the NumericOverflowError
+that halts a run. The weighted Gram, the logistic
 residual, the mirror step, the one-pass simplex check, the finite guard, the
 block dense output and the bulk mirror-flow records give the same bytes and
 raise the same errors as the reference formulas they replace; so do the
@@ -139,17 +141,20 @@ class TestSolveDirect:
     @given(seed=SEEDS, p=st.integers(1, 8),
            bad=st.sampled_from([np.nan, np.inf, -np.inf]),
            where=st.sampled_from(["H", "rhs"]))
-    def test_non_finite_input_raises_the_same_value_error(self, seed, p, bad,
-                                                          where):
+    def test_non_finite_input_raises_numeric_overflow(self, seed, p, bad,
+                                                      where):
+        # fails where cho_factor and cho_solve fail, with the halt that
+        # names what overflowed instead of their bare ValueError
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((p + 1, p))
         H = A.T @ A + np.eye(p)
         rhs = rng.standard_normal(p)
         target = H if where == "H" else rhs
         target.flat[rng.integers(target.size)] = bad
-        got = outcome(_solve_direct, H, rhs)
-        assert got == outcome(reference_solve, H, rhs)
-        assert got[1][0] is ValueError
+        assert outcome(reference_solve, H, rhs)[1][0] is ValueError
+        what = "inner Hessian" if where == "H" else "right-hand side"
+        assert outcome(_solve_direct, H, rhs) == (None, (
+            NumericOverflowError, f"{what} overflowed to a non-finite value"))
 
 
 def reference_closed_form(X, y, w, mu):
@@ -294,7 +299,7 @@ def reference_mirror_step(w, phi, eta):
     if phi.shape != w.values.shape:
         raise ValueError("phi dimension mismatch")
     if not np.all(np.isfinite(phi)):
-        raise NumericOverflowError("phi must be finite")
+        raise NumericOverflowError("phi overflowed to a non-finite value")
     on = w.values > 0
     tilde = np.zeros_like(w.values)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -629,8 +634,9 @@ class TestFrozenFieldSolves:
             H, (field.sample_hessians @ g).T)).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_outer_gradient_raises_the_same_value_error(self, bad):
-        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+    def test_non_finite_outer_gradient_raises_numeric_overflow(self, bad):
+        with pytest.raises(NumericOverflowError,
+                           match="^outer gradient overflowed to a non-finite"):
             FrozenField(np.eye(2), np.stack([np.eye(2)] * 2), [1.0, bad])
 
 
