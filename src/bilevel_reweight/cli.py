@@ -319,6 +319,15 @@ def cmd_run(args) -> int:
 
 # -------------------------------------------------------------- experiment
 
+def _require_whole(trace, preset: str, run: str):
+    """Exit 1, naming preset, its run and the halt reason, if the trace
+    halted: a preset tabulates whole runs only, so it then writes no
+    table.csv or summary.json. Callers write the run's trace file first, so
+    that a halted run keeps it."""
+    if trace.halted is not None:
+        raise SystemExit(f"{preset}: {run} halted: {trace.halted}")
+
+
 def _write_table(path, rows):
     keys = list(dict.fromkeys(k for row in rows for k in row))
     with open(path, "w", newline="") as f:
@@ -356,6 +365,7 @@ def _exp_toy_mixture(cfg: dict, out: Path) -> list:
     for kind, scfg in scfgs.items():
         trace, summary = _run_solver(kind, model, train, test, scfg, theta_hat)
         trace.to_jsonl(out / f"trace-{kind}.jsonl", theta_ref=theta_hat)
+        _require_whole(trace, "toy-mixture", f"the {kind} run")
         wrong = float(trace.final.w.values[z == 2].sum())
         rows.append({"run": kind, **summary, "wrong_cluster_mass": wrong})
     return rows
@@ -385,6 +395,7 @@ def _exp_ratio_sweep(cfg: dict, out: Path) -> list:
                      SimplexWeights.uniform(n), np.zeros(p), scfg)
         wall = time.monotonic() - t0
         trace.to_jsonl(out / f"trace-ratio-{r:g}.jsonl", include_weights=False)
+        _require_whole(trace, "ratio-sweep", f"the run at ratio {r:g}")
         rec = trace.final
         theta = ModelParams(rec.theta)
         return {
@@ -407,6 +418,9 @@ def _exp_softmax_toy(cfg: dict, out: Path) -> list:
     scfg = _build(SolverConfig, cfg["solver"])
     trace = softmax_reparam(model, train, test, ModelParams(np.zeros(train.d)),
                             np.zeros(train.n), scfg)
+    if trace.halted is not None:  # keep its records, before any re-solve
+        trace.to_jsonl(out / "trace.jsonl", theta_ref=theta_hat)
+    _require_whole(trace, "softmax-toy", "the softmax run")
     err = lambda theta: float(np.linalg.norm(theta - theta_hat.theta))
     rows = []
     for r in trace.records:
@@ -421,12 +435,14 @@ def _exp_softmax_toy(cfg: dict, out: Path) -> list:
     return rows
 
 
-def _mirror_flow(field, n: int, fcfg: FlowConfig, out: Path):
+def _mirror_flow(field, n: int, fcfg: FlowConfig, out: Path, preset: str):
     """Integrate field's mirror flow from the n uniform weights into
-    out/trace.jsonl. Returns the trace and Omega read off it."""
+    out/trace.jsonl; preset exits if it halts. Returns the trace and Omega
+    read off it."""
     w0 = SimplexWeights.uniform(n)
     trace = integrate_mirror_flow(field, w0, fcfg)
     trace.to_jsonl(out / "trace.jsonl")
+    _require_whole(trace, preset, "the mirror flow")
     return trace, omega_from_trace(trace, w0, fcfg)
 
 
@@ -450,7 +466,7 @@ def _exp_frozen_flow(cfg: dict, out: Path) -> list:
     fcfg = _build(FlowConfig, cfg["flow"])
     field = FrozenField.ridge_like(datagen._rng(cfg["seed"]), cfg["n"],
                                    cfg["p"], 0.1)
-    _, result = _mirror_flow(field, cfg["n"], fcfg, out)
+    _, result = _mirror_flow(field, cfg["n"], fcfg, out, "frozen-flow")
     member = None
     if result.converged:
         member, _ = sparsity_certificate(result.w, field.gamma, tol=1e-6,
@@ -471,7 +487,7 @@ def _exp_constant_flow(cfg: dict, out: Path) -> list:
     fcfg = _build(FlowConfig, cfg["flow"])
     field = ConstantField(cfg["phi"])
     n = field.phi.size
-    trace, result = _mirror_flow(field, n, fcfg, out)
+    trace, result = _mirror_flow(field, n, fcfg, out, "constant-flow")
     closed = constant_field_solution(SimplexWeights.uniform(n), field.phi,
                                      fcfg.t_max)
     err = float(np.max(np.abs(trace.final.w.values - closed.values)))
@@ -493,13 +509,6 @@ def _exp_constant_flow(cfg: dict, out: Path) -> list:
 _JOINT_GAP_RTOL = 1e-6
 
 
-def _require_whole(trace, flow: str):
-    """Exit 1, naming flow and its halt reason, if the trace halted: a gap
-    is measured between whole flows, so regime-check then writes no table."""
-    if trace.halted is not None:
-        raise SystemExit(f"regime-check: {flow} halted: {trace.halted}")
-
-
 def _exp_regime_check(cfg: dict, out: Path) -> list:
     spec = _build(MixtureSpec, cfg["spec"])
     train, test, theta_hat, z = gen_mixture(spec)
@@ -513,7 +522,7 @@ def _exp_regime_check(cfg: dict, out: Path) -> list:
     ref = integrate_mirror_flow(oracle_field, w0,
                                 FlowConfig(dt=cfg["dt"], t_max=T),
                                 record_times=t_grid)
-    _require_whole(ref, "the oracle flow")
+    _require_whole(ref, "regime-check", "the oracle flow")
     ref_w = np.stack([r.w.values for r in ref.records])
 
     theta_star = closed_form_inner_quadratic(train, w0, model.mu)
@@ -525,7 +534,8 @@ def _exp_regime_check(cfg: dict, out: Path) -> list:
                           rtol=_JOINT_GAP_RTOL)
         tr = integrate_joint_flow(model, train, test, theta_star, w0, fcfg,
                                   record_times=t_grid / beta, beta=beta)
-        _require_whole(tr, f"the joint leg at beta = {beta:g}")
+        _require_whole(tr, "regime-check",
+                       f"the joint leg at beta = {beta:g}")
         ws = np.stack([r.w.values for r in tr.records])
         gap = float(np.max(np.linalg.norm(ws - ref_w, axis=1)))
         rows.append({"beta": beta, "trajectory_gap": gap})

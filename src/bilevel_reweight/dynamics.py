@@ -32,13 +32,14 @@ from .simplex import (
     DEFAULT_SUPPORT_TOL,
     SimplexWeights,
     _entropies,
+    _finite,
     preconditioner,
     support,
 )
 from .solvers import (
-    _HALTS,
     FlowTrace,
     TraceRecord,
+    _halting,
     _inner_solution,
     _make_record,
 )
@@ -92,12 +93,12 @@ class ExactHypergradField:
 
 def _softmax(u: np.ndarray) -> SimplexWeights:
     """The weights of log-weights u. Their sum is finite and at least 1
-    unless exp meets a NaN (a NaN in u, or inf - inf), and then the
-    checked constructor rejects them."""
+    unless exp meets a NaN (a NaN or an infinity in u), and then
+    simplex._finite halts the run on "log-weights"."""
     e = np.exp(u - u.max())
     s = e.sum()
     if not math.isfinite(s):
-        return SimplexWeights(e / s)
+        _finite("log-weights", u)
     return SimplexWeights._unchecked(e / s)
 
 
@@ -391,23 +392,18 @@ def _mirror_path(field, w0: SimplexWeights, grid, cfg: FlowConfig):
 
 def integrate_mirror_flow(field, w0: SimplexWeights, cfg: FlowConfig,
                           record_times=None) -> FlowTrace:
-    """The mirror flow on the dual variable; hits record times exactly. A
-    step that fails with one of solvers._HALTS, the step size underflowing
-    included, ends the flow at the last record time reached, with the
-    reason in trace.halted."""
+    """The mirror flow on the dual variable; hits record times exactly. It
+    runs inside solvers._halting, which keeps the record times reached; the
+    step size underflowing is a halt too."""
     if not w0.interior:
         raise ValueError("w0 must lie in the simplex interior")
-    trace = FlowTrace()
     times, states = [], []
-    try:
+    with _halting(times) as trace:
         for t, u in _mirror_path(field, w0, _record_grid(cfg.t_max,
                                                           record_times), cfg):
             times.append(t)
             states.append(u)
-    except _HALTS as exc:
-        trace.halted = str(exc)
-    for record in _dual_records(times, np.array(states)):
-        trace.append(record)
+    trace.records = _dual_records(times, np.array(states))
     return trace
 
 
@@ -424,8 +420,8 @@ def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
                          record_times=None, alpha: float = 1.0,
                          beta: float = 1.0) -> FlowTrace:
     """Joint flow theta' = -alpha grad G(theta, w), w' = -beta P(w) psi,
-    for nonnegative finite rates alpha and beta, not both zero. A failed
-    step halts it as it halts integrate_mirror_flow."""
+    for nonnegative finite rates alpha and beta, not both zero, inside
+    solvers._halting."""
     _check_number("alpha", alpha, 1.0, "nonnegative")
     _check_number("beta", beta, 1.0, "nonnegative")
     if alpha == 0 and beta == 0:
@@ -435,23 +431,21 @@ def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
     p = theta0.theta.size
 
     def deriv(s):
-        th = ModelParams(s[:p]).theta
+        th = s[:p]
+        _finite("model parameters", th)
         w = _softmax(s[p:])
         train = model.forward(th, data)
         dth = -alpha * train.gamma_T_apply(w.values)
         du = -beta * hypergrad_at(train, model.forward(th, test_data), w)
         return np.concatenate([dth, du])
 
-    trace = FlowTrace()
     state = np.concatenate([theta0.theta, np.log(w0.values)])
     grid = _record_grid(cfg.t_max, record_times)
-    try:
+    with _halting() as trace:
         for t, y in _path(deriv, state, grid, cfg.dt, cfg.rtol,
                           slice(p, None)):
             trace.append(_theta_record(model, data, test_data, y[:p],
                                        _softmax(y[p:]), t))
-    except _HALTS as exc:
-        trace.halted = str(exc)
     return trace
 
 
@@ -628,9 +622,9 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
     the sparse limit Omega refreshed every refresh_dt of slow time and held
     piecewise-constant in between, one _path per segment. A record's extra
     holds its segment's omega_converged, omega_oscillating, omega_t and
-    omega_change (the last checkpoint change, or None). A refresh or a step
-    that fails with one of solvers._HALTS halts it as it halts
-    integrate_mirror_flow."""
+    omega_change (the last checkpoint change, or None). It runs inside
+    solvers._halting, the refreshes included, so a failed first refresh
+    raises."""
     _check_number("refresh_dt", refresh_dt, 1.0, "positive")
     if omega_cfg is None:
         omega_cfg = FlowConfig(dt=min(cfg.dt, 1e-2), t_max=1e3,
@@ -645,10 +639,9 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
     times = np.union1d(grid, refreshes)
     record = np.isin(times, grid)
 
-    trace = FlowTrace()
     theta, start = theta0.theta.copy(), 0
     ends = [*np.flatnonzero(np.isin(times, refreshes)), times.size - 1]
-    try:
+    with _halting() as trace:
         for end in ends:
             f = frozen_field(model, data, test_data, ModelParams(theta))
             omega = omega_limit(f, w0, omega_cfg)
@@ -656,8 +649,11 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
                      "omega_oscillating": omega.oscillating,
                      "omega_t": omega.t,
                      "omega_change": (omega.checkpoint_changes or [None])[-1]}
-            deriv = lambda th, w=omega.w: -model.forward(
-                ModelParams(th).theta, data).gamma_T_apply(w.values)
+
+            def deriv(th, w=omega.w):
+                _finite("model parameters", th)
+                return -model.forward(th, data).gamma_T_apply(w.values)
+
             path = _path(deriv, theta, times[start:end + 1], cfg.dt, cfg.rtol)
             for i, (t, theta) in enumerate(path, start):
                 # a segment's first time is the last of the one before
@@ -665,6 +661,4 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
                     trace.append(_theta_record(model, data, test_data, theta,
                                                omega.w, t, extra))
             start = end
-    except _HALTS as exc:
-        trace.halted = str(exc)
     return trace

@@ -11,11 +11,13 @@ Four solvers, each emitting a FlowTrace:
     scores, optimized by plain gradient descent (no mirror step).
 
 Each solver is a step function run by one loop, _run, which records the
-trace and turns a failed step into a halt with a reason.
+trace. Every solver and flow runs inside _halting, which alone decides how
+a run ends.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -126,22 +128,40 @@ def _make_record(train: ForwardPass, test: ForwardPass, w: SimplexWeights, k,
     )
 
 
-# Failures of a step that end a run with a partial trace instead of raising.
+# Failures that end a run with a partial trace; only _halting names them.
 _HALTS = (NumericOverflowError, AssumptionViolationError, SingularDesignError,
           NoConvergenceError)
 
 
-def _run(model, data, test_data, theta: np.ndarray, w: SimplexWeights,
-         cfg: SolverConfig, step) -> FlowTrace:
-    """The loop every solver shares. Each iterate makes one forward pass
-    over the training set and one over the test set; they serve the trace
-    record (every record_every iterations and at the last) and the step
-    (train, test, w) -> (theta, w). A step that fails with one of _HALTS
-    ends the run, with the reason in trace.halted. NumPy's overflow
-    warnings are off: a diverging iterate overflows inside the model's
-    operators, and the steps' finiteness checks then halt it."""
+@contextlib.contextmanager
+def _halting(kept=None):
+    """The boundary every solver and flow runs inside: it yields the run's
+    FlowTrace with NumPy's overflow and invalid warnings off, since a
+    diverging run overflows in the model's operators before simplex._finite
+    halts it. A failure in _HALTS raises if the run has kept nothing yet
+    (kept, by default trace.records, is empty), else it ends the run with
+    the reason in trace.halted. Functions that return a value, not a trace
+    (solve_inner, hypergrad_at, closed_form_inner_quadratic, omega_limit,
+    mirror_step), raise instead and keep NumPy's warnings on."""
     trace = FlowTrace()
     with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            yield trace
+        except _HALTS as exc:
+            if not (trace.records if kept is None else kept):
+                raise
+            trace.halted = str(exc)
+
+
+def _run(model, data, test_data, start, w: SimplexWeights, cfg: SolverConfig,
+         step) -> FlowTrace:
+    """The loop every solver shares, inside _halting from theta = start()
+    on. Each iterate makes one forward pass over the training set and one
+    over the test set; they serve the trace record (every record_every
+    iterations and at the last) and the step (train, test, w) -> (theta,
+    w)."""
+    with _halting() as trace:
+        theta = start()
         for k in range(cfg.iterations + 1):
             train = model.forward(theta, data)
             test = model.forward(theta, test_data)
@@ -149,11 +169,7 @@ def _run(model, data, test_data, theta: np.ndarray, w: SimplexWeights,
                 trace.append(_make_record(train, test, w, k))
             if k == cfg.iterations:
                 break
-            try:
-                theta, w = step(train, test, w)
-            except _HALTS as exc:
-                trace.halted = str(exc)
-                break
+            theta, w = step(train, test, w)
     return trace
 
 
@@ -213,10 +229,11 @@ def _inner_solution(model, data, w: SimplexWeights, theta0: ModelParams,
 def exact_bilevel(model, data, test_data, w0: SimplexWeights,
                   cfg: SolverConfig) -> FlowTrace:
     """Exact bilevel: inner solve to |grad G| <= 1e-10, hypergradient,
-    mirror step, repeated. A failed inner solve at w0 raises; a later one
-    halts the run. For a quadratic model the Cholesky factor of H(w) that
-    the closed-form solve made is kept and serves the next step's
-    hypergradient, which is at the same w, so each step factors H(w) once."""
+    mirror step, repeated. The solve at w0 runs inside _halting too, where
+    a failure raises, since nothing is kept yet. For a quadratic model the
+    Cholesky factor of H(w) that the closed-form solve made is kept and
+    serves the next step's hypergradient, which is at the same w, so each
+    step factors H(w) once."""
     theta0 = ModelParams(np.zeros(model.n_params(data)))
     chol = None
 
@@ -231,7 +248,7 @@ def exact_bilevel(model, data, test_data, w0: SimplexWeights,
             w = mirror_step(w, psi, cfg.eta)
         return solve(w), w
 
-    return _run(model, data, test_data, solve(w0), w0, cfg, step)
+    return _run(model, data, test_data, lambda: solve(w0), w0, cfg, step)
 
 
 def warm_started(model, data, test_data, theta0: ModelParams, w0: SimplexWeights,
@@ -247,7 +264,7 @@ def warm_started(model, data, test_data, theta0: ModelParams, w0: SimplexWeights
             w = mirror_step(w, psi, cfg.eta)
         return theta, w
 
-    return _run(model, data, test_data, theta0.theta.copy(), w0, cfg, step)
+    return _run(model, data, test_data, theta0.theta.copy, w0, cfg, step)
 
 
 def soba(model, data, test_data, theta0: ModelParams, w0: SimplexWeights,
@@ -271,14 +288,14 @@ def soba(model, data, test_data, theta0: ModelParams, w0: SimplexWeights,
             w = mirror_step(w, psi_hat, cfg.eta)
         return theta, w
 
-    return _run(model, data, test_data, theta0.theta.copy(), w0, cfg, step)
+    return _run(model, data, test_data, theta0.theta.copy, w0, cfg, step)
 
 
 def _sigmoid_into(lam: np.ndarray, e: np.ndarray, s: np.ndarray):
     """s = sigmoid(lam) = 1 / (1 + e) with e = exp(-lam), both written into
     the given buffers; e is kept for the derivative. Where lam < -709, e
     overflows to inf and s is an exact 0: NumPy's overflow warning there
-    says nothing of the result, and callers outside _run silence it."""
+    says nothing of the result, and callers outside _halting silence it."""
     np.exp(np.negative(lam, out=e), out=e)
     np.divide(1.0, np.add(e, 1.0, out=s), out=s)
 
@@ -347,5 +364,5 @@ def softmax_reparam(model, data, test_data, theta0: ModelParams,
             return theta, SimplexWeights.from_unnormalized(s)
         return theta, SimplexWeights._unchecked(s / total)
 
-    return _run(model, data, test_data, theta0.theta.copy(),
+    return _run(model, data, test_data, theta0.theta.copy,
                 SimplexWeights.from_unnormalized(s), cfg, step)

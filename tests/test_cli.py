@@ -586,6 +586,53 @@ class TestRegimeCheckFlows:
         assert cli._JOINT_GAP_RTOL > default
 
 
+# preset, or preset/run where it makes two -> (the cli name of the run a
+# halt is put on, its name in the exit message, the trace file it leaves,
+# small config overrides)
+HALTING_RUNS = {
+    "toy-mixture/exact": ("exact_bilevel", "the exact run",
+                           "trace-exact.jsonl", ["exact.iterations=4"]),
+    "toy-mixture/warm": ("warm_started", "the warm run", "trace-warm.jsonl",
+                          ["exact.iterations=4", "warm.iterations=4"]),
+    "ratio-sweep": ("soba", "the run at ratio 1", "trace-ratio-1.jsonl",
+                    ["ratios=[1.0,100.0]", "iterations=4",
+                     'spec={"n":60,"classes":3,"d":4,"n_test":30,"n_val":30}']),
+    "softmax-toy": ("softmax_reparam", "the softmax run", "trace.jsonl",
+                    ["solver.iterations=4", "solver.record_every=1"]),
+    "frozen-flow": ("integrate_mirror_flow", "the mirror flow",
+                    "trace.jsonl", ["flow.t_max=1.0"]),
+    "constant-flow": ("integrate_mirror_flow", "the mirror flow",
+                      "trace.jsonl", ["flow.t_max=1.0"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HALTING_RUNS))
+def test_preset_exits_naming_its_halted_run(tmp_path, monkeypatch, case):
+    # a partial trace with a halt reason, as a failed step leaves it; a
+    # preset tabulates whole runs only
+    preset = case.split("/")[0]
+    target, name, trace_file, sets = HALTING_RUNS[case]
+    run = getattr(cli, target)
+    reason = "weighted design is singular"
+
+    def halted(*args, **kwargs):
+        trace = run(*args, **kwargs)
+        del trace.records[2:]
+        trace.halted = reason
+        return trace
+
+    monkeypatch.setattr(cli, target, halted)
+    out = tmp_path / "exp"
+    argv = ["experiment", preset, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [arg for item in sets for arg in ("--set", item)])
+    assert exc.value.code == f"{preset}: {name} halted: {reason}"
+    assert not (out / "table.csv").exists()
+    assert not (out / "summary.json").exists()
+    assert len(read_jsonl(out / trace_file)) == 2
+    assert (out / "resolved-config.json").exists()
+
+
 def _resolved(out):
     return json.loads((out / "resolved-config.json").read_text())
 

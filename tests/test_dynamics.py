@@ -550,21 +550,34 @@ class TestFlowsHalt:
         assert "adaptive step size fell" in trace.halted
 
     @pytest.mark.parametrize("flow", ["joint", "mirror"])
-    def test_nan_log_weights_raise(self, flow, joint_toy, monkeypatch):
-        # a NaN hypergradient is not a halt: the next stage's NaN
-        # log-weights fail the weights' check
+    def test_nan_log_weights_halt(self, flow, joint_toy, monkeypatch):
+        # a NaN hypergradient makes the next stage's log-weights NaN, and
+        # the guard on them halts the flow after its first record
         model, train, test, _ = joint_toy
         w0 = SimplexWeights.uniform(train.n)
         cfg = FlowConfig(dt=1e-2, t_max=1.0)
         nan = np.full(train.n, np.nan)
-        with pytest.raises(ValueError, match="weights must be finite"):
-            if flow == "mirror":
-                integrate_mirror_flow(lambda w: nan, w0, cfg)
-            else:
-                monkeypatch.setattr(dynamics, "hypergrad_at",
-                                    lambda *args: nan)
-                integrate_joint_flow(model, train, test,
-                                     ModelParams(np.zeros(2)), w0, cfg)
+        if flow == "mirror":
+            trace = integrate_mirror_flow(lambda w: nan, w0, cfg)
+        else:
+            monkeypatch.setattr(dynamics, "hypergrad_at", lambda *args: nan)
+            trace = integrate_joint_flow(model, train, test,
+                                         ModelParams(np.zeros(2)), w0, cfg)
+        assert_partial_trace(trace, np.linspace(0.0, 1.0, 501))
+        assert trace.halted == "log-weights overflowed to a non-finite value"
+
+    def test_overflowing_theta_halts_the_joint_flow(self, joint_toy):
+        # alpha = 1e308 overflows theta's derivative, and the guard on the
+        # next stage's theta halts the flow after its first record
+        model, train, test, _ = joint_toy
+        trace = integrate_joint_flow(model, train, test,
+                                     ModelParams(np.zeros(2)),
+                                     SimplexWeights.uniform(train.n),
+                                     FlowConfig(dt=1e-2, t_max=1.0),
+                                     alpha=1e308)
+        assert_partial_trace(trace, np.linspace(0.0, 1.0, 501))
+        assert trace.halted == ("model parameters overflowed to a non-finite "
+                                "value")
 
 
 class TestStationarity:
@@ -818,6 +831,23 @@ class TestSparseReference:
         for r in trace.records:
             assert np.all(np.isfinite(r.theta))
             assert r.extra["omega_converged"]
+
+    def test_an_overflowing_theta_halts_naming_it(self, monkeypatch):
+        # Gamma^T w = -sum_i w_i y_i x_i overflows at theta = 0 with targets
+        # of 1e308 and features of 10; Omega is held at w0
+        n = 4
+        train = Dataset(np.full((n, 2), 10.0), np.full(n, 1e308))
+        test = Dataset(np.ones((2, 2)), np.ones(2))
+        w0 = SimplexWeights.uniform(n)
+        monkeypatch.setattr(dynamics, "frozen_field", lambda *args: None)
+        monkeypatch.setattr(dynamics, "omega_limit", lambda *args: OmegaResult(
+            w0, True, False, 0.0, []))
+        trace = integrate_sparse_reference(
+            RidgeLeastSquares(1e-3), train, test, ModelParams(np.zeros(2)),
+            w0, FlowConfig(dt=1e-2, t_max=0.1), record_times=[0.05, 0.1])
+        assert trace.halted == ("model parameters overflowed to a non-finite "
+                                "value")
+        assert [r.k for r in trace.records] == [0.0]
 
     def test_refresh_acts_exactly_from_its_time(self, monkeypatch):
         # Omega_A on [0, 0.1), Omega_B after it: theta follows the closed-form

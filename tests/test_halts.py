@@ -1,7 +1,10 @@
 """Property tests of the halting paths: on data whose weighted Gram
 overflows, every solver and flow returns a partial trace that names what
-overflowed instead of crashing, and conjugate gradients stops at the first
-non-finite number it meets."""
+overflowed instead of crashing, or raises NumericOverflowError where the
+work before its first record does, and conjugate gradients stops at the
+first non-finite number it meets. The runs go without np.errstate: their
+halting boundary turns NumPy's warnings off, and this suite makes a
+RuntimeWarning an error."""
 
 import numpy as np
 import pytest
@@ -18,10 +21,12 @@ from bilevel_reweight import (
     SolverConfig,
     closed_form_inner_quadratic,
     exact_bilevel,
+    frozen_field,
     gen_mixture,
     integrate_joint_flow,
     integrate_mirror_flow,
     integrate_sparse_reference,
+    omega_limit,
     soba,
     softmax_reparam,
     warm_started,
@@ -34,6 +39,8 @@ SEEDS = st.integers(0, 2**32 - 1)
 MODEL = RidgeLeastSquares(1e-4)
 SOLVER = SolverConfig(eta=1.0, rho=1e-2, iterations=3)
 FLOW = FlowConfig(dt=1e-2, t_max=0.1)
+# the small configuration of the sparse reference's schedule test
+OMEGA = FlowConfig(dt=5e-2, t_max=5.0, stationarity_tol=1e-2)
 
 
 @st.composite
@@ -48,19 +55,22 @@ def overflowing_mixtures(draw):
 
 
 def quietly(run, *args, **kwargs):
-    """run(*args, **kwargs) with NumPy's overflow warnings off, as the
-    solvers' own loop has them: overflowing is what these draws do, and
-    this suite makes a RuntimeWarning an error."""
+    """run(*args, **kwargs) with NumPy's overflow warnings off, as a run's
+    halting boundary has them, for a call that returns a value, not a
+    trace, and so keeps the warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
         return run(*args, **kwargs)
 
 
 def assert_halted_on_overflow(trace):
+    assert len(trace.records) >= 1
     assert (trace.halted is None
             or trace.halted.endswith(" overflowed to a non-finite value"))
 
 
 RUNS = {
+    "exact_bilevel": lambda train, test, w0, theta0: exact_bilevel(
+        MODEL, train, test, w0, SOLVER),
     "warm_started": lambda train, test, w0, theta0: warm_started(
         MODEL, train, test, theta0, w0, SOLVER),
     "soba": lambda train, test, w0, theta0: soba(
@@ -72,12 +82,20 @@ RUNS = {
     "integrate_mirror_flow": lambda train, test, w0, theta0:
         integrate_mirror_flow(ExactHypergradField(MODEL, train, test), w0,
                               FLOW),
-    # the small configuration of the sparse reference's schedule test
     "integrate_sparse_reference": lambda train, test, w0, theta0:
         integrate_sparse_reference(
             MODEL, train, test, theta0, w0, FLOW, record_times=[0.05, 0.1],
-            refresh_dt=0.02,
-            omega_cfg=FlowConfig(dt=5e-2, t_max=5.0, stationarity_tol=1e-2)),
+            refresh_dt=0.02, omega_cfg=OMEGA),
+}
+
+# The work a run does before its first record, where alone it may raise:
+# exact_bilevel's inner solve at w0 and the sparse reference's first
+# refresh. The other runs record at their start and never raise.
+BEFORE_FIRST_RECORD = {
+    "exact_bilevel": lambda train, test, w0, theta0:
+        closed_form_inner_quadratic(train, w0, MODEL.mu),
+    "integrate_sparse_reference": lambda train, test, w0, theta0:
+        omega_limit(frozen_field(MODEL, train, test, theta0), w0, OMEGA),
 }
 
 
@@ -86,23 +104,14 @@ RUNS = {
 @given(data=overflowing_mixtures())
 def test_run_halts_naming_what_overflowed(name, data):
     train, test = data
-    trace = quietly(RUNS[name], train, test,
-                    SimplexWeights.uniform(train.n),
-                    ModelParams(np.zeros(train.d)))
-    assert_halted_on_overflow(trace)
-
-
-@settings(max_examples=25, deadline=None)
-@given(data=overflowing_mixtures())
-def test_exact_bilevel_raises_only_at_w0(data):
-    train, test = data
-    w0 = SimplexWeights.uniform(train.n)
+    start = (train, test, SimplexWeights.uniform(train.n),
+             ModelParams(np.zeros(train.d)))
     try:
-        trace = quietly(exact_bilevel, MODEL, train, test, w0, SOLVER)
+        trace = RUNS[name](*start)
     except NumericOverflowError:
-        # the inner solve at w0, before there is a trace to keep
+        # before there is a record to keep
         with pytest.raises(NumericOverflowError):
-            quietly(closed_form_inner_quadratic, train, w0, MODEL.mu)
+            quietly(BEFORE_FIRST_RECORD.get(name, lambda *args: None), *start)
     else:
         assert_halted_on_overflow(trace)
 

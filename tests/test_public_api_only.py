@@ -1,4 +1,4 @@
-"""Two rules on the package's source, read off its syntax trees.
+"""Three rules on the package's source, read off its syntax trees.
 
 The package imports only public NumPy and SciPy API, so that it can run
 on the dependency floor that pyproject.toml declares (numpy>=1.24,
@@ -7,7 +7,12 @@ scipy>=1.10) and that the CI dependency-floor job installs.
 Only simplex.py constructs NumericOverflowError: a number a run computed
 is refused by one guard, simplex._finite, whose error every solver and
 flow turns into a halt (mirror_step's degenerate update is the other
-construction there)."""
+construction there).
+
+Only solvers.py catches a halting error (_HALTS or one of its four
+classes): whether a failure ends a run with a partial trace or raises is
+decided in one place, the boundary solvers._halting that every solver and
+flow runs inside."""
 
 import ast
 from pathlib import Path
@@ -15,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import bilevel_reweight
+from bilevel_reweight import solvers
 
 PACKAGE = Path(bilevel_reweight.__file__).resolve().parent
 
@@ -46,6 +52,12 @@ def private_imports(source):
     return found
 
 
+def name_of(node):
+    """The name node refers to, bare or dotted, else None."""
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+
+
 def overflow_constructions(source):
     """Line of each place source constructs NumericOverflowError: a call of
     it, or a raise of the class itself, by bare or dotted name."""
@@ -57,11 +69,24 @@ def overflow_constructions(source):
             target = node.exc
         else:
             continue
-        name = (target.id if isinstance(target, ast.Name)
-                else target.attr if isinstance(target, ast.Attribute)
-                else None)
-        if name == "NumericOverflowError":
+        if name_of(target) == "NumericOverflowError":
             found.append(node.lineno)
+    return found
+
+
+HALTS = {"_HALTS", *(cls.__name__ for cls in solvers._HALTS)}
+
+
+def halt_catches(source):
+    """Line of each except clause in source that names _HALTS or one of its
+    classes, by bare or dotted name, alone or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = (node.type.elts if isinstance(node.type, ast.Tuple)
+                      else [node.type])
+            if any(name_of(c) in HALTS for c in caught):
+                found.append(node.lineno)
     return found
 
 
@@ -71,6 +96,10 @@ def test_package_imports_no_private_numpy_or_scipy_api():
 
 def test_only_simplex_constructs_numeric_overflow():
     assert set(package_hits(overflow_constructions)) == {"simplex.py"}
+
+
+def test_only_solvers_catches_a_halting_error():
+    assert set(package_hits(halt_catches)) == {"solvers.py"}
 
 
 @pytest.mark.parametrize("source, hits", [
@@ -98,3 +127,17 @@ def test_private_imports_finds_what_it_forbids(source, hits):
      "raise ValueError('x')", [])])
 def test_overflow_constructions_finds_what_it_forbids(source, hits):
     assert overflow_constructions(source) == hits
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("try:\n    f()\nexcept _HALTS as exc:\n    pass", [3]),
+    ("try:\n    f()\nexcept (ValueError, errors.NoConvergenceError):\n"
+     "    pass", [3]),
+    ("try:\n    f()\nexcept ValueError:\n    pass\n"
+     "except SingularDesignError:\n    pass", [5]),
+    ("_HALTS = (NumericOverflowError, NoConvergenceError)\n"
+     "raise NoConvergenceError('x')\n"
+     "try:\n    f()\nexcept (OSError, ConfigError):\n    pass\n"
+     "except:\n    raise", [])])
+def test_halt_catches_finds_what_it_forbids(source, hits):
+    assert halt_catches(source) == hits

@@ -597,9 +597,11 @@ class TestDualRecords:
         u = np.zeros((3, 4))
         u[1, 2] = bad
         with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match="weights must be finite"):
+            with pytest.raises(NumericOverflowError,
+                               match="^log-weights overflowed to a non-finite"):
                 _dual_records([0.0, 1.0, 2.0], u)
-            with pytest.raises(ValueError, match="weights must be finite"):
+            with pytest.raises(NumericOverflowError,
+                               match="^log-weights overflowed to a non-finite"):
                 _softmax(u[1])
 
 
