@@ -6,6 +6,8 @@ config (--spec for generate, --config otherwise) in _resolve: --set
 key=value overrides dotted paths, --seed sets the data seed, and the result
 is checked and merged into the defaults in COMMANDS or EXPERIMENTS. A run
 that is not rejected leaves it in its directory, so re-running reproduces it.
+main gives every end its exit status: 0 finished, 1 failed or halted, 2
+rejected.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .dynamics import (
     sparsity_certificate,
     stability_check,
 )
-from .errors import ConfigError, DatasetFormatError, _check_number
+from .errors import (BilevelError, ConfigError, DatasetFormatError,
+                     _check_number)
 from .hypergrad import FrozenField, closed_form_inner_quadratic
 from .losses import (
     ModelParams,
@@ -247,9 +250,12 @@ def _generate(cfg: dict, out: Path):
 # ------------------------------------------------------------------- solve
 
 def _run_solver(kind: str, model, train, test, scfg, theta_ref):
-    """Run solver kind from the uniform weights and theta = 0. Returns the
-    trace and its summary, solve's summary.json and toy-mixture's rows, whose
-    theta_err is the final theta's distance to theta_ref (None without)."""
+    """Run solver kind (exact, warm, soba or softmax) from the uniform
+    weights and theta = 0, with test as its outer data: the only place the
+    CLI starts a solver. Returns the trace and its summary, which solve's
+    summary.json, toy-mixture's and ratio-sweep's rows read; theta_err is
+    the final theta's distance to theta_ref (None without). A halted trace
+    is returned as it is; the caller writes it, then calls _require_whole."""
     n = train.n
     w0 = SimplexWeights.uniform(n)
     p = model.n_params(train)
@@ -295,6 +301,7 @@ def _solve(cfg: dict, out: Path):
                                  _solver_config(kind, solver_cfg), theta_hat)
     trace.to_jsonl(out / "trace.jsonl", theta_ref=theta_hat)
     _write_json(out / "summary.json", {**summary, "halted": trace.halted})
+    _require_whole(trace, f"the {kind} run")
 
 
 # command -> (run, default config, dotted key of the data seed), as in
@@ -304,7 +311,8 @@ COMMANDS = {
     "generate": (_generate, {"type": "mixture", "spec": {}}, "spec.seed"),
     "solve": (_solve, {
         "dataset": {"type": "mixture", "spec": {}}, "model": None,
-        "mu": None, "solver": {"kind": "exact"}}, "dataset.spec.seed"),
+        "mu": None, "solver": {"kind": "exact", "eta": 0.12}},
+        "dataset.spec.seed"),
 }
 
 
@@ -319,13 +327,14 @@ def cmd_run(args) -> int:
 
 # -------------------------------------------------------------- experiment
 
-def _require_whole(trace, preset: str, run: str):
-    """Exit 1, naming preset, its run and the halt reason, if the trace
-    halted: a preset tabulates whole runs only, so it then writes no
-    table.csv or summary.json. Callers write the run's trace file first, so
-    that a halted run keeps it."""
+def _require_whole(trace, run: str):
+    """BilevelError "<run> halted: <reason>" if the trace halted, which main
+    reports, prefixed with the command or preset, with exit status 1. A
+    preset tabulates whole runs only, so it then writes no table.csv or
+    summary.json. Callers write what the run keeps first: its trace file,
+    and for solve its summary.json."""
     if trace.halted is not None:
-        raise SystemExit(f"{preset}: {run} halted: {trace.halted}")
+        raise BilevelError(f"{run} halted: {trace.halted}")
 
 
 def _write_table(path, rows):
@@ -340,10 +349,6 @@ def _exp_toy_mixture(cfg: dict, out: Path) -> list:
     spec = _build(MixtureSpec, cfg["spec"])
     train, test, theta_hat, z = gen_mixture(spec)
     model = RidgeLeastSquares(cfg["mu"])
-    n = train.n
-    w_uniform = SimplexWeights.uniform(n)
-    w_optimal = SimplexWeights.from_unnormalized((z == 1).astype(float))
-    rows = []
 
     def static_row(name, w):
         theta = closed_form_inner_quadratic(train, w, model.mu)
@@ -357,15 +362,16 @@ def _exp_toy_mixture(cfg: dict, out: Path) -> list:
             "wrong_cluster_mass": wrong,
         }
 
-    rows.append(static_row("uniform", w_uniform))
-    rows.append(static_row("optimal", w_optimal))
+    rows = [static_row("uniform", SimplexWeights.uniform(train.n)),
+            static_row("optimal", SimplexWeights.from_unnormalized(
+                (z == 1).astype(float)))]
 
     scfgs = {kind: _solver_config(kind, cfg[kind])
              for kind in ("exact", "warm")}
     for kind, scfg in scfgs.items():
         trace, summary = _run_solver(kind, model, train, test, scfg, theta_hat)
         trace.to_jsonl(out / f"trace-{kind}.jsonl", theta_ref=theta_hat)
-        _require_whole(trace, "toy-mixture", f"the {kind} run")
+        _require_whole(trace, f"the {kind} run")
         wrong = float(trace.final.w.values[z == 2].sum())
         rows.append({"run": kind, **summary, "wrong_cluster_mass": wrong})
     return rows
@@ -376,13 +382,11 @@ def _exp_ratio_sweep(cfg: dict, out: Path) -> list:
     train, clean_mask, test, val = gen_corrupted(spec)
     model = RegularizedMultinomialLogistic(cfg["mu"])
     iterations = cfg["iterations"]
-    p = model.n_params(train)
-    n = train.n
 
     # clean-oracle baseline: fit on clean samples only
     w_clean = SimplexWeights.from_unnormalized(clean_mask.astype(float))
-    theta_clean = solve_inner(model, train, w_clean, ModelParams(np.zeros(p)),
-                              tol=1e-8)
+    theta0 = ModelParams(np.zeros(model.n_params(train)))
+    theta_clean = solve_inner(model, train, w_clean, theta0, tol=1e-8)
     oracle_acc = accuracy(model, val, theta_clean)
 
     def run_one(r):
@@ -390,22 +394,18 @@ def _exp_ratio_sweep(cfg: dict, out: Path) -> list:
         rho = eta / r
         scfg = SolverConfig(eta=eta, rho=rho, iterations=iterations,
                             record_every=max(1, iterations // 50))
-        t0 = time.monotonic()
-        trace = soba(model, train, val, ModelParams(np.zeros(p)),
-                     SimplexWeights.uniform(n), np.zeros(p), scfg)
-        wall = time.monotonic() - t0
+        trace, summary = _run_solver("soba", model, train, val, scfg, None)
         trace.to_jsonl(out / f"trace-ratio-{r:g}.jsonl", include_weights=False)
-        _require_whole(trace, "ratio-sweep", f"the run at ratio {r:g}")
-        rec = trace.final
-        theta = ModelParams(rec.theta)
+        _require_whole(trace, f"the run at ratio {r:g}")
+        theta = ModelParams(trace.final.theta)
         return {
             "ratio": r, "eta": eta, "rho": rho,
             "val_accuracy": accuracy(model, val, theta),
             "test_accuracy": accuracy(model, test, theta),
-            "final_entropy": rec.entropy,
-            "support_size": rec.support_size,
+            "final_entropy": summary["final_entropy"],
+            "support_size": summary["support_size"],
             "oracle_accuracy": oracle_acc,
-            "wall_time_s": wall,
+            "wall_time_s": summary["wall_time_s"],
         }
 
     return sorted(map(run_one, cfg["ratios"]), key=lambda row: row["ratio"])
@@ -416,11 +416,10 @@ def _exp_softmax_toy(cfg: dict, out: Path) -> list:
     train, test, theta_hat, z = gen_mixture(spec)
     model = RidgeLeastSquares(cfg["mu"])
     scfg = _build(SolverConfig, cfg["solver"])
-    trace = softmax_reparam(model, train, test, ModelParams(np.zeros(train.d)),
-                            np.zeros(train.n), scfg)
+    trace, _ = _run_solver("softmax", model, train, test, scfg, theta_hat)
     if trace.halted is not None:  # keep its records, before any re-solve
         trace.to_jsonl(out / "trace.jsonl", theta_ref=theta_hat)
-    _require_whole(trace, "softmax-toy", "the softmax run")
+    _require_whole(trace, "the softmax run")
     err = lambda theta: float(np.linalg.norm(theta - theta_hat.theta))
     rows = []
     for r in trace.records:
@@ -435,14 +434,14 @@ def _exp_softmax_toy(cfg: dict, out: Path) -> list:
     return rows
 
 
-def _mirror_flow(field, n: int, fcfg: FlowConfig, out: Path, preset: str):
+def _mirror_flow(field, n: int, fcfg: FlowConfig, out: Path):
     """Integrate field's mirror flow from the n uniform weights into
-    out/trace.jsonl; preset exits if it halts. Returns the trace and Omega
-    read off it."""
+    out/trace.jsonl; _require_whole ends the preset if it halts. Returns the
+    trace and Omega read off it."""
     w0 = SimplexWeights.uniform(n)
     trace = integrate_mirror_flow(field, w0, fcfg)
     trace.to_jsonl(out / "trace.jsonl")
-    _require_whole(trace, preset, "the mirror flow")
+    _require_whole(trace, "the mirror flow")
     return trace, omega_from_trace(trace, w0, fcfg)
 
 
@@ -466,7 +465,7 @@ def _exp_frozen_flow(cfg: dict, out: Path) -> list:
     fcfg = _build(FlowConfig, cfg["flow"])
     field = FrozenField.ridge_like(datagen._rng(cfg["seed"]), cfg["n"],
                                    cfg["p"], 0.1)
-    _, result = _mirror_flow(field, cfg["n"], fcfg, out, "frozen-flow")
+    _, result = _mirror_flow(field, cfg["n"], fcfg, out)
     member = None
     if result.converged:
         member, _ = sparsity_certificate(result.w, field.gamma, tol=1e-6,
@@ -487,7 +486,7 @@ def _exp_constant_flow(cfg: dict, out: Path) -> list:
     fcfg = _build(FlowConfig, cfg["flow"])
     field = ConstantField(cfg["phi"])
     n = field.phi.size
-    trace, result = _mirror_flow(field, n, fcfg, out, "constant-flow")
+    trace, result = _mirror_flow(field, n, fcfg, out)
     closed = constant_field_solution(SimplexWeights.uniform(n), field.phi,
                                      fcfg.t_max)
     err = float(np.max(np.abs(trace.final.w.values - closed.values)))
@@ -514,15 +513,14 @@ def _exp_regime_check(cfg: dict, out: Path) -> list:
     train, test, theta_hat, z = gen_mixture(spec)
     model = RidgeLeastSquares(cfg["mu"])
     T = cfg["horizon"]
-    n = train.n
-    w0 = SimplexWeights.uniform(n)
+    w0 = SimplexWeights.uniform(train.n)
     t_grid = np.linspace(0.0, T, cfg["checkpoints"] + 1)
 
     oracle_field = ExactHypergradField(model, train, test)
     ref = integrate_mirror_flow(oracle_field, w0,
                                 FlowConfig(dt=cfg["dt"], t_max=T),
                                 record_times=t_grid)
-    _require_whole(ref, "regime-check", "the oracle flow")
+    _require_whole(ref, "the oracle flow")
     ref_w = np.stack([r.w.values for r in ref.records])
 
     theta_star = closed_form_inner_quadratic(train, w0, model.mu)
@@ -534,8 +532,7 @@ def _exp_regime_check(cfg: dict, out: Path) -> list:
                           rtol=_JOINT_GAP_RTOL)
         tr = integrate_joint_flow(model, train, test, theta_star, w0, fcfg,
                                   record_times=t_grid / beta, beta=beta)
-        _require_whole(tr, "regime-check",
-                       f"the joint leg at beta = {beta:g}")
+        _require_whole(tr, f"the joint leg at beta = {beta:g}")
         ws = np.stack([r.w.values for r in tr.records])
         gap = float(np.max(np.linalg.norm(ws - ref_w, axis=1)))
         rows.append({"beta": beta, "trajectory_gap": gap})
@@ -608,7 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="dotted-path config override")
-        p.set_defaults(func=func)
+        # main names a failed run by args.name: the command, or the preset
+        # that experiment's positional name argument puts there
+        p.set_defaults(func=func, name=name)
         return p
 
     command("generate", "write synthetic datasets")
@@ -624,6 +623,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command argv names; the exit status. A rejection (ConfigError
+    or DatasetFormatError) prints its message and returns 2. Any other
+    BilevelError, a run that failed or halted, prints one line "<command or
+    preset>: <message>" and returns 1. Any other exception propagates with
+    its traceback."""
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
@@ -631,6 +635,9 @@ def main(argv=None) -> int:
     except (ConfigError, DatasetFormatError) as exc:
         print(exc, file=sys.stderr)
         return 2
+    except BilevelError as exc:  # the run failed, or halted
+        print(f"{args.name}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

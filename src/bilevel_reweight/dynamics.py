@@ -622,9 +622,11 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
     the sparse limit Omega refreshed every refresh_dt of slow time and held
     piecewise-constant in between, one _path per segment. A record's extra
     holds its segment's omega_converged, omega_oscillating, omega_t and
-    omega_change (the last checkpoint change, or None). It runs inside
-    solvers._halting, the refreshes included, so a failed first refresh
-    raises."""
+    omega_change (the last checkpoint change, or None). A refresh whose
+    Omega did not converge raises NoConvergenceError naming its time and
+    whether Omega oscillated: the reference holds limits only. It runs
+    inside solvers._halting, the refreshes included, so a failed first
+    refresh raises and a later one ends the run with the records so far."""
     _check_number("refresh_dt", refresh_dt, 1.0, "positive")
     if omega_cfg is None:
         omega_cfg = FlowConfig(dt=min(cfg.dt, 1e-2), t_max=1e3,
@@ -645,6 +647,11 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
         for end in ends:
             f = frozen_field(model, data, test_data, ModelParams(theta))
             omega = omega_limit(f, w0, omega_cfg)
+            if not omega.converged:
+                raise NoConvergenceError(
+                    f"Omega refreshed at t = {times[start]:g} did not "
+                    "converge " + ("(it oscillates)" if omega.oscillating
+                                  else "by t_max"))
             extra = {"omega_converged": omega.converged,
                      "omega_oscillating": omega.oscillating,
                      "omega_t": omega.t,

@@ -15,6 +15,7 @@ import bilevel_reweight
 from bilevel_reweight import (
     FlowConfig,
     FrozenField,
+    NoConvergenceError,
     OmegaResult,
     SimplexWeights,
     cli,
@@ -517,8 +518,8 @@ class TestRegimeCheckFlows:
         ("integrate_mirror_flow", "the oracle flow"),
         ("integrate_joint_flow", "the joint leg at beta = 0.01")])
     @pytest.mark.parametrize("kept", [1, 3])
-    def test_halted_flow_exits_naming_it(self, tmp_path, monkeypatch, flow,
-                                         name, kept):
+    def test_halted_flow_exits_naming_it(self, tmp_path, monkeypatch, capsys,
+                                         flow, name, kept):
         # a partial trace with a halt reason, as a failed step leaves it;
         # the joint leg at beta = 0.1 runs whole
         run = getattr(cli, flow)
@@ -533,10 +534,10 @@ class TestRegimeCheckFlows:
 
         monkeypatch.setattr(cli, flow, halted)
         out = tmp_path / "exp"
-        with pytest.raises(SystemExit) as exc:
-            main(["experiment", "regime-check", "--out", str(out),
-                  *self.SMALL])
-        assert exc.value.code == f"regime-check: {name} halted: {reason}"
+        assert main(["experiment", "regime-check", "--out", str(out),
+                     *self.SMALL]) == 1
+        assert capsys.readouterr().err == (
+            f"regime-check: {name} halted: {reason}\n")
         assert not (out / "table.csv").exists()
         assert not (out / "summary.json").exists()
         # a halted run, unlike a rejected one, leaves its config
@@ -607,7 +608,8 @@ HALTING_RUNS = {
 
 
 @pytest.mark.parametrize("case", sorted(HALTING_RUNS))
-def test_preset_exits_naming_its_halted_run(tmp_path, monkeypatch, case):
+def test_preset_exits_naming_its_halted_run(tmp_path, monkeypatch, capsys,
+                                            case):
     # a partial trace with a halt reason, as a failed step leaves it; a
     # preset tabulates whole runs only
     preset = case.split("/")[0]
@@ -624,13 +626,81 @@ def test_preset_exits_naming_its_halted_run(tmp_path, monkeypatch, case):
     monkeypatch.setattr(cli, target, halted)
     out = tmp_path / "exp"
     argv = ["experiment", preset, "--out", str(out)]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + [arg for item in sets for arg in ("--set", item)])
-    assert exc.value.code == f"{preset}: {name} halted: {reason}"
+    assert main(argv + [arg for item in sets for arg in ("--set", item)]) == 1
+    assert capsys.readouterr().err == f"{preset}: {name} halted: {reason}\n"
     assert not (out / "table.csv").exists()
     assert not (out / "summary.json").exists()
     assert len(read_jsonl(out / trace_file)) == 2
     assert (out / "resolved-config.json").exists()
+
+
+SINGULAR = "weighted design is singular; enlarge the support or set mu > 0"
+STOPPED = "inner solve stopped at |grad G| = 0.1"
+SMALL_SWEEP = ["--set", "ratios=[1.0,100.0]", "--set", "iterations=4", "--set",
+               'spec={"n":60,"classes":3,"d":4,"n_test":30,"n_val":30}']
+
+# a run that fails before its first record, or halts -> (its argv, the cli
+# name monkeypatched to raise NoConvergenceError or None, main's one stderr
+# line, the files it leaves)
+FAILED_RUNS = {
+    "solve-at-w0": (
+        ["solve", "--set", "mu=0", "--set", "dataset.spec.n=1",
+         "--set", "dataset.spec.m=1"], None, f"solve: {SINGULAR}",
+        ["resolved-config.json"]),
+    "toy-mixture-at-w0": (
+        ["experiment", "toy-mixture", "--set", "mu=0", "--set", "spec.n=1",
+         "--set", "spec.m=1"], None, f"toy-mixture: {SINGULAR}",
+        ["resolved-config.json"]),
+    "ratio-sweep-oracle": (
+        ["experiment", "ratio-sweep", *SMALL_SWEEP], "solve_inner",
+        f"ratio-sweep: {STOPPED}",
+        ["resolved-config.json"]),
+    "solve-halted": (
+        ["solve", "--set", "solver.eta=1.0"], None,
+        f"solve: the exact run halted: {SINGULAR}",
+        ["resolved-config.json", "summary.json", "trace.jsonl"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILED_RUNS))
+def test_failed_run_exits_1_with_one_line(tmp_path, monkeypatch, capsys,
+                                          case):
+    # one line "<command or preset>: <reason>" and no traceback, whether
+    # the run raised before its first record or halted after it
+    argv, target, line, files = FAILED_RUNS[case]
+    if target is not None:
+        def fails(*args, **kwargs):
+            raise NoConvergenceError(STOPPED)
+
+        monkeypatch.setattr(cli, target, fails)
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert sorted(f.name for f in out.iterdir()) == files
+    if "summary.json" in files:  # solve keeps a halted run's summary
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["halted"] == SINGULAR
+
+
+def test_a_python_error_keeps_its_traceback(tmp_path, monkeypatch, capsys):
+    # a bug, unlike a run's own failure, is not turned into a line
+    def broken(*args, **kwargs):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli, "solve_inner", broken)
+    with pytest.raises(ValueError, match="^a bug$"):
+        main(["experiment", "ratio-sweep", *SMALL_SWEEP,
+              "--out", str(tmp_path / "run")])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_solve_finishes_at_its_defaults(tmp_path, seed):
+    # exact at toy-mixture's eta 0.12; at eta 1.0 the weighted design went
+    # singular after the first step on data seeds 0-2 and 4-7
+    out = tmp_path / "run"
+    assert main(["solve", "--seed", str(seed), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["halted"] is None
 
 
 def _resolved(out):

@@ -1,3 +1,4 @@
+import re
 import sys
 import warnings
 from unittest import mock
@@ -858,7 +859,7 @@ class TestSparseReference:
         omegas = [SimplexWeights.from_unnormalized(np.r_[1.0, 2.0, [0.0] * 18]),
                   SimplexWeights.from_unnormalized(np.r_[[0.0] * 17, 1, 1, 1])]
         results = [OmegaResult(omegas[0], True, False, 3.0, [1e-10]),
-                   OmegaResult(omegas[1], False, False, 5.0, [2e-6])]
+                   OmegaResult(omegas[1], True, False, 5.0, [2e-6])]
         monkeypatch.setattr(dynamics, "omega_limit",
                             lambda field, w0, cfg: results.pop(0))
 
@@ -888,8 +889,40 @@ class TestSparseReference:
             "omega_converged": True, "omega_oscillating": False,
             "omega_t": 3.0, "omega_change": 1e-10}
         assert trace.records[3].extra == {
-            "omega_converged": False, "omega_oscillating": False,
+            "omega_converged": True, "omega_oscillating": False,
             "omega_t": 5.0, "omega_change": 2e-6}
+
+    @pytest.mark.parametrize("oscillating, why", [
+        (False, "by t_max"), (True, "(it oscillates)")])
+    def test_an_unconverged_refresh_halts_naming_it(self, monkeypatch,
+                                                    oscillating, why):
+        # the reference holds limits only: Omega at t = 0.06 did not
+        # converge, so the run ends with the records before it, and the
+        # same at the first refresh, which has none to keep, raises
+        train, test, _, _ = gen_mixture(MixtureSpec(n=10, m=5, sigma=0.1,
+                                                    seed=2))
+        w0 = SimplexWeights.uniform(train.n)
+        unconverged = OmegaResult(w0, False, oscillating, 7.0, [1e-3])
+        results = [OmegaResult(w0, True, False, 3.0, [1e-10]), unconverged]
+        monkeypatch.setattr(dynamics, "omega_limit",
+                            lambda field, w0, cfg: results.pop(0))
+
+        def run():
+            return integrate_sparse_reference(
+                RidgeLeastSquares(1e-3), train, test, ModelParams(np.zeros(2)),
+                w0, FlowConfig(dt=1e-2, t_max=0.1), record_times=[0.05, 0.1],
+                refresh_dt=0.06)
+
+        trace = run()
+        assert not results
+        assert trace.halted == ("Omega refreshed at t = 0.06 did not converge "
+                                f"{why}")
+        assert [r.k for r in trace.records] == [0.0, 0.05]
+        assert all(r.extra["omega_converged"] for r in trace.records)
+        results.append(unconverged)
+        with pytest.raises(NoConvergenceError, match="^Omega refreshed at "
+                           f"t = 0 did not converge {re.escape(why)}$"):
+            run()
 
     def test_refresh_at_a_record_time_takes_no_extra_step(self, monkeypatch):
         # criterion 6's grid: k * 0.01 for k = 5, 10, 20, 25 lies one ulp

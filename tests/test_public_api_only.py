@@ -1,4 +1,4 @@
-"""Three rules on the package's source, read off its syntax trees.
+"""Four rules on the package's source, read off its syntax trees.
 
 The package imports only public NumPy and SciPy API, so that it can run
 on the dependency floor that pyproject.toml declares (numpy>=1.24,
@@ -12,7 +12,11 @@ construction there).
 Only solvers.py catches a halting error (_HALTS or one of its four
 classes): whether a failure ends a run with a partial trace or raises is
 decided in one place, the boundary solvers._halting that every solver and
-flow runs inside."""
+flow runs inside.
+
+The package constructs no SystemExit, and only cli.main catches
+BilevelError by name: a run's failure, a halt included, leaves the CLI one
+way, as one line and exit status 1."""
 
 import ast
 from pathlib import Path
@@ -58,9 +62,9 @@ def name_of(node):
             else node.attr if isinstance(node, ast.Attribute) else None)
 
 
-def overflow_constructions(source):
-    """Line of each place source constructs NumericOverflowError: a call of
-    it, or a raise of the class itself, by bare or dotted name."""
+def constructions(source, name):
+    """Line of each place source constructs the exception class name: a
+    call of it, or a raise of the class itself, by bare or dotted name."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
@@ -69,7 +73,7 @@ def overflow_constructions(source):
             target = node.exc
         else:
             continue
-        if name_of(target) == "NumericOverflowError":
+        if name_of(target) == name:
             found.append(node.lineno)
     return found
 
@@ -77,17 +81,40 @@ def overflow_constructions(source):
 HALTS = {"_HALTS", *(cls.__name__ for cls in solvers._HALTS)}
 
 
+def catches(source, names):
+    """(enclosing function or None, line) of each except clause in source
+    that names one of names, by bare or dotted name, alone or in a tuple."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                caught = (child.type.elts if isinstance(child.type, ast.Tuple)
+                          else [child.type])
+                if any(name_of(c) in names for c in caught):
+                    found.append((where, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
 def halt_catches(source):
     """Line of each except clause in source that names _HALTS or one of its
-    classes, by bare or dotted name, alone or in a tuple."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ExceptHandler) and node.type is not None:
-            caught = (node.type.elts if isinstance(node.type, ast.Tuple)
-                      else [node.type])
-            if any(name_of(c) in HALTS for c in caught):
-                found.append(node.lineno)
-    return found
+    classes."""
+    return [line for _, line in catches(source, HALTS)]
+
+
+def exit_paths(source):
+    """("SystemExit", line) of each SystemExit that source constructs, and
+    (enclosing function or None, line) of each except clause that names
+    BilevelError."""
+    return ([("SystemExit", line) for line in constructions(source,
+                                                            "SystemExit")]
+            + catches(source, {"BilevelError"}))
 
 
 def test_package_imports_no_private_numpy_or_scipy_api():
@@ -95,11 +122,18 @@ def test_package_imports_no_private_numpy_or_scipy_api():
 
 
 def test_only_simplex_constructs_numeric_overflow():
-    assert set(package_hits(overflow_constructions)) == {"simplex.py"}
+    assert set(package_hits(
+        lambda source: constructions(source, "NumericOverflowError"))) == {
+            "simplex.py"}
 
 
 def test_only_solvers_catches_a_halting_error():
     assert set(package_hits(halt_catches)) == {"solvers.py"}
+
+
+def test_only_main_turns_a_run_failure_into_an_exit():
+    assert {name: [where for where, _ in hits] for name, hits
+            in package_hits(exit_paths).items()} == {"cli.py": ["main"]}
 
 
 @pytest.mark.parametrize("source, hits", [
@@ -126,7 +160,7 @@ def test_private_imports_finds_what_it_forbids(source, hits):
      "try:\n    f()\nexcept NumericOverflowError:\n    raise\n"
      "raise ValueError('x')", [])])
 def test_overflow_constructions_finds_what_it_forbids(source, hits):
-    assert overflow_constructions(source) == hits
+    assert constructions(source, "NumericOverflowError") == hits
 
 
 @pytest.mark.parametrize("source, hits", [
@@ -141,3 +175,21 @@ def test_overflow_constructions_finds_what_it_forbids(source, hits):
      "except:\n    raise", [])])
 def test_halt_catches_finds_what_it_forbids(source, hits):
     assert halt_catches(source) == hits
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("raise SystemExit(f'{preset}: {run} halted')", [("SystemExit", 1)]),
+    ("import sys\nsys.exit(main())", []),
+    ("def main():\n    try:\n        run()\n"
+     "    except (ConfigError, errors.BilevelError):\n        return 1",
+     [("main", 4)]),
+    ("try:\n    f()\nexcept BilevelError:\n    raise builtins.SystemExit",
+     [("SystemExit", 4), (None, 3)]),
+    ("def run():\n    def step():\n        try:\n            f()\n"
+     "        except BilevelError:\n            pass\n"
+     "    try:\n        step()\n    except ValueError:\n        pass",
+     [("step", 5)]),
+    ("try:\n    f()\nexcept (ConfigError, DatasetFormatError):\n    pass\n"
+     "except SystemExit:\n    raise", [])])
+def test_exit_paths_finds_what_it_forbids(source, hits):
+    assert exit_paths(source) == hits
