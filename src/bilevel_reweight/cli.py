@@ -158,17 +158,22 @@ def _resolve(args, defaults: dict, seed_key: str, name=None) -> dict:
 
 @contextlib.contextmanager
 def _run_dir(path, resolved: dict):
-    """The run directory path, made if missing. A run that ends in a
-    ConfigError or DatasetFormatError leaves path as it found it: every
-    rejection comes before a run's first write, so what was made is empty
-    and removed. Any other end writes resolved to resolved-config.json."""
+    """The run directory path, made if missing; a path that cannot be made
+    is a ConfigError naming it. A run that ends in a ConfigError or
+    DatasetFormatError leaves path as it found it: every rejection comes
+    before a run's first write, so what was made is empty and removed. Any
+    other end writes resolved to resolved-config.json."""
     out = Path(path)
-    made = [p for p in (out, *out.parents) if not p.exists()]
-    out.mkdir(parents=True, exist_ok=True)
+    # os.path's tests, unlike Path's, read every OSError as "no"
+    made = [p for p in (out, *out.parents) if not os.path.exists(p)]
     try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {path}: {exc.strerror}") from None
         yield out
     except (ConfigError, DatasetFormatError):
-        for p in made:
+        for p in filter(os.path.isdir, made):
             p.rmdir()
         raise
     except BaseException:  # a halt (exit 1) or a crash
@@ -184,6 +189,12 @@ def _dataset_from_config(cfg: dict):
         raise ConfigError(f"unknown dataset key(s) {unknown}; known keys: "
                           f"type and spec, or path")
     if "path" in cfg:
+        unread = [f"dataset.spec.{key}" for key in cfg["spec"]]
+        if cfg["type"] != "mixture":
+            unread.append("dataset.type")
+        if unread:
+            raise ConfigError(f"dataset.path excludes type, spec and --seed; "
+                              f"unread key(s) {unread}")
         train = datagen.load_dataset(Path(cfg["path"]) / "train.csv")
         test = _load_split_like(train, Path(cfg["path"]) / "test.csv")
         val_path = Path(cfg["path"]) / "val.csv"
@@ -417,21 +428,17 @@ def _exp_softmax_toy(cfg: dict, out: Path) -> list:
     model = RidgeLeastSquares(cfg["mu"])
     scfg = _build(SolverConfig, cfg["solver"])
     trace, _ = _run_solver("softmax", model, train, test, scfg, theta_hat)
-    if trace.halted is not None:  # keep its records, before any re-solve
-        trace.to_jsonl(out / "trace.jsonl", theta_ref=theta_hat)
-    _require_whole(trace, "the softmax run")
     err = lambda theta: float(np.linalg.norm(theta - theta_hat.theta))
-    rows = []
-    for r in trace.records:
-        # a cold-start re-solve at the record's weights
-        r.extra = {"resolve_err": err(solve_inner(
-            model, train, r.w, ModelParams(np.zeros_like(r.theta)),
-            tol=1e-8).theta)}
-        rows.append({"k": r.k, "entropy": r.entropy,
-                     "outer_loss": r.outer_loss, "theta_err": err(r.theta),
-                     **r.extra})
+    if trace.halted is None:  # a halted run keeps its records as they are
+        for r in trace.records:
+            # a cold-start re-solve at the record's weights
+            r.extra = {"resolve_err": err(solve_inner(
+                model, train, r.w, ModelParams(np.zeros_like(r.theta)),
+                tol=1e-8).theta)}
     trace.to_jsonl(out / "trace.jsonl", theta_ref=theta_hat)
-    return rows
+    _require_whole(trace, "the softmax run")
+    return [{"k": r.k, "entropy": r.entropy, "outer_loss": r.outer_loss,
+             "theta_err": err(r.theta), **r.extra} for r in trace.records]
 
 
 def _mirror_flow(field, n: int, fcfg: FlowConfig, out: Path):

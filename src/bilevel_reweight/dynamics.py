@@ -33,6 +33,7 @@ from .simplex import (
     SimplexWeights,
     _entropies,
     _finite,
+    mirror_step,
     preconditioner,
     support,
 )
@@ -87,8 +88,9 @@ class ExactHypergradField:
     def __call__(self, w: SimplexWeights) -> np.ndarray:
         theta, chol = _inner_solution(self.model, self.data, w, self._theta0,
                                       1e-12)
-        return hypergrad_at(self.model.forward(theta, self.data),
-                            self.model.forward(theta, self.test_data), w, chol)
+        return hypergrad_at(self.model.forward(theta.theta, self.data),
+                            self.model.forward(theta.theta, self.test_data),
+                            w, chol)
 
 
 def _softmax(u: np.ndarray) -> SimplexWeights:
@@ -117,12 +119,6 @@ def _dual_records(times, states: np.ndarray) -> List[TraceRecord]:
                         inner_loss=None, outer_loss=None,
                         entropy=float(hi), support_size=int(si))
             for t, row, hi, si in zip(times, w, h, sizes)]
-
-
-def _theta_record(model, data, test_data, theta: np.ndarray,
-                  w: SimplexWeights, t, extra=None) -> TraceRecord:
-    return _make_record(model.forward(theta, data),
-                        model.forward(theta, test_data), w, t, extra)
 
 
 def _row(size: int, entries: dict) -> np.ndarray:
@@ -408,11 +404,9 @@ def integrate_mirror_flow(field, w0: SimplexWeights, cfg: FlowConfig,
 
 
 def constant_field_solution(w0: SimplexWeights, phi, t: float) -> SimplexWeights:
-    """Closed-form mirror flow for a constant field:
-    w(t) = w0 * exp(-t phi), renormalized."""
-    z = t * np.asarray(phi, dtype=float)
-    z = z - z.min()
-    return SimplexWeights.from_unnormalized(w0.values * np.exp(-z))
+    """Closed-form mirror flow for a constant field, w(t) = w0 * exp(-t phi)
+    renormalized: one mirror step of size t."""
+    return mirror_step(w0, phi, t)
 
 
 def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
@@ -444,8 +438,9 @@ def integrate_joint_flow(model, data, test_data, theta0: ModelParams,
     with _halting() as trace:
         for t, y in _path(deriv, state, grid, cfg.dt, cfg.rtol,
                           slice(p, None)):
-            trace.append(_theta_record(model, data, test_data, y[:p],
-                                       _softmax(y[p:]), t))
+            trace.append(_make_record(model.forward(y[:p], data),
+                                      model.forward(y[:p], test_data),
+                                      _softmax(y[p:]), t))
     return trace
 
 
@@ -621,12 +616,12 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
     """Reference trajectory theta' = -grad G(theta, Omega(theta, w0)) with
     the sparse limit Omega refreshed every refresh_dt of slow time and held
     piecewise-constant in between, one _path per segment. A record's extra
-    holds its segment's omega_converged, omega_oscillating, omega_t and
-    omega_change (the last checkpoint change, or None). A refresh whose
-    Omega did not converge raises NoConvergenceError naming its time and
-    whether Omega oscillated: the reference holds limits only. It runs
-    inside solvers._halting, the refreshes included, so a failed first
-    refresh raises and a later one ends the run with the records so far."""
+    holds its segment's omega_t and omega_change (the last checkpoint
+    change, or None). A refresh whose Omega did not converge raises
+    NoConvergenceError naming its time and whether Omega oscillated: the
+    reference holds limits only. It runs inside solvers._halting, the
+    refreshes included, so a failed first refresh raises and a later one
+    ends the run with the records so far."""
     _check_number("refresh_dt", refresh_dt, 1.0, "positive")
     if omega_cfg is None:
         omega_cfg = FlowConfig(dt=min(cfg.dt, 1e-2), t_max=1e3,
@@ -652,9 +647,7 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
                     f"Omega refreshed at t = {times[start]:g} did not "
                     "converge " + ("(it oscillates)" if omega.oscillating
                                   else "by t_max"))
-            extra = {"omega_converged": omega.converged,
-                     "omega_oscillating": omega.oscillating,
-                     "omega_t": omega.t,
+            extra = {"omega_t": omega.t,
                      "omega_change": (omega.checkpoint_changes or [None])[-1]}
 
             def deriv(th, w=omega.w):
@@ -665,7 +658,8 @@ def integrate_sparse_reference(model, data, test_data, theta0: ModelParams,
             for i, (t, theta) in enumerate(path, start):
                 # a segment's first time is the last of the one before
                 if record[i] and (i == 0 or i > start):
-                    trace.append(_theta_record(model, data, test_data, theta,
-                                               omega.w, t, extra))
+                    trace.append(_make_record(
+                        model.forward(theta, data),
+                        model.forward(theta, test_data), omega.w, t, extra))
             start = end
     return trace

@@ -120,13 +120,16 @@ def mirror_step(w: SimplexWeights, phi, eta: float) -> SimplexWeights:
     with the smallest exponent keeps factor 1, so the update cannot
     underflow once w has collapsed onto a face. Exact zeros of w never
     revive (multiplicative update), matching the flow's invariant-face
-    behavior. A non-finite phi raises NumericOverflowError (a solver halt).
+    behavior. A step of size 0 returns w itself and reads no phi. A
+    non-finite phi raises NumericOverflowError (a solver halt).
     """
     phi = np.asarray(phi, dtype=float)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if eta < 0:
+        raise ValueError("eta must be nonnegative")
     if phi.shape != w.values.shape:
         raise ValueError("phi dimension mismatch")
+    if eta == 0:
+        return w
     _finite("phi", phi)
     v = w.values
     with np.errstate(over="ignore", invalid="ignore"):

@@ -33,12 +33,7 @@ from .errors import (
     _check_fields,
     _check_number,
 )
-from .hypergrad import (
-    _closed_form,
-    _solve_cg,
-    closed_form_inner_quadratic,
-    hypergrad_at,
-)
+from .hypergrad import _closed_form, _solve_cg, hypergrad_at
 from .losses import ForwardPass, ModelParams
 from .simplex import (
     DEFAULT_SUPPORT_TOL,
@@ -185,8 +180,16 @@ def solve_inner(model, data, w: SimplexWeights, theta0: ModelParams,
     it); raises NoConvergenceError with the final |g| after max_iter steps
     or when the line search fails."""
     _check_number("tol", tol, 1.0, "positive")
+    return _inner_solution(model, data, w, theta0, tol, max_iter)[0]
+
+
+def _inner_solution(model, data, w: SimplexWeights, theta0: ModelParams,
+                    tol: float, max_iter: int = 100):
+    """solve_inner's theta*(w), and for a quadratic model the Cholesky
+    factor its closed form was solved with (else None), which is the factor
+    of the training pass's hess(w.values), bit for bit."""
     if model.is_quadratic:
-        return closed_form_inner_quadratic(data, w, model.mu)
+        return _closed_form(data, w.values, model.mu)
     wv = w.values
     theta = theta0.theta.copy()
     fp = model.forward(theta, data)
@@ -194,7 +197,7 @@ def solve_inner(model, data, w: SimplexWeights, theta0: ModelParams,
     G, gnorm = wv @ fp.sample_losses(), np.linalg.norm(g)
     for _ in range(max_iter):
         if gnorm <= tol:
-            return ModelParams(theta)
+            return ModelParams(theta), None
         d = _solve_cg(lambda v: fp.hess_apply(wv, v), -g,
                       min(0.5, np.sqrt(gnorm)), 10 * g.size)
         slope, t = g @ d, 1.0
@@ -210,20 +213,9 @@ def solve_inner(model, data, w: SimplexWeights, theta0: ModelParams,
             break
         theta, g, G, gnorm = fp.theta, g_t, G_t, gnorm_t
     if gnorm <= tol:
-        return ModelParams(theta)
+        return ModelParams(theta), None
     raise NoConvergenceError(
         f"inner solve stopped at gradient norm {gnorm:.3e} (tol {tol:.1e})")
-
-
-def _inner_solution(model, data, w: SimplexWeights, theta0: ModelParams,
-                    tol: float):
-    """theta*(w) as solve_inner finds it, and for a quadratic model the
-    Cholesky factor its closed form was solved with (else None), which is
-    the factor of the training pass's hess(w.values), bit for bit."""
-    if model.is_quadratic:
-        theta, chol = _closed_form(data, w.values, model.mu)
-        return theta.theta, chol
-    return solve_inner(model, data, w, theta0, tol=tol).theta, None
 
 
 def exact_bilevel(model, data, test_data, w0: SimplexWeights,
@@ -240,12 +232,11 @@ def exact_bilevel(model, data, test_data, w0: SimplexWeights,
     def solve(w):
         nonlocal chol
         theta, chol = _inner_solution(model, data, w, theta0, 1e-10)
-        return theta
+        return theta.theta
 
     def step(train, test, w):
         psi = hypergrad_at(train, test, w, chol)
-        if cfg.eta > 0:
-            w = mirror_step(w, psi, cfg.eta)
+        w = mirror_step(w, psi, cfg.eta)
         return solve(w), w
 
     return _run(model, data, test_data, lambda: solve(w0), w0, cfg, step)
@@ -260,9 +251,7 @@ def warm_started(model, data, test_data, theta0: ModelParams, w0: SimplexWeights
         _finite("hypergradient", psi)
         theta = train.theta - cfg.rho * train.gamma_T_apply(w.values)
         _finite("model parameters", theta)
-        if cfg.eta > 0:
-            w = mirror_step(w, psi, cfg.eta)
-        return theta, w
+        return theta, mirror_step(w, psi, cfg.eta)
 
     return _run(model, data, test_data, theta0.theta.copy, w0, cfg, step)
 
@@ -284,9 +273,7 @@ def soba(model, data, test_data, theta0: ModelParams, w0: SimplexWeights,
         v = v - cfg.rho * (hv - test.mean_fit_grad())
         theta = train.theta - cfg.rho * train.gamma_T_apply(w.values)
         _finite("iterates", theta, v)
-        if cfg.eta > 0:
-            w = mirror_step(w, psi_hat, cfg.eta)
-        return theta, w
+        return theta, mirror_step(w, psi_hat, cfg.eta)
 
     return _run(model, data, test_data, theta0.theta.copy, w0, cfg, step)
 

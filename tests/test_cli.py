@@ -1089,10 +1089,22 @@ def test_removed_config_key_exits_2_naming_it(tmp_path, capsys, command, item,
 
 UNREAD_BY_EXACT = "rho is not read by solver kind exact; remove it"
 UNKNOWN = "unknown experiment config key(s) "
+UNREAD_BESIDE_PATH = ("dataset.path excludes type, spec and --seed; unread "
+                      "key(s) ")
 
 
 @pytest.mark.parametrize("command, sets, message", [
     (["solve"], ["solver.rho=5"], UNREAD_BY_EXACT),
+    # a dataset read from disk reads no spec: the run would solve the data
+    # at path whatever these say
+    (["solve"], ["dataset.path=data", "dataset.spec.n=5"],
+     UNREAD_BESIDE_PATH + "['dataset.spec.n']"),
+    (["solve", "--seed", "3"], ["dataset.path=data"],
+     UNREAD_BESIDE_PATH + "['dataset.spec.seed']"),
+    (["solve"], ["dataset.path=data", "dataset.type=corruption"],
+     UNREAD_BESIDE_PATH + "['dataset.type']"),
+    (["solve", "--seed", "3"], ["dataset.path=data", "dataset.type=corruption"],
+     UNREAD_BESIDE_PATH + "['dataset.spec.seed', 'dataset.type']"),
     (["experiment", "toy-mixture"], ["exact.rho=0.01"], UNREAD_BY_EXACT),
     (FROZEN, ["phi=[1.0,2.0]"], UNKNOWN + "['phi']"),
     (CONSTANT, ["p=4"], UNKNOWN + "['p']"),
@@ -1104,7 +1116,8 @@ UNKNOWN = "unknown experiment config key(s) "
     (CONSTANT, ["phi=[]"], "phi must be a non-empty list"),
     (CONSTANT, ["phi=[[1,2],[3,4]]"], "phi must be a real number, got [1, 2]"),
     (CONSTANT, ["phi=abc"], "phi must be a list, got 'abc'")],
-    ids=["solve-exact-rho", "toy-mixture-exact-rho", "fig3-phi", "constant-p",
+    ids=["solve-exact-rho", "solve-path-spec", "solve-path-seed",
+         "solve-path-type", "solve-path-seed-type", "toy-mixture-exact-rho", "fig3-phi", "constant-p",
          "constant-phi-n", "constant-seed", "constant-preset",
          "constant-phi-nan", "constant-phi-inf", "constant-phi-empty",
          "constant-phi-matrix", "constant-phi-string"])
@@ -1116,6 +1129,24 @@ def test_key_the_run_does_not_read_exits_2_naming_it(tmp_path, capsys,
     assert main(argv) == 2
     assert capsys.readouterr().err.strip().startswith(message)
     assert not (tmp_path / "out").exists()
+
+
+LONG = "x" * 300  # longer than a file name may be
+
+
+@pytest.mark.parametrize("out, reason", [
+    ("afile", "File exists"), ("afile/sub", "Not a directory"),
+    # made/ can be made before its child fails, and is then removed again
+    (f"made/{LONG}", "File name too long")],
+    ids=["existing-file", "under-a-file", "name-too-long"])
+def test_unusable_out_exits_2_naming_it(tmp_path, monkeypatch, capsys, out,
+                                        reason):
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("kept")
+    assert main([*CONSTANT, "--out", out]) == 2
+    assert capsys.readouterr().err.strip() == f"--out {out}: {reason}"
+    assert os.listdir() == ["afile"]
+    assert Path("afile").read_text() == "kept"
 
 
 @pytest.mark.parametrize("preset", workloads.PRESETS, ids=lambda p: p.name)

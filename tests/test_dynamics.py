@@ -831,7 +831,7 @@ class TestSparseReference:
         assert [r.k for r in trace.records] == [0.0, 0.05]
         for r in trace.records:
             assert np.all(np.isfinite(r.theta))
-            assert r.extra["omega_converged"]
+            assert set(r.extra) == {"omega_t", "omega_change"}
 
     def test_an_overflowing_theta_halts_naming_it(self, monkeypatch):
         # Gamma^T w = -sum_i w_i y_i x_i overflows at theta = 0 with targets
@@ -885,12 +885,10 @@ class TestSparseReference:
                                  + omegas[1:] * 2):
             assert np.max(np.abs(rec.theta - theta)) <= 1e-8
             assert rec.w is w
-        assert trace.records[1].extra == {
-            "omega_converged": True, "omega_oscillating": False,
-            "omega_t": 3.0, "omega_change": 1e-10}
-        assert trace.records[3].extra == {
-            "omega_converged": True, "omega_oscillating": False,
-            "omega_t": 5.0, "omega_change": 2e-6}
+        assert trace.records[1].extra == {"omega_t": 3.0,
+                                          "omega_change": 1e-10}
+        assert trace.records[3].extra == {"omega_t": 5.0,
+                                          "omega_change": 2e-6}
 
     @pytest.mark.parametrize("oscillating, why", [
         (False, "by t_max"), (True, "(it oscillates)")])
@@ -918,7 +916,9 @@ class TestSparseReference:
         assert trace.halted == ("Omega refreshed at t = 0.06 did not converge "
                                 f"{why}")
         assert [r.k for r in trace.records] == [0.0, 0.05]
-        assert all(r.extra["omega_converged"] for r in trace.records)
+        # both kept records are of the first, converged refresh
+        assert all(r.extra == {"omega_t": 3.0, "omega_change": 1e-10}
+                   for r in trace.records)
         results.append(unconverged)
         with pytest.raises(NoConvergenceError, match="^Omega refreshed at "
                            f"t = 0 did not converge {re.escape(why)}$"):

@@ -35,6 +35,7 @@ from bilevel_reweight import (
     SingularDesignError,
     SolverConfig,
     closed_form_inner_quadratic,
+    constant_field_solution,
     entropy,
     exact_bilevel,
     membership_I,
@@ -294,10 +295,12 @@ class TestLogisticResidual:
 def reference_mirror_step(w, phi, eta):
     """The mirror step as a gather over the support and a scatter back."""
     phi = np.asarray(phi, dtype=float)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if eta < 0:
+        raise ValueError("eta must be nonnegative")
     if phi.shape != w.values.shape:
         raise ValueError("phi dimension mismatch")
+    if eta == 0:
+        return w.values
     if not np.all(np.isfinite(phi)):
         raise NumericOverflowError("phi overflowed to a non-finite value")
     on = w.values > 0
@@ -353,6 +356,57 @@ class TestMirrorStepReference:
         except (ValueError, NumericOverflowError):
             return
         assert_is_checked(w)
+
+    @pytest.mark.parametrize("phi", [[1.0, 2.0], [np.nan, np.inf]])
+    def test_a_step_of_0_is_w_itself_and_reads_no_phi(self, phi):
+        w = SimplexWeights(np.array([0.25, 0.75]))
+        assert mirror_step(w, phi, 0.0) is w
+        with pytest.raises(ValueError, match="^phi dimension mismatch$"):
+            mirror_step(w, [1.0], 0.0)
+
+
+def reference_constant_field_solution(w0, phi, t):
+    """The closed-form flow of a constant field, w0 * exp(-t phi)
+    renormalized, with t phi shifted by its minimum over every entry."""
+    z = t * np.asarray(phi, dtype=float)
+    z = z - z.min()
+    return SimplexWeights.from_unnormalized(w0.values * np.exp(-z))
+
+
+@st.composite
+def constant_field_inputs(draw):
+    """(w0, phi, t, interior): t |phi| <= 300, so no weight underflows."""
+    rng = np.random.default_rng(draw(SEEDS))
+    n = draw(st.integers(1, 30))
+    v = rng.dirichlet(np.ones(n))
+    interior = draw(st.booleans())
+    if not interior:
+        v[rng.random(n) < 0.5] = 0.0
+        v[rng.integers(n)] = 1.0
+        v /= v.sum()
+    phi = rng.uniform(-10.0, 10.0, n)
+    t = 10.0 ** draw(st.floats(-3.0, math.log10(30.0)))
+    return SimplexWeights(v), phi, t, bool(v.min() > 0)
+
+
+class TestConstantFieldSolution:
+    @settings(max_examples=300, deadline=None)
+    @given(args=constant_field_inputs())
+    def test_is_the_closed_form(self, args):
+        # bit for bit from interior weights; on a face mirror_step shifts
+        # by the minimum over the support, which changes only the rounding
+        w0, phi, t, interior = args
+        got = constant_field_solution(w0, phi, t).values
+        want = reference_constant_field_solution(w0, phi, t).values
+        if interior:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.array_equal(got == 0, want == 0)
+            assert np.allclose(got, want, rtol=1e-11, atol=0.0)
+
+    def test_at_time_0_is_w0(self):
+        w0 = SimplexWeights(np.array([0.5, 0.0, 0.5]))
+        assert constant_field_solution(w0, [3.0, 1.0, 2.0], 0.0) is w0
 
 
 def assert_is_checked(w):

@@ -36,10 +36,15 @@ from bilevel_reweight import losses
 from bilevel_reweight.dynamics import FlowConfig
 from bilevel_reweight.hypergrad import (
     _closed_form,
+    _factor_spd,
     _solve_hessian,
     hypergrad_at,
 )
-from bilevel_reweight.solvers import lambda_gradient, softmax_weights
+from bilevel_reweight.solvers import (
+    _inner_solution,
+    lambda_gradient,
+    softmax_weights,
+)
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +59,16 @@ class TestSolveInner:
         model, train, _, _, _ = toy
         rng = np.random.default_rng(0)
         w = SimplexWeights.from_unnormalized(rng.random(train.n) + 0.1)
-        got = solve_inner(model, train, w, ModelParams(np.zeros(train.d)))
+        theta0 = ModelParams(np.zeros(train.d))
+        got = solve_inner(model, train, w, theta0)
         exact = closed_form_inner_quadratic(train, w, model.mu)
-        assert np.allclose(got.theta, exact.theta)
+        assert got.theta.tobytes() == exact.theta.tobytes()
+        # the factor the closed form solved with is that of the training
+        # pass's Hessian, which serves the hypergradient at the same w
+        theta, chol = _inner_solution(model, train, w, theta0, 1e-10)
+        assert theta.theta.tobytes() == exact.theta.tobytes()
+        hess = model.forward(theta0.theta, train).hess(w.values)
+        assert chol.tobytes() == _factor_spd(hess).tobytes()
 
     def test_one_sample_ridge_hand_formula(self):
         d = np.array([1.0, 2.0, -1.0])
